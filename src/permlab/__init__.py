@@ -8,7 +8,6 @@ experiment harness with a CLI for reproducible trial campaigns.
 
 from .chain import (
     ChainSampler,
-    ChainState,
     WeightTable,
     build_transition_matrix,
     enumerate_states,
@@ -61,7 +60,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChainSampler",
-    "ChainState",
     "Estimate",
     "Matching",
     "Matrix",

@@ -76,64 +76,52 @@ class WeightTable:
         return self.log_w[u * self.n + v]
 
 
-@dataclass(frozen=True)
-class ChainState:
-    """A chain state: the matching plus its cached non-instance pair count.
-
-    ``lambda_edge_count`` is the number of matched pairs that are absent
-    from the instance matrix. It is None for states produced without an
-    instance in hand (pure enumeration); weight computations recount it
-    directly from the matching, and the sampler maintains it incrementally.
-    """
-
-    matching: Matching
-    lambda_edge_count: int | None = None
-
-
 def lambda_edges(matching: Matching, wt: WeightTable) -> int:
     """Recount of matched pairs absent from the instance."""
     n = wt.n
     return sum(1 for u, v in matching.pairs if not wt.edge_present[u * n + v])
 
 
-def log_weight(state: ChainState, wt: WeightTable) -> float:
+def log_weight(matching: Matching, wt: WeightTable) -> float:
     """ln w(M): activity count times ln(lambda), plus the hole weight."""
-    k = lambda_edges(state.matching, wt)
-    value = k * wt.log_lambda
-    if state.matching.hole is not None:
-        u, v = state.matching.hole
+    value = lambda_edges(matching, wt) * wt.log_lambda
+    if matching.hole is not None:
+        u, v = matching.hole
         value += wt.hole_log_w(u, v)
     return value
 
 
-def propose(state: ChainState, draws: BufferedDraws) -> ChainState:
-    """The proposal M' for one transition, before the acceptance filter."""
-    matching = state.matching
+def propose(matching: Matching, draws) -> Matching:
+    """The proposal M' for one transition, before the acceptance filter.
+
+    ``draws`` supplies ``edge_index`` (perfect matchings) or
+    ``vertex_index`` (near-perfect ones); one call selects the proposal.
+    """
     n = matching.n
     if matching.is_perfect:
         # Each row owns exactly one pair, so a uniform row index selects a
         # uniform matched pair.
         target = draws.edge_index()
         removed = (target, matching.row_to_col()[target])
-        return ChainState(Matching(n, matching.pairs - {removed}, removed))
+        return Matching(n, matching.pairs - {removed}, removed)
     hu, hv = matching.hole
     x = draws.vertex_index()
     assignment = matching.row_to_col()
     if x < n:
         if x == hu:
-            return ChainState(Matching(n, matching.pairs | {(hu, hv)}, None))
+            return Matching(n, matching.pairs | {(hu, hv)}, None)
         z = assignment[x]
         new_pairs = (matching.pairs - {(x, z)}) | {(x, hv)}
-        return ChainState(Matching(n, new_pairs, (hu, z)))
+        return Matching(n, new_pairs, (hu, z))
     xc = x - n
     if xc == hv:
-        return ChainState(Matching(n, matching.pairs | {(hu, hv)}, None))
+        return Matching(n, matching.pairs | {(hu, hv)}, None)
     w = next(u for u, v in matching.pairs if v == xc)
     new_pairs = (matching.pairs - {(w, xc)}) | {(hu, xc)}
-    return ChainState(Matching(n, new_pairs, (w, hv)))
+    return Matching(n, new_pairs, (w, hv))
 
 
-def step(state: ChainState, wt: WeightTable, draws: BufferedDraws) -> ChainState:
+def step(state: Matching, wt: WeightTable, draws: BufferedDraws) -> Matching:
     """One Metropolis transition; returns the new state (possibly the old)."""
     proposal = propose(state, draws)
     delta = log_weight(proposal, wt) - log_weight(state, wt)
@@ -144,7 +132,7 @@ def step(state: ChainState, wt: WeightTable, draws: BufferedDraws) -> ChainState
     return state
 
 
-def enumerate_states(n: int) -> list[ChainState]:
+def enumerate_states(n: int) -> list[Matching]:
     """Every perfect and near-perfect matching of K_{n,n}, in canonical order.
 
     There are n! perfect matchings and n^2 * (n-1)! near-perfect ones, or
@@ -166,46 +154,43 @@ def enumerate_states(n: int) -> list[ChainState]:
                     assignment[u] = v
                 assignments.append(tuple(assignment))
     assignments.sort()
-    return [ChainState(Matching.from_row_to_col(a)) for a in assignments]
+    return [Matching.from_row_to_col(a) for a in assignments]
 
 
-def _proposal_distribution(state: ChainState, n: int) -> list[tuple[ChainState, float]]:
-    """All proposals from a state with their selection probabilities."""
-    matching = state.matching
-    out: list[tuple[ChainState, float]] = []
-    if matching.is_perfect:
-        for removed in matching.pairs:
-            out.append(
-                (ChainState(Matching(n, matching.pairs - {removed}, removed)), 1.0 / n)
-            )
-        return out
-    hu, hv = matching.hole
-    # x = u and x = v both propose completing the hole pair.
-    out.append((ChainState(Matching(n, matching.pairs | {(hu, hv)}, None)), 2.0 / (2 * n)))
-    for u, v in matching.pairs:
-        # Drawing matched column v slides the hole row to u's place.
-        new_pairs = (matching.pairs - {(u, v)}) | {(hu, v)}
-        out.append((ChainState(Matching(n, new_pairs, (u, hv))), 1.0 / (2 * n)))
-        # Drawing matched row u slides the hole column to v's place.
-        new_pairs = (matching.pairs - {(u, v)}) | {(u, hv)}
-        out.append((ChainState(Matching(n, new_pairs, (hu, v))), 1.0 / (2 * n)))
-    return out
+def state_key(state: Matching) -> tuple[int, ...]:
+    return tuple(state.row_to_col())
 
 
-def state_key(state: ChainState) -> tuple[int, ...]:
-    return tuple(state.matching.row_to_col())
+class _FixedDraw:
+    """Draw source that answers the proposal draw with one fixed index."""
+
+    def __init__(self, index: int):
+        self.index = index
+
+    def edge_index(self) -> int:
+        return self.index
+
+    def vertex_index(self) -> int:
+        return self.index
 
 
-def build_transition_matrix(n: int, wt: WeightTable) -> tuple[list[ChainState], np.ndarray]:
-    """Explicit transition matrix from the proposal and acceptance rules."""
+def build_transition_matrix(n: int, wt: WeightTable) -> tuple[list[Matching], np.ndarray]:
+    """Explicit transition matrix of ``propose`` plus the acceptance filter.
+
+    Each state's proposals come from feeding ``propose`` every equally
+    likely draw: the n edge indices from a perfect matching, the 2n vertex
+    indices from a near-perfect one.
+    """
     states = enumerate_states(n)
     index = {state_key(s): i for i, s in enumerate(states)}
     size = len(states)
     matrix = np.zeros((size, size))
     log_weights = [log_weight(s, wt) for s in states]
     for i, state in enumerate(states):
-        for proposal, select_p in _proposal_distribution(state, n):
-            j = index[state_key(proposal)]
+        draw_count = n if state.is_perfect else 2 * n
+        select_p = 1.0 / draw_count
+        for x in range(draw_count):
+            j = index[state_key(propose(state, _FixedDraw(x)))]
             accept = min(1.0, math.exp(log_weights[j] - log_weights[i]))
             matrix[i, j] += select_p * accept
             matrix[i, i] += select_p * (1.0 - accept)
@@ -217,7 +202,7 @@ def exact_stationary(
     wt: WeightTable,
     residual: float = 1e-12,
     max_iterations: int = 500_000,
-) -> tuple[list[ChainState], np.ndarray]:
+) -> tuple[list[Matching], np.ndarray]:
     """Stationary distribution of the enumerated chain by power iteration.
 
     Iterates pi <- pi P until the L1 residual drops below ``residual``.
@@ -246,7 +231,7 @@ class ChainSampler:
     function, so short trajectories of the two are interchangeable.
     """
 
-    def __init__(self, wt: WeightTable, start: ChainState, draws: BufferedDraws):
+    def __init__(self, wt: WeightTable, start: Matching, draws: BufferedDraws):
         n = wt.n
         if draws.n != n:
             raise ValueError("draw source sized for a different n")
@@ -255,20 +240,17 @@ class ChainSampler:
         self.edge_flat = list(wt.edge_present)
         self.log_w = list(wt.log_w)
         self.log_lambda = wt.log_lambda
-        matching = start.matching
-        matching.validate()
-        self.row_to_col = matching.row_to_col()
+        start.validate()
+        self.row_to_col = start.row_to_col()
         self.col_to_row = [-1] * n
-        for u, v in matching.pairs:
+        for u, v in start.pairs:
             self.col_to_row[v] = u
-        if matching.hole is None:
+        if start.hole is None:
             self.hole_u = -1
             self.hole_v = -1
         else:
-            self.hole_u, self.hole_v = matching.hole
-        self.lambda_count = sum(
-            1 for u, v in matching.pairs if not self.edge_flat[u * n + v]
-        )
+            self.hole_u, self.hole_v = start.hole
+        self.lambda_count = lambda_edges(start, wt)
         self.steps_taken = 0
 
     def set_weights(self, wt: WeightTable) -> None:
@@ -278,20 +260,9 @@ class ChainSampler:
         self.log_w = list(wt.log_w)
         self.log_lambda = wt.log_lambda
 
-    def recount_lambda_edges(self) -> int:
-        """Direct recount of matched non-instance pairs, for verification."""
-        n = self.n
-        return sum(
-            1
-            for u, v in enumerate(self.row_to_col)
-            if v >= 0 and not self.edge_flat[u * n + v]
-        )
-
-    def state(self) -> ChainState:
-        n = self.n
+    def state(self) -> Matching:
         pairs = frozenset((u, v) for u, v in enumerate(self.row_to_col) if v >= 0)
-        hole = None if self.hole_u < 0 else (self.hole_u, self.hole_v)
-        return ChainState(Matching(n, pairs, hole), self.lambda_count)
+        return Matching(self.n, pairs, self.hole())
 
     @property
     def is_perfect(self) -> bool:
@@ -351,89 +322,71 @@ class ChainSampler:
                     vi = 0
                 x = vbuf[vi]
                 vi += 1
-                if x < n:
-                    if x == hu:
-                        # Complete the hole pair.
-                        dk = 1 - edge[hu * n + hv]
-                        delta = dk * log_lambda - log_w[hu * n + hv]
-                        if delta >= 0.0:
-                            accept = True
-                        else:
-                            if ui >= len(ubuf):
-                                ubuf = draws.refill_unit()
-                                ui = 0
-                            accept = ubuf[ui] < exp(delta)
-                            ui += 1
-                        if accept:
-                            r2c[hu] = hv
-                            c2r[hv] = hu
-                            hu = -1
-                            k += dk
+                if x == hu or x - n == hv:
+                    # Hole row or hole column: complete the hole pair.
+                    dk = 1 - edge[hu * n + hv]
+                    delta = dk * log_lambda - log_w[hu * n + hv]
+                    if delta >= 0.0:
+                        accept = True
                     else:
-                        # Matched row x: swing its column onto the hole column.
-                        z = r2c[x]
-                        base = x * n
-                        dk = edge[base + z] - edge[base + hv]
-                        delta = (
-                            dk * log_lambda
-                            + log_w[hu * n + z]
-                            - log_w[hu * n + hv]
-                        )
-                        if delta >= 0.0:
-                            accept = True
-                        else:
-                            if ui >= len(ubuf):
-                                ubuf = draws.refill_unit()
-                                ui = 0
-                            accept = ubuf[ui] < exp(delta)
-                            ui += 1
-                        if accept:
-                            r2c[x] = hv
-                            c2r[hv] = x
-                            c2r[z] = -1
-                            hv = z
-                            k += dk
+                        if ui >= len(ubuf):
+                            ubuf = draws.refill_unit()
+                            ui = 0
+                        accept = ubuf[ui] < exp(delta)
+                        ui += 1
+                    if accept:
+                        r2c[hu] = hv
+                        c2r[hv] = hu
+                        hu = -1
+                        k += dk
+                elif x < n:
+                    # Matched row x: swing its column onto the hole column.
+                    z = r2c[x]
+                    base = x * n
+                    dk = edge[base + z] - edge[base + hv]
+                    delta = (
+                        dk * log_lambda
+                        + log_w[hu * n + z]
+                        - log_w[hu * n + hv]
+                    )
+                    if delta >= 0.0:
+                        accept = True
+                    else:
+                        if ui >= len(ubuf):
+                            ubuf = draws.refill_unit()
+                            ui = 0
+                        accept = ubuf[ui] < exp(delta)
+                        ui += 1
+                    if accept:
+                        r2c[x] = hv
+                        c2r[hv] = x
+                        c2r[z] = -1
+                        hv = z
+                        k += dk
                 else:
+                    # Matched column xc: pull it onto the hole row.
                     xc = x - n
-                    if xc == hv:
-                        dk = 1 - edge[hu * n + hv]
-                        delta = dk * log_lambda - log_w[hu * n + hv]
-                        if delta >= 0.0:
-                            accept = True
-                        else:
-                            if ui >= len(ubuf):
-                                ubuf = draws.refill_unit()
-                                ui = 0
-                            accept = ubuf[ui] < exp(delta)
-                            ui += 1
-                        if accept:
-                            r2c[hu] = hv
-                            c2r[hv] = hu
-                            hu = -1
-                            k += dk
+                    w = c2r[xc]
+                    dk = edge[w * n + xc] - edge[hu * n + xc]
+                    delta = (
+                        dk * log_lambda
+                        + log_w[w * n + hv]
+                        - log_w[hu * n + hv]
+                    )
+                    if delta >= 0.0:
+                        accept = True
                     else:
-                        # Matched column xc: pull it onto the hole row.
-                        w = c2r[xc]
-                        dk = edge[w * n + xc] - edge[hu * n + xc]
-                        delta = (
-                            dk * log_lambda
-                            + log_w[w * n + hv]
-                            - log_w[hu * n + hv]
-                        )
-                        if delta >= 0.0:
-                            accept = True
-                        else:
-                            if ui >= len(ubuf):
-                                ubuf = draws.refill_unit()
-                                ui = 0
-                            accept = ubuf[ui] < exp(delta)
-                            ui += 1
-                        if accept:
-                            r2c[w] = -1
-                            r2c[hu] = xc
-                            c2r[xc] = hu
-                            hu = w
-                            k += dk
+                        if ui >= len(ubuf):
+                            ubuf = draws.refill_unit()
+                            ui = 0
+                        accept = ubuf[ui] < exp(delta)
+                        ui += 1
+                    if accept:
+                        r2c[w] = -1
+                        r2c[hu] = xc
+                        c2r[xc] = hu
+                        hu = w
+                        k += dk
 
         self.hole_u = hu
         self.hole_v = hv

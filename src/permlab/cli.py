@@ -9,9 +9,11 @@ Subcommands:
   feasibility  step totals versus Ryser operation count, with time projection
   crossover    smallest n where the estimator beats Ryser's operation count
   trials       run a batch of trials from a manifest and a config file
-  report       aggregate a results file into summary rows
+  report       aggregate a results file into per-size summary rows
 
-Every JSON document printed or written carries a schema_version field.
+Every JSON document printed or written carries a schema_version field. Bad
+input (an unreadable or malformed file, an unsupported size) prints one
+``permlab: error: ...`` line on stderr and exits with status 1.
 """
 
 from __future__ import annotations
@@ -164,7 +166,7 @@ def cmd_trials(args) -> int:
 
 
 def cmd_report(args) -> int:
-    rows = aggregate(read_results(args.results), group_by=args.group_by)
+    rows = aggregate(read_results(args.results))
     for row in rows:
         _emit(row.to_dict())
     if args.csv:
@@ -233,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="aggregate a JSONL results file")
     p.add_argument("results")
-    p.add_argument("--group-by", default="n", dest="group_by")
     p.add_argument("--csv", default=None, help="also write summary rows as CSV")
     p.set_defaults(func=cmd_report)
 
@@ -242,7 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        # MatrixParseError is a ValueError; it names the offending line.
+        print(f"permlab: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

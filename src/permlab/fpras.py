@@ -34,7 +34,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .chain import ChainSampler, ChainState, WeightTable, exact_stationary, lambda_edges
+from .chain import ChainSampler, WeightTable, exact_stationary, lambda_edges
 from .matrix import Matrix, find_perfect_matching
 from .params import (
     RelaxationFactors,
@@ -133,19 +133,19 @@ def run_phase(
     tau_init: int,
     tau_resample: int,
     num_samples: int,
-) -> tuple[PhaseStats, ChainState]:
+) -> PhaseStats:
     """Walk the initialization steps, then collect spaced samples.
 
     Consumes exactly tau_init + tau_resample * num_samples transitions and
-    returns the compressed sample table plus the final state, which seeds
-    the next stage (the sampler is already standing on it).
+    returns the compressed sample table. The sampler is left standing on
+    the final state, which seeds the next stage.
     """
     stats = PhaseStats(sampler.n)
     sampler.walk(tau_init)
     for _ in range(num_samples):
         sampler.walk(tau_resample)
         stats.record(sampler.hole(), sampler.lambda_count)
-    return stats, sampler.state()
+    return stats
 
 
 def update_weights(stats: PhaseStats, wt: WeightTable, phase: int = 0) -> WeightTable:
@@ -283,14 +283,13 @@ def estimate_permanent(
     schedule = phase_schedule(m.n)
     wt = WeightTable.initial(m)
     draws = BufferedDraws(seed, m.n)
-    sampler = ChainSampler(wt, ChainState(start_matching, 0), draws)
+    sampler = ChainSampler(wt, start_matching, draws)
 
     def sample_stage(stage_wt: WeightTable, _phase: int) -> PhaseStats:
         sampler.set_weights(stage_wt)
-        stats, _ = run_phase(
+        return run_phase(
             sampler, params.tau_init, params.tau_resample_phase, params.samples_phase
         )
-        return stats
 
     def sample_final(stage_wt: WeightTable) -> float:
         sampler.set_weights(stage_wt)
@@ -319,42 +318,34 @@ def estimate_permanent(
             progress=reporter,
         )
     except PhaseFailure as failure:
-        return Estimate(
-            value=-1.0,
-            log_value=None,
-            z_ratios=(),
-            y_bar=None,
-            steps_taken=sampler.steps_taken,
-            failed_phase=failure.phase,
-            failure_reason=failure.reason,
-            seed=seed,
-        )
+        failed_phase, reason = failure.phase, failure.reason
     except RefinementFailure as failure:
-        return Estimate(
-            value=-1.0,
-            log_value=None,
-            z_ratios=(),
-            y_bar=None,
-            steps_taken=sampler.steps_taken,
-            failed_phase=schedule.l,
-            failure_reason=str(failure),
-            seed=seed,
+        failed_phase, reason = schedule.l, str(failure)
+    else:
+        log_value = (
+            math.log(m.n * m.n + 1)
+            + log_factorial(m.n)
+            + sum(log_z)
+            + math.log(y_bar)
         )
-
-    log_value = (
-        math.log(m.n * m.n + 1)
-        + log_factorial(m.n)
-        + sum(log_z)
-        + math.log(y_bar)
-    )
+        return Estimate(
+            value=math.exp(log_value),
+            log_value=log_value,
+            z_ratios=tuple(math.exp(z) for z in log_z),
+            y_bar=y_bar,
+            steps_taken=sampler.steps_taken,
+            seed=seed,
+            stage_records=tuple(records) if keep_records else None,
+        )
     return Estimate(
-        value=math.exp(log_value),
-        log_value=log_value,
-        z_ratios=tuple(math.exp(z) for z in log_z),
-        y_bar=y_bar,
+        value=-1.0,
+        log_value=None,
+        z_ratios=(),
+        y_bar=None,
         steps_taken=sampler.steps_taken,
+        failed_phase=failed_phase,
+        failure_reason=reason,
         seed=seed,
-        stage_records=tuple(records) if keep_records else None,
     )
 
 
@@ -367,8 +358,7 @@ def exact_distribution_stats(n: int, wt: WeightTable) -> PhaseStats:
     states, probabilities = exact_stationary(n, wt)
     stats = PhaseStats(n)
     for state, probability in zip(states, probabilities):
-        k = lambda_edges(state.matching, wt)
-        stats.record(state.matching.hole, k, float(probability))
+        stats.record(state.hole, lambda_edges(state, wt), float(probability))
     return stats
 
 
@@ -377,7 +367,7 @@ def exact_distribution_perfect_fraction(n: int, wt: WeightTable) -> float:
     states, probabilities = exact_stationary(n, wt)
     mass = 0.0
     for state, probability in zip(states, probabilities):
-        if state.matching.is_perfect and lambda_edges(state.matching, wt) == 0:
+        if state.is_perfect and lambda_edges(state, wt) == 0:
             mass += float(probability)
     return mass
 

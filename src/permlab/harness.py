@@ -3,9 +3,11 @@
 A suite is a directory of .pmat files plus a JSON manifest recording each
 instance's seed, ones count, and exact permanent. Trials pair a matrix with
 an error bound, relaxation factors, and a seed; each trial computes the
-exact permanent (Ryser), runs the estimator, and emits one TrialResult.
-Results persist as JSON Lines, one record per line, which stays append-safe
-when long runs are interrupted; a CSV export serves table-building.
+exact permanent (Ryser), runs the estimator, and emits one TrialResult. A
+trial whose matrix cannot be read, or whose instance the estimator rejects,
+yields a failed TrialResult with ``error`` set, and the batch goes on.
+Results persist as JSON Lines, one record per line, written afresh on each
+run; a CSV export serves table-building.
 
 Error accounting: a trial's relative error is max(estimate/exact,
 exact/estimate) - 1, the multiplicative form matching the estimator's
@@ -30,7 +32,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .exact import permanent_ryser
 from .fpras import estimate_permanent
-from .matrix import generate_random, load_matrix, save_matrix
+from .matrix import Matrix, generate_random, load_matrix, save_matrix
 from .params import RelaxationFactors
 from .rng import RNG_ALGORITHM
 
@@ -108,29 +110,39 @@ def within_multiplicative_bound(estimate: float, exact: int, epsilon: float) -> 
     return exact / bound <= est <= exact * bound
 
 
+def _failed_trial(
+    config: TrialConfig, error: str, m: Matrix | None = None, exact: int = 0
+) -> TrialResult:
+    """Record for a trial that produced no estimate."""
+    return TrialResult(
+        n=0 if m is None else m.n,
+        ones_count=0 if m is None else m.ones_count(),
+        seed=config.seed,
+        exact=exact,
+        estimate=-1.0,
+        rel_error=None,
+        failed=True,
+        within_bound=None,
+        steps_taken=0,
+        wall_seconds=0.0,
+        label=config.label,
+        matrix_path=config.matrix_path,
+        error=error,
+    )
+
+
 def run_single_trial(config: TrialConfig) -> TrialResult:
     """One matrix: exact permanent, then a timed estimator run."""
     try:
         m = load_matrix(config.matrix_path)
     except (OSError, ValueError) as exc:
-        return TrialResult(
-            n=0,
-            ones_count=0,
-            seed=config.seed,
-            exact=0,
-            estimate=-1.0,
-            rel_error=None,
-            failed=True,
-            within_bound=None,
-            steps_taken=0,
-            wall_seconds=0.0,
-            label=config.label,
-            matrix_path=config.matrix_path,
-            error=f"unreadable matrix: {exc}",
-        )
+        return _failed_trial(config, f"unreadable matrix: {exc}")
     exact = permanent_ryser(m)
     started = time.perf_counter()
-    estimate = estimate_permanent(m, config.epsilon, config.relax, config.seed)
+    try:
+        estimate = estimate_permanent(m, config.epsilon, config.relax, config.seed)
+    except ValueError as exc:
+        return _failed_trial(config, str(exc), m, exact)
     wall = time.perf_counter() - started
     return TrialResult(
         n=m.n,
@@ -171,7 +183,7 @@ def run_trials(configs: Sequence[TrialConfig], workers: int | None = None) -> It
 
 
 def write_results(results: Iterable[TrialResult], path) -> int:
-    """Append-safe JSONL writer; returns the number of records written."""
+    """Write one JSON line per result, replacing ``path``; returns the count."""
     count = 0
     with open(path, "w", encoding="ascii") as fh:
         for result in results:
@@ -205,8 +217,8 @@ class SummaryRow:
         return record
 
 
-def aggregate(results: Sequence[TrialResult], group_by: str = "n") -> list[SummaryRow]:
-    """Per-group summary rows in ascending group order.
+def aggregate(results: Sequence[TrialResult]) -> list[SummaryRow]:
+    """Per-size summary rows in ascending n order.
 
     Failures are excluded from the error mean and the out-of-bound count and
     reported separately. Trials whose error is undefined for benign reasons
@@ -214,8 +226,6 @@ def aggregate(results: Sequence[TrialResult], group_by: str = "n") -> list[Summa
     """
     if not results:
         raise ValueError("no results to aggregate")
-    if group_by != "n":
-        raise ValueError(f"unsupported group key {group_by!r}")
     groups: dict[int, list[TrialResult]] = {}
     for result in results:
         groups.setdefault(result.n, []).append(result)

@@ -15,7 +15,6 @@ import pytest
 
 from permlab import (
     ChainSampler,
-    ChainState,
     Matching,
     Matrix,
     RelaxationFactors,
@@ -156,9 +155,7 @@ def test_criterion_5_chain_correctness():
 
                 _, pi = exact_stationary(n, wt)
                 index = {state_key(s): i for i, s in enumerate(states)}
-                start = ChainState(
-                    Matching(n, frozenset((i, i) for i in range(n))), None
-                )
+                start = Matching(n, frozenset((i, i) for i in range(n)))
                 sampler = ChainSampler(
                     wt, start, BufferedDraws(9_000 + 10 * n + setting_index, n)
                 )
@@ -229,3 +226,6 @@ def test_criterion_8_determinism():
         second = estimate_permanent(m, 0.5, relax, seed=424_242)
         assert first == second
         assert not first.failed
+        # Golden pin: catches drift in the PCG64 streams and in refactors of
+        # the chain or estimator that a same-process comparison cannot see.
+        assert (first.value.hex(), first.steps_taken) == ("0x1.1650e0b39762ep-3", 14275612)

@@ -5,7 +5,6 @@ import pytest
 
 from permlab import (
     ChainSampler,
-    ChainState,
     Matching,
     WeightTable,
     build_transition_matrix,
@@ -57,20 +56,20 @@ def random_weight_table(n, seed, log_lambda):
 def test_log_weight_perfect_graph_edges_is_zero():
     wt = WeightTable.initial(FIG)
     pm = find_perfect_matching(FIG)
-    assert log_weight(ChainState(pm), wt) == 0.0
+    assert log_weight(pm, wt) == 0.0
 
 
 def test_log_weight_near_perfect_initial_is_log_n():
     wt = WeightTable.initial(parse_matrix("3\n111\n111\n111\n"))
     near = Matching(3, frozenset({(1, 1), (2, 2)}), hole=(0, 0))
-    assert log_weight(ChainState(near), wt) == pytest.approx(math.log(3))
+    assert log_weight(near, wt) == pytest.approx(math.log(3))
 
 
 def test_log_weight_counts_lambda_edges():
     zero = parse_matrix("3\n000\n000\n000\n")
     wt = WeightTable.initial(zero).with_updates(log_lambda=math.log(0.25))
     perm = Matching(3, frozenset({(0, 1), (1, 2), (2, 0)}))
-    assert log_weight(ChainState(perm), wt) == pytest.approx(3 * math.log(0.25))
+    assert log_weight(perm, wt) == pytest.approx(3 * math.log(0.25))
 
 
 def test_log_weight_matches_linear_product():
@@ -80,59 +79,59 @@ def test_log_weight_matches_linear_product():
         lam = max(1 / math.factorial(n), 0.1 * (seed % 9 + 1))
         wt = WeightTable.initial(m).with_updates(log_lambda=math.log(lam))
         for state in enumerate_states(n):
-            k = lambda_edges(state.matching, wt)
+            k = lambda_edges(state, wt)
             direct = lam**k
-            if state.matching.hole is not None:
+            if state.hole is not None:
                 direct *= n
             assert math.exp(log_weight(state, wt)) == pytest.approx(direct, rel=1e-12)
 
 
 def test_propose_perfect_removes_drawn_row_pair():
-    perfect = ChainState(Matching(2, frozenset({(0, 0), (1, 1)})))
+    perfect = Matching(2, frozenset({(0, 0), (1, 1)}))
     for target, expected_hole in ((0, (0, 0)), (1, (1, 1))):
         proposal = propose(perfect, ScriptedDraws(edges=[target]))
-        assert proposal.matching.hole == expected_hole
-        assert len(proposal.matching.pairs) == 1
+        assert proposal.hole == expected_hole
+        assert len(proposal.pairs) == 1
 
 
 def test_propose_hole_vertex_completes_matching():
-    near = ChainState(Matching(2, frozenset({(1, 1)}), hole=(0, 0)))
+    near = Matching(2, frozenset({(1, 1)}), hole=(0, 0))
     for x in (0, 2):  # row 0 is the hole row, vertex 2 is hole column 0
         proposal = propose(near, ScriptedDraws(vertices=[x]))
-        assert proposal.matching.is_perfect
-        assert proposal.matching.pairs == frozenset({(0, 0), (1, 1)})
+        assert proposal.is_perfect
+        assert proposal.pairs == frozenset({(0, 0), (1, 1)})
 
 
 def test_propose_matched_column_slides_hole_row():
     # Hole (0,0); drawing matched column 1 swaps (1,1) for (0,1).
-    near = ChainState(Matching(2, frozenset({(1, 1)}), hole=(0, 0)))
+    near = Matching(2, frozenset({(1, 1)}), hole=(0, 0))
     proposal = propose(near, ScriptedDraws(vertices=[3]))
-    assert proposal.matching.pairs == frozenset({(0, 1)})
-    assert proposal.matching.hole == (1, 0)
+    assert proposal.pairs == frozenset({(0, 1)})
+    assert proposal.hole == (1, 0)
 
 
 def test_propose_matched_row_slides_hole_column():
-    near = ChainState(Matching(2, frozenset({(1, 1)}), hole=(0, 0)))
+    near = Matching(2, frozenset({(1, 1)}), hole=(0, 0))
     proposal = propose(near, ScriptedDraws(vertices=[1]))
-    assert proposal.matching.pairs == frozenset({(1, 0)})
-    assert proposal.matching.hole == (0, 1)
+    assert proposal.pairs == frozenset({(1, 0)})
+    assert proposal.hole == (0, 1)
 
 
 def test_step_uniform_weights_always_accepts():
     wt = uniform_table(2)
-    state = ChainState(Matching(2, frozenset({(0, 0), (1, 1)})))
+    state = Matching(2, frozenset({(0, 0), (1, 1)}))
     moved = step(state, wt, ScriptedDraws(edges=[0]))
-    assert moved.matching.hole == (0, 0)
+    assert moved.hole == (0, 0)
 
 
 def test_step_rejects_on_high_unit_draw():
     # Moving perfect -> near-perfect with tiny hole weights has delta << 0.
     wt = uniform_table(2, log_w=-30.0)
-    state = ChainState(Matching(2, frozenset({(0, 0), (1, 1)})))
+    state = Matching(2, frozenset({(0, 0), (1, 1)}))
     stayed = step(state, wt, ScriptedDraws(edges=[0], units=[0.9999]))
     assert stayed is state
     moved = step(state, wt, ScriptedDraws(edges=[0], units=[1e-30]))
-    assert not moved.matching.is_perfect
+    assert not moved.is_perfect
 
 
 def test_enumerate_states_counts():
@@ -148,7 +147,7 @@ def test_enumerate_states_distinct_and_valid():
     keys = {state_key(s) for s in states}
     assert len(keys) == len(states)
     for state in states:
-        state.matching.validate()
+        state.validate()
 
 
 def test_enumerate_states_guard():
@@ -230,7 +229,7 @@ def test_exact_stationary_iteration_cap():
 def test_sampler_matches_reference_step_replay():
     m = FIG
     wt = WeightTable.initial(m).with_updates(log_lambda=math.log(0.3))
-    start = ChainState(find_perfect_matching(m), 0)
+    start = find_perfect_matching(m)
     sampler = ChainSampler(wt, start, BufferedDraws(42, 3))
     reference_draws = BufferedDraws(42, 3)
     current = start
@@ -245,9 +244,9 @@ def test_sampler_incremental_count_matches_recount():
     pm = find_perfect_matching(m)
     assert pm is not None
     wt = WeightTable.initial(m).with_updates(log_lambda=math.log(0.4))
-    sampler = ChainSampler(wt, ChainState(pm, 0), BufferedDraws(5, 4))
+    sampler = ChainSampler(wt, pm, BufferedDraws(5, 4))
     sampler.walk(100_000)
-    assert sampler.lambda_count == sampler.recount_lambda_edges()
+    assert sampler.lambda_count == lambda_edges(sampler.state(), wt)
 
 
 def test_sampler_empirical_occupation_matches_stationary():
@@ -255,9 +254,7 @@ def test_sampler_empirical_occupation_matches_stationary():
     wt = uniform_table(n)
     states, pi = exact_stationary(n, wt)
     index = {state_key(s): i for i, s in enumerate(states)}
-    sampler = ChainSampler(
-        wt, ChainState(Matching(2, frozenset({(0, 0), (1, 1)})), 0), BufferedDraws(7, n)
-    )
+    sampler = ChainSampler(wt, Matching(2, frozenset({(0, 0), (1, 1)})), BufferedDraws(7, n))
     counts = np.zeros(len(states))
     for _ in range(200_000):
         sampler.walk(1)

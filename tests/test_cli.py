@@ -119,7 +119,7 @@ def test_trials_and_report_subcommands(tmp_path, capsys):
 
     csv_path = tmp_path / "summary.csv"
     code, out, _ = run_cli(
-        capsys, "report", str(results), "--group-by", "n", "--csv", str(csv_path)
+        capsys, "report", str(results), "--csv", str(csv_path)
     )
     assert code == 0
     rows = [json.loads(line) for line in out.splitlines()]
@@ -127,6 +127,27 @@ def test_trials_and_report_subcommands(tmp_path, capsys):
     assert rows[0]["group"] == 4
     assert rows[0]["trials"] == 2
     assert csv_path.exists()
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        (["exact"], "3\n101\n1x0\n101\n", "line 3: invalid character 'x'"),
+        (["exact"], None, "No such file or directory"),
+        (["estimate", "--quiet"], "3\n101\n110\n101\n", "parameter formulas require n >= 4, got 3"),
+    ],
+    ids=["malformed", "missing", "undersized"],
+)
+def test_domain_errors_print_one_line(tmp_path, capsys, command, text, message):
+    path = tmp_path / "input.pmat"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run_cli(capsys, command[0], str(path), *command[1:])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("permlab: error: ")
+    assert message in err
+    assert err.count("\n") == 1
 
 
 def test_bad_relax_argument(tmp_path, capsys):

@@ -5,7 +5,6 @@ import pytest
 
 from permlab import (
     ChainSampler,
-    ChainState,
     Matching,
     Matrix,
     PhaseStats,
@@ -21,6 +20,7 @@ from permlab import (
     parse_matrix,
     permanent_ryser,
     phase_ratio,
+    phase_schedule,
     run_phase,
     update_weights,
 )
@@ -51,17 +51,16 @@ def all_ones(n):
 
 def make_sampler(m, seed=0, log_lambda=0.0):
     wt = WeightTable.initial(m).with_updates(log_lambda=log_lambda)
-    start = ChainState(find_perfect_matching(m), 0)
-    return wt, ChainSampler(wt, start, BufferedDraws(seed, m.n))
+    return wt, ChainSampler(wt, find_perfect_matching(m), BufferedDraws(seed, m.n))
 
 
 def test_run_phase_sample_count_and_steps():
     m = all_ones(2)
     _, sampler = make_sampler(m, seed=3)
-    stats, end_state = run_phase(sampler, tau_init=100, tau_resample=5, num_samples=50)
+    stats = run_phase(sampler, tau_init=100, tau_resample=5, num_samples=50)
     assert stats.total == 50
     assert sampler.steps_taken == 100 + 5 * 50
-    end_state.matching.validate()
+    sampler.state().validate()
 
 
 def test_run_phase_hole_frequencies_uniform():
@@ -69,8 +68,8 @@ def test_run_phase_hole_frequencies_uniform():
     # hole classes carries equal stationary mass.
     m = all_ones(2)
     wt = WeightTable(2, 0.0, (0.0,) * 4, (1,) * 4)
-    sampler = ChainSampler(wt, ChainState(find_perfect_matching(m), 0), BufferedDraws(11, 2))
-    stats, _ = run_phase(sampler, tau_init=1_000, tau_resample=1, num_samples=100_000)
+    sampler = ChainSampler(wt, find_perfect_matching(m), BufferedDraws(11, 2))
+    stats = run_phase(sampler, tau_init=1_000, tau_resample=1, num_samples=100_000)
     hole_counts = [stats.hole_count((u, v)) for u in range(2) for v in range(2)]
     mean = sum(hole_counts) / 4
     assert all(abs(c - mean) / mean < 0.05 for c in hole_counts)
@@ -145,7 +144,7 @@ def test_final_refinement_all_perfect():
     # Hole weights so small the chain never leaves the perfect states.
     m = all_ones(2)
     wt = WeightTable(2, 0.0, (-40.0,) * 4, (1,) * 4)
-    sampler = ChainSampler(wt, ChainState(find_perfect_matching(m), 0), BufferedDraws(1, 2))
+    sampler = ChainSampler(wt, find_perfect_matching(m), BufferedDraws(1, 2))
     assert final_refinement(sampler, 50, 2, 200) == 1.0
 
 
@@ -153,7 +152,7 @@ def test_final_refinement_failure_when_never_perfect():
     # Huge hole weights pin the chain in near-perfect states.
     m = all_ones(2)
     wt = WeightTable(2, 0.0, (40.0,) * 4, (1,) * 4)
-    start = ChainState(Matching(2, frozenset({(1, 1)}), hole=(0, 0)))
+    start = Matching(2, frozenset({(1, 1)}), hole=(0, 0))
     sampler = ChainSampler(wt, start, BufferedDraws(1, 2))
     with pytest.raises(RefinementFailure):
         final_refinement(sampler, 50, 2, 200)
@@ -166,8 +165,8 @@ def test_final_refinement_fraction_matches_stationary():
     m = all_ones(n)
     wt = WeightTable.initial(m).with_updates(log_lambda=math.log(1 / math.factorial(n)))
     states, pi = exact_stationary(n, wt)
-    exact_mass = sum(p for s, p in zip(states, pi) if s.matching.is_perfect)
-    sampler = ChainSampler(wt, ChainState(find_perfect_matching(m), 0), BufferedDraws(23, n))
+    exact_mass = sum(p for s, p in zip(states, pi) if s.is_perfect)
+    sampler = ChainSampler(wt, find_perfect_matching(m), BufferedDraws(23, n))
     y = final_refinement(sampler, 5_000, 3, 60_000)
     assert y == pytest.approx(exact_mass, rel=0.05)
 
@@ -191,6 +190,19 @@ def test_estimate_failure_with_one_sample_per_phase():
     assert estimate.failed
     assert estimate.failed_phase == 0
     assert estimate.failure_reason
+
+
+def test_estimate_refinement_failure_reports_final_stage():
+    # One final sample that is not instance-perfect: every phase succeeds,
+    # then the final stage fails and is reported as stage l.
+    m = generate_random(4, 12, seed=31)
+    params = dataclasses.replace(FAST_PARAMS, samples_final=1)
+    estimate = estimate_permanent(m, 0.5, seed=0, params=params)
+    assert estimate.failed
+    assert estimate.failed_phase == 24 == phase_schedule(4).l
+    assert estimate.failure_reason == "no instance-perfect samples in the final stage"
+    assert estimate.steps_taken == 242_020
+    assert estimate.log_value is None and estimate.z_ratios == () and estimate.y_bar is None
 
 
 def test_estimate_deterministic_replay():

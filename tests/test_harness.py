@@ -189,6 +189,24 @@ def test_run_trial_unreadable_file():
     assert result.error is not None
 
 
+def test_undersized_instance_fails_without_losing_the_batch(tmp_path):
+    # The estimator rejects n = 3; that trial is recorded as failed and the
+    # n = 4 trial after it still runs and persists.
+    generate_suite([3, 4], [(3, 4)], 1, seed=0, out_dir=tmp_path)
+    configs = configs_from_manifest(
+        tmp_path / "manifest.json", epsilon=0.5, relax=RELAX_FAST_FAIL, base_seed=0
+    )
+    path = tmp_path / "results.jsonl"
+    assert write_results(run_trials(configs, workers=1), path) == 2
+    small, large = read_results(path)
+    assert (small.n, large.n) == (3, 4)
+    assert small.failed
+    assert small.estimate == -1.0
+    assert small.exact == permanent_naive(load_matrix(configs[0].matrix_path))
+    assert small.error == "parameter formulas require n >= 4, got 3"
+    assert large.error is None
+
+
 def test_zero_permanent_trial_is_benign(tmp_path):
     zero = Matrix.from_rows([[0] * 4] * 4)
     path = tmp_path / "zero.pmat"
