@@ -41,6 +41,15 @@ from .matrix import load_matrix
 from .params import RelaxationFactors, compute_params
 from .rng import RNG_ALGORITHM
 
+# Keys of one trials config entry; only epsilon is required. The scalar keys
+# have the types below; relax is checked by RelaxationFactors.from_sequence.
+TRIAL_KEYS = ("epsilon", "relax", "seed", "label")
+TRIAL_TYPES = (
+    ("epsilon", (int, float), "a number"),
+    ("seed", int, "an int"),
+    ("label", str, "a string"),
+)
+
 
 def _emit(payload: dict) -> None:
     payload.setdefault("schema_version", SCHEMA_VERSION)
@@ -49,14 +58,11 @@ def _emit(payload: dict) -> None:
 
 
 def _parse_relax(text: str) -> RelaxationFactors:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError("relax needs four comma-separated factors")
-    values = []
-    for part in parts:
-        value = float(part)
-        values.append(int(value) if value.is_integer() else value)
-    return RelaxationFactors.from_sequence(values)
+    try:
+        values = [float(part) for part in text.split(",")]
+        return RelaxationFactors.from_sequence([int(v) if v.is_integer() else v for v in values])
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_density(text: str) -> tuple[int, int]:
@@ -115,7 +121,6 @@ def cmd_estimate(args) -> int:
 def cmd_params(args) -> int:
     params = compute_params(args.n, args.epsilon)
     record = dataclasses.asdict(params)
-    record["relax"] = list(dataclasses.astuple(params.relax))
     record["phase_steps"] = params.phase_steps()
     record["final_steps"] = params.final_steps()
     record["total_steps"] = params.total_steps()
@@ -150,12 +155,28 @@ def cmd_trials(args) -> int:
         raw = json.load(fh)
     entries = raw if isinstance(raw, list) else [raw]
     configs = []
-    for entry in entries:
+    for index, entry in enumerate(entries):
+        where = f"trials config entry {index}"
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where}: expected a JSON object, got {entry!r}")
+        for key in entry:
+            if key not in TRIAL_KEYS:
+                raise ValueError(f"{where}, key {key!r}: unknown; keys are {', '.join(TRIAL_KEYS)}")
+        if "epsilon" not in entry:
+            raise ValueError(f"{where}, key 'epsilon': required")
+        for key, kind, what in TRIAL_TYPES:
+            value = entry.get(key)
+            if key in entry and (isinstance(value, bool) or not isinstance(value, kind)):
+                raise ValueError(f"{where}, key {key!r}: must be {what}, got {value!r}")
+        try:
+            relax = RelaxationFactors.from_sequence(entry.get("relax", [1, 1, 1, 1]))
+        except ValueError as exc:
+            raise ValueError(f"{where}, key 'relax': {exc}") from None
         configs.extend(
             configs_from_manifest(
                 args.manifest,
                 epsilon=entry["epsilon"],
-                relax=RelaxationFactors.from_sequence(entry.get("relax", [1, 1, 1, 1])),
+                relax=relax,
                 base_seed=entry.get("seed", 0),
                 label=entry.get("label", ""),
             )

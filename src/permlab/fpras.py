@@ -44,7 +44,7 @@ from .params import (
     log_factorial,
     phase_schedule,
 )
-from .rng import RNG_ALGORITHM, BufferedDraws
+from .rng import BufferedDraws
 
 
 class PhaseFailure(Exception):
@@ -54,10 +54,6 @@ class PhaseFailure(Exception):
         super().__init__(f"phase {phase}: {reason}")
         self.phase = phase
         self.reason = reason
-
-
-class RefinementFailure(Exception):
-    """The final stage collected no instance-perfect samples."""
 
 
 @dataclass
@@ -90,16 +86,6 @@ class PhaseStats:
         return sum(self.holes.get(hole, {}).values())
 
 
-@dataclass
-class StageRecord:
-    """Optional per-stage capture for diagnostics and replay checks."""
-
-    stats: PhaseStats
-    before: WeightTable
-    after: WeightTable
-    log_z: float
-
-
 @dataclass(frozen=True)
 class Estimate:
     """Result of one estimator run.
@@ -119,9 +105,6 @@ class Estimate:
     steps_taken: int
     failed_phase: int | None = None
     failure_reason: str | None = None
-    seed: int | None = None
-    rng_algorithm: str = RNG_ALGORITHM
-    stage_records: tuple[StageRecord, ...] | None = None
 
     @property
     def failed(self) -> bool:
@@ -201,8 +184,8 @@ def final_refinement(
 ) -> float:
     """Fraction of spaced samples that are perfect matchings of the instance.
 
-    Raises RefinementFailure when no qualifying sample appears; the
-    estimate would otherwise be zero, which the estimator cannot certify.
+    The fraction may be 0.0; ``run_schedule`` turns that into the final
+    stage's failure.
     """
     sampler.walk(tau_init)
     hits = 0
@@ -210,41 +193,41 @@ def final_refinement(
         sampler.walk(tau_resample)
         if sampler.is_perfect and sampler.lambda_count == 0:
             hits += 1
-    if hits == 0:
-        raise RefinementFailure("no instance-perfect samples in the final stage")
     return hits / num_samples
 
 
 def run_schedule(
     wt: WeightTable,
     lambdas,
-    sample_stage: Callable[[WeightTable, int], PhaseStats],
+    sample_stage: Callable[[WeightTable], PhaseStats],
     sample_final: Callable[[WeightTable], float],
-    keep_records: bool = False,
     progress: Callable[[int, float], None] | None = None,
-) -> tuple[list[float], float, list[StageRecord]]:
-    """Generic annealing driver shared by the sampled and exact paths.
+) -> tuple[float, list[float], float]:
+    """Annealing driver shared by the sampled and exact paths.
 
-    ``lambdas`` is the log-activity trajectory; stage i samples at
-    lambdas[i] via ``sample_stage(wt, i)``, updates the weights, advances
-    the activity to lambdas[i+1], and records ln Z_i. ``sample_final`` runs
-    at the terminal entry and returns the perfect fraction.
+    Stage i samples at lambdas[i] via ``sample_stage(wt)``, updates the
+    weights, advances the activity to lambdas[i+1], and records ln Z_i.
+    ``sample_final`` runs at the terminal entry and returns the fraction Y
+    of instance-perfect samples. Returns (ln estimate, [ln Z_i], Y). Raises
+    PhaseFailure for an undefined weight update, and for Y = 0 as stage l.
     """
     log_z: list[float] = []
-    records: list[StageRecord] = []
     for i in range(len(lambdas) - 1):
         if progress is not None:
             progress(i, lambdas[i])
-        stats = sample_stage(wt, i)
+        stats = sample_stage(wt)
         updated = update_weights(stats, wt, phase=i)
         advanced = updated.with_updates(log_lambda=lambdas[i + 1])
-        z = phase_ratio(stats, wt, advanced)
-        log_z.append(z)
-        if keep_records:
-            records.append(StageRecord(stats, wt, advanced, z))
+        log_z.append(phase_ratio(stats, wt, advanced))
         wt = advanced
     y_bar = sample_final(wt)
-    return log_z, y_bar, records
+    if y_bar == 0.0:
+        raise PhaseFailure(len(lambdas) - 1, "no instance-perfect samples in the final stage")
+    n = wt.n
+    # The order of the terms is part of the seed-to-estimate mapping that
+    # the golden pins fix bit for bit.
+    log_value = math.log(n * n + 1) + log_factorial(n) + sum(log_z) + math.log(y_bar)
+    return log_value, log_z, y_bar
 
 
 def estimate_permanent(
@@ -254,7 +237,6 @@ def estimate_permanent(
     seed: int = 0,
     params: SamplingParams | None = None,
     progress: bool = False,
-    keep_records: bool = False,
 ) -> Estimate:
     """Full estimator run on one instance.
 
@@ -269,14 +251,7 @@ def estimate_permanent(
     relax = relax or RelaxationFactors.identity()
     start_matching = find_perfect_matching(m)
     if start_matching is None:
-        return Estimate(
-            value=0.0,
-            log_value=None,
-            z_ratios=(),
-            y_bar=None,
-            steps_taken=0,
-            seed=seed,
-        )
+        return Estimate(value=0.0, log_value=None, z_ratios=(), y_bar=None, steps_taken=0)
     if params is None:
         params = compute_params(m.n, epsilon)
     params = apply_relaxation(params, relax)
@@ -285,7 +260,7 @@ def estimate_permanent(
     draws = BufferedDraws(seed, m.n)
     sampler = ChainSampler(wt, start_matching, draws)
 
-    def sample_stage(stage_wt: WeightTable, _phase: int) -> PhaseStats:
+    def sample_stage(stage_wt: WeightTable) -> PhaseStats:
         sampler.set_weights(stage_wt)
         return run_phase(
             sampler, params.tau_init, params.tau_resample_phase, params.samples_phase
@@ -309,43 +284,25 @@ def estimate_permanent(
             )
 
     try:
-        log_z, y_bar, records = run_schedule(
-            wt,
-            schedule.lambdas,
-            sample_stage,
-            sample_final,
-            keep_records=keep_records,
-            progress=reporter,
+        log_value, log_z, y_bar = run_schedule(
+            wt, schedule.lambdas, sample_stage, sample_final, progress=reporter
         )
     except PhaseFailure as failure:
-        failed_phase, reason = failure.phase, failure.reason
-    except RefinementFailure as failure:
-        failed_phase, reason = schedule.l, str(failure)
-    else:
-        log_value = (
-            math.log(m.n * m.n + 1)
-            + log_factorial(m.n)
-            + sum(log_z)
-            + math.log(y_bar)
-        )
         return Estimate(
-            value=math.exp(log_value),
-            log_value=log_value,
-            z_ratios=tuple(math.exp(z) for z in log_z),
-            y_bar=y_bar,
+            value=-1.0,
+            log_value=None,
+            z_ratios=(),
+            y_bar=None,
             steps_taken=sampler.steps_taken,
-            seed=seed,
-            stage_records=tuple(records) if keep_records else None,
+            failed_phase=failure.phase,
+            failure_reason=failure.reason,
         )
     return Estimate(
-        value=-1.0,
-        log_value=None,
-        z_ratios=(),
-        y_bar=None,
+        value=math.exp(log_value),
+        log_value=log_value,
+        z_ratios=tuple(math.exp(z) for z in log_z),
+        y_bar=y_bar,
         steps_taken=sampler.steps_taken,
-        failed_phase=failed_phase,
-        failure_reason=reason,
-        seed=seed,
     )
 
 
@@ -377,20 +334,19 @@ def estimate_from_exact_distribution(m: Matrix) -> float:
 
     For n <= 3 this returns the permanent up to floating-point rounding,
     exercising the weight-update, ratio, and assembly code with zero
-    sampling noise.
+    sampling noise. An instance with no perfect matching returns 0.0
+    without running the pipeline, as ``estimate_permanent`` does.
     """
+    if find_perfect_matching(m) is None:
+        return 0.0
     n = m.n
-    schedule = phase_schedule(n)
     wt = WeightTable.initial(m)
 
-    def sample_stage(stage_wt: WeightTable, _phase: int) -> PhaseStats:
+    def sample_stage(stage_wt: WeightTable) -> PhaseStats:
         return exact_distribution_stats(n, stage_wt)
 
     def sample_final(stage_wt: WeightTable) -> float:
         return exact_distribution_perfect_fraction(n, stage_wt)
 
-    log_z, y_bar, _ = run_schedule(wt, schedule.lambdas, sample_stage, sample_final)
-    if y_bar == 0.0:
-        return 0.0
-    log_value = math.log(n * n + 1) + log_factorial(n) + sum(log_z) + math.log(y_bar)
+    log_value, _, _ = run_schedule(wt, phase_schedule(n).lambdas, sample_stage, sample_final)
     return math.exp(log_value)

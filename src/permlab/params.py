@@ -24,8 +24,9 @@ both with epsilon = 0.5):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from numbers import Real
 
 # Mixing-time constant: path length (<= n) times congestion (<= 12n) times
 # the inverse minimum probability of the perfect-matching class (4(n^2+1)),
@@ -158,8 +159,14 @@ class RelaxationFactors:
 
     @classmethod
     def from_sequence(cls, values) -> "RelaxationFactors":
-        a, b, c, d = values
-        return cls(a, b, c, d)
+        """Factors from four finite numbers in field order; ValueError otherwise."""
+        names = [f.name for f in fields(cls)]
+        if not isinstance(values, (list, tuple)) or len(values) != len(names):
+            raise ValueError(f"relax needs four factors ({', '.join(names)}), got {values!r}")
+        for name, value in zip(names, values):
+            if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+                raise ValueError(f"relaxation factor {name} must be a finite number, got {value!r}")
+        return cls(*values)
 
 
 @dataclass(frozen=True)
@@ -183,7 +190,6 @@ class SamplingParams:
     delta_final: float
     samples_phase_weight_bound: int
     samples_phase_counting_bound: int
-    relax: RelaxationFactors
 
     def phase_steps(self) -> int:
         """Steps consumed by one weight-estimation phase."""
@@ -233,7 +239,6 @@ def compute_params(n: int, epsilon: float) -> SamplingParams:
         delta_final=delta_final,
         samples_phase_weight_bound=weight_bound,
         samples_phase_counting_bound=counting_bound,
-        relax=RelaxationFactors.identity(),
     )
 
 
@@ -250,24 +255,10 @@ def apply_relaxation(params: SamplingParams, relax: RelaxationFactors) -> Sampli
     values; only sample counts and resampling intervals are divided, each
     floored with a minimum of 1.
     """
-    combined = RelaxationFactors(
-        s_phase=_combine(params.relax.s_phase, relax.s_phase),
-        t_phase=_combine(params.relax.t_phase, relax.t_phase),
-        s_final=_combine(params.relax.s_final, relax.s_final),
-        t_final=_combine(params.relax.t_final, relax.t_final),
-    )
     return replace(
         params,
         samples_phase=_divide_floor(params.samples_phase, relax.s_phase),
         tau_resample_phase=_divide_floor(params.tau_resample_phase, relax.t_phase),
         samples_final=_divide_floor(params.samples_final, relax.s_final),
         tau_resample_final=_divide_floor(params.tau_resample_final, relax.t_final),
-        relax=combined,
     )
-
-
-def _combine(a, b):
-    product = Fraction(a) * Fraction(b)
-    if product.denominator == 1:
-        return int(product)
-    return float(product)

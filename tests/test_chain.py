@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from permlab import (
     step,
 )
 from permlab.chain import lambda_edges, state_key
+from permlab.params import log_factorial
 from permlab.rng import BufferedDraws
 
 FIG = parse_matrix("3\n101\n110\n101\n")
@@ -261,3 +263,21 @@ def test_sampler_empirical_occupation_matches_stationary():
         counts[index[state_key(sampler.state())]] += 1
     tv = 0.5 * np.abs(counts / counts.sum() - pi).sum()
     assert tv < 0.01
+
+
+@pytest.mark.parametrize(
+    "n, digest",
+    [(4, "e4b108be9676a518"), (8, "1a5cd38e89ffbc27"), (16, "e3f54d96f513cafc")],
+)
+def test_sampler_state_golden_pin(n, digest):
+    # Fixes the seed-to-trajectory mapping across refactors and numpy
+    # upgrades: a drift in the PCG64 streams or in the move rules changes
+    # the hash of the first 10^5 states.
+    m = generate_random(n, 3 * n * n // 4, seed=n)
+    wt = WeightTable.initial(m).with_updates(log_lambda=-log_factorial(n) / 2)
+    sampler = ChainSampler(wt, find_perfect_matching(m), BufferedDraws(n, n))
+    h = hashlib.sha256()
+    for _ in range(100_000):
+        sampler.walk(1)
+        h.update(repr((sampler.row_to_col, sampler.hole(), sampler.lambda_count)).encode())
+    assert h.hexdigest()[:16] == digest

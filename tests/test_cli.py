@@ -150,8 +150,61 @@ def test_domain_errors_print_one_line(tmp_path, capsys, command, text, message):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"relax": [300000, 1, 300000, 1]}, "entry 0, key 'epsilon': required"),
+        ({"epsilon": 0.5, "relx": [300000, 1, 300000, 1]}, "entry 0, key 'relx': unknown"),
+        ([1, 2], "entry 0: expected a JSON object, got 1"),
+        ({"epsilon": 0.5, "relax": [1, 2]}, "entry 0, key 'relax': relax needs four factors"),
+        (
+            {"epsilon": 0.5, "relax": ["a", 1, 1, 1]},
+            "entry 0, key 'relax': relaxation factor s_phase must be a finite number, got 'a'",
+        ),
+        (
+            {"epsilon": 0.5, "relax": [1, float("inf"), 1, 1]},
+            "entry 0, key 'relax': relaxation factor t_phase must be a finite number, got inf",
+        ),
+        ({"epsilon": "0.5"}, "entry 0, key 'epsilon': must be a number"),
+        ([{"epsilon": 0.5}, {"epsilon": 0.5, "seed": 1.5}], "entry 1, key 'seed': must be an int"),
+        ({"epsilon": 0.5, "label": 3}, "entry 0, key 'label': must be a string"),
+    ],
+    ids=[
+        "missing-epsilon",
+        "unknown-key",
+        "not-an-object",
+        "relax-two-values",
+        "relax-not-numeric",
+        "relax-infinite",
+        "epsilon-string",
+        "seed-float",
+        "label-int",
+    ],
+)
+def test_bad_trials_config_prints_one_line(tmp_path, capsys, config, message):
+    suite = tmp_path / "suite"
+    run_cli(
+        capsys,
+        "gen", "--sizes", "4", "--densities", "3/4", "--count", "1",
+        "--seed", "17", "--out", str(suite),
+    )
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    results = tmp_path / "results.jsonl"
+    code, out, err = run_cli(
+        capsys, "trials", str(suite / "manifest.json"), str(path), "--out", str(results)
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("permlab: error: trials config ")
+    assert message in err
+    assert err.count("\n") == 1
+    assert not results.exists()
+
+
 def test_bad_relax_argument(tmp_path, capsys):
     path = tmp_path / "zero.pmat"
     save_matrix(Matrix.from_rows([[0] * 4] * 4), path)
     with pytest.raises(SystemExit):
         main(["estimate", str(path), "--relax", "1,2,3"])
+    assert "relax needs four factors" in capsys.readouterr().err

@@ -26,8 +26,8 @@ from permlab import (
 )
 from permlab.fpras import (
     PhaseFailure,
-    RefinementFailure,
     estimate_from_exact_distribution,
+    run_schedule,
 )
 from permlab.rng import BufferedDraws
 
@@ -154,8 +154,7 @@ def test_final_refinement_failure_when_never_perfect():
     wt = WeightTable(2, 0.0, (40.0,) * 4, (1,) * 4)
     start = Matching(2, frozenset({(1, 1)}), hole=(0, 0))
     sampler = ChainSampler(wt, start, BufferedDraws(1, 2))
-    with pytest.raises(RefinementFailure):
-        final_refinement(sampler, 50, 2, 200)
+    assert final_refinement(sampler, 50, 2, 200) == 0.0
 
 
 def test_final_refinement_fraction_matches_stationary():
@@ -233,16 +232,35 @@ def test_estimate_value_never_nan():
 
 def test_stage_records_reproduce_ratios_bitwise():
     # The compressed tables are sufficient statistics: recomputing each
-    # stage ratio from its stored table reproduces the recorded value bit
-    # for bit.
+    # stage ratio from its captured table and the weights on either side of
+    # it reproduces the returned value bit for bit.
     m = generate_random(4, 12, seed=31)
-    estimate = estimate_permanent(m, 0.5, seed=12, params=FAST_PARAMS, keep_records=True)
-    assert estimate.stage_records is not None
-    assert len(estimate.stage_records) == FAST_PARAMS.l
-    for i, record in enumerate(estimate.stage_records):
-        recomputed = phase_ratio(record.stats, record.before, record.after)
-        assert recomputed == record.log_z
-        assert math.exp(recomputed) == estimate.z_ratios[i]
+    wt = WeightTable.initial(m)
+    sampler = ChainSampler(wt, find_perfect_matching(m), BufferedDraws(12, 4))
+    seen = []  # (stats, weights) per stage; the final stage has no table
+
+    def sample_stage(stage_wt):
+        sampler.set_weights(stage_wt)
+        stats = run_phase(
+            sampler, FAST_PARAMS.tau_init, FAST_PARAMS.tau_resample_phase, FAST_PARAMS.samples_phase
+        )
+        seen.append((stats, stage_wt))
+        return stats
+
+    def sample_final(stage_wt):
+        seen.append((None, stage_wt))
+        sampler.set_weights(stage_wt)
+        return final_refinement(
+            sampler, FAST_PARAMS.tau_init, FAST_PARAMS.tau_resample_final, FAST_PARAMS.samples_final
+        )
+
+    log_value, log_z, _ = run_schedule(wt, phase_schedule(4).lambdas, sample_stage, sample_final)
+    assert len(log_z) == FAST_PARAMS.l == len(seen) - 1
+    for i, z in enumerate(log_z):
+        assert phase_ratio(seen[i][0], seen[i][1], seen[i + 1][1]) == z
+    estimate = estimate_permanent(m, 0.5, seed=12, params=FAST_PARAMS)
+    assert estimate.log_value == log_value
+    assert estimate.z_ratios == tuple(math.exp(z) for z in log_z)
 
 
 def test_estimate_requires_n_at_least_4():
@@ -268,6 +286,7 @@ def test_exact_distribution_pipeline_recovers_permanent():
         FIG,
         Matrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
         Matrix.from_rows([[1, 1], [1, 0]]),
+        Matrix.from_rows([[1, 1], [0, 0]]),
     ]
     for m in cases:
         expected = permanent_ryser(m)
