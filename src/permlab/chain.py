@@ -229,6 +229,12 @@ class ChainSampler:
     maintains the non-instance pair count incrementally, and consumes draws
     from a BufferedDraws in exactly the same order as the reference ``step``
     function, so short trajectories of the two are interchangeable.
+
+    Spaced samples are tallied inside ``walk`` itself: while ``spacing`` is
+    positive, the state after every ``spacing``-th step is counted in
+    ``counts`` under a key for its hole and non-instance pair count, so a
+    whole stage of samples is one ``walk`` call. ``tally`` sets this up and
+    decodes the table.
     """
 
     def __init__(self, wt: WeightTable, start: Matching, draws: BufferedDraws):
@@ -252,6 +258,9 @@ class ChainSampler:
             self.hole_u, self.hole_v = start.hole
         self.lambda_count = lambda_edges(start, wt)
         self.steps_taken = 0
+        # 0 makes walk a plain walk; see tally.
+        self.spacing = 0
+        self.counts: dict[int, int] = {}
 
     def set_weights(self, wt: WeightTable) -> None:
         """Swap in the next stage's activity and hole weights."""
@@ -264,15 +273,37 @@ class ChainSampler:
         pairs = frozenset((u, v) for u, v in enumerate(self.row_to_col) if v >= 0)
         return Matching(self.n, pairs, self.hole())
 
-    @property
-    def is_perfect(self) -> bool:
-        return self.hole_u < 0
-
     def hole(self) -> tuple[int, int] | None:
         return None if self.hole_u < 0 else (self.hole_u, self.hole_v)
 
+    def tally(self, spacing: int, samples: int) -> list[tuple[tuple[int, int] | None, int, int]]:
+        """Take ``samples`` samples ``spacing`` steps apart in one ``walk`` call.
+
+        Returns (hole or None, non-instance pair count k, count) for each
+        distinct sampled (hole, k), in the order each was first seen.
+        """
+        if spacing < 1:
+            raise ValueError(f"sample spacing must be at least 1, got {spacing}")
+        self.spacing = spacing
+        self.counts = {}
+        try:
+            self.walk(spacing * samples)
+        finally:
+            self.spacing = 0
+        n = self.n
+        out = []
+        for key, count in self.counts.items():
+            cell, k = divmod(key, n + 1)
+            out.append((None if cell == 0 else divmod(cell - 1, n), k, count))
+        return out
+
     def walk(self, steps: int) -> None:
-        """Advance the chain by ``steps`` Metropolis transitions."""
+        """Advance the chain by ``steps`` Metropolis transitions.
+
+        While ``spacing`` is positive, the state after every ``spacing``-th
+        step of this call is also counted in ``counts`` under the key
+        (u * n + v + 1) * (n + 1) + k for hole (u, v), or k when perfect.
+        """
         n = self.n
         edge = self.edge_flat
         log_w = self.log_w
@@ -290,42 +321,27 @@ class ChainSampler:
         ubuf = draws.unit_buf
         ui = draws.unit_pos
         exp = math.exp
+        spacing = self.spacing
+        counts = self.counts
+        count_of = counts.get
+        n1 = n + 1
 
-        for _ in range(steps):
-            if hu < 0:
-                # Perfect: drop a uniformly chosen matched pair.
-                if ei >= len(ebuf):
-                    ebuf = draws.refill_edge()
-                    ei = 0
-                u = ebuf[ei]
-                ei += 1
-                v = r2c[u]
-                dk = edge[u * n + v] - 1
-                delta = dk * log_lambda + log_w[u * n + v]
-                if delta >= 0.0:
-                    accept = True
-                else:
-                    if ui >= len(ubuf):
-                        ubuf = draws.refill_unit()
-                        ui = 0
-                    accept = ubuf[ui] < exp(delta)
-                    ui += 1
-                if accept:
-                    r2c[u] = -1
-                    c2r[v] = -1
-                    hu = u
-                    hv = v
-                    k += dk
-            else:
-                if vi >= len(vbuf):
-                    vbuf = draws.refill_vert()
-                    vi = 0
-                x = vbuf[vi]
-                vi += 1
-                if x == hu or x - n == hv:
-                    # Hole row or hole column: complete the hole pair.
-                    dk = 1 - edge[hu * n + hv]
-                    delta = dk * log_lambda - log_w[hu * n + hv]
+        # ``full`` runs of ``spacing`` steps, each followed by a tallied
+        # sample, then the untallied rest.
+        full, rest = divmod(steps, spacing) if spacing > 0 and steps > 0 else (0, steps)
+        spaced = range(spacing)
+        for run in itertools.chain(itertools.repeat(spaced, full), (range(rest),)):
+            for _ in run:
+                if hu < 0:
+                    # Perfect: drop a uniformly chosen matched pair.
+                    if ei >= len(ebuf):
+                        ebuf = draws.refill_edge()
+                        ei = 0
+                    u = ebuf[ei]
+                    ei += 1
+                    v = r2c[u]
+                    dk = edge[u * n + v] - 1
+                    delta = dk * log_lambda + log_w[u * n + v]
                     if delta >= 0.0:
                         accept = True
                     else:
@@ -335,58 +351,85 @@ class ChainSampler:
                         accept = ubuf[ui] < exp(delta)
                         ui += 1
                     if accept:
-                        r2c[hu] = hv
-                        c2r[hv] = hu
-                        hu = -1
-                        k += dk
-                elif x < n:
-                    # Matched row x: swing its column onto the hole column.
-                    z = r2c[x]
-                    base = x * n
-                    dk = edge[base + z] - edge[base + hv]
-                    delta = (
-                        dk * log_lambda
-                        + log_w[hu * n + z]
-                        - log_w[hu * n + hv]
-                    )
-                    if delta >= 0.0:
-                        accept = True
-                    else:
-                        if ui >= len(ubuf):
-                            ubuf = draws.refill_unit()
-                            ui = 0
-                        accept = ubuf[ui] < exp(delta)
-                        ui += 1
-                    if accept:
-                        r2c[x] = hv
-                        c2r[hv] = x
-                        c2r[z] = -1
-                        hv = z
+                        r2c[u] = -1
+                        c2r[v] = -1
+                        hu = u
+                        hv = v
                         k += dk
                 else:
-                    # Matched column xc: pull it onto the hole row.
-                    xc = x - n
-                    w = c2r[xc]
-                    dk = edge[w * n + xc] - edge[hu * n + xc]
-                    delta = (
-                        dk * log_lambda
-                        + log_w[w * n + hv]
-                        - log_w[hu * n + hv]
-                    )
-                    if delta >= 0.0:
-                        accept = True
+                    if vi >= len(vbuf):
+                        vbuf = draws.refill_vert()
+                        vi = 0
+                    x = vbuf[vi]
+                    vi += 1
+                    if x == hu or x - n == hv:
+                        # Hole row or hole column: complete the hole pair.
+                        dk = 1 - edge[hu * n + hv]
+                        delta = dk * log_lambda - log_w[hu * n + hv]
+                        if delta >= 0.0:
+                            accept = True
+                        else:
+                            if ui >= len(ubuf):
+                                ubuf = draws.refill_unit()
+                                ui = 0
+                            accept = ubuf[ui] < exp(delta)
+                            ui += 1
+                        if accept:
+                            r2c[hu] = hv
+                            c2r[hv] = hu
+                            hu = -1
+                            k += dk
+                    elif x < n:
+                        # Matched row x: swing its column onto the hole column.
+                        z = r2c[x]
+                        base = x * n
+                        dk = edge[base + z] - edge[base + hv]
+                        delta = (
+                            dk * log_lambda
+                            + log_w[hu * n + z]
+                            - log_w[hu * n + hv]
+                        )
+                        if delta >= 0.0:
+                            accept = True
+                        else:
+                            if ui >= len(ubuf):
+                                ubuf = draws.refill_unit()
+                                ui = 0
+                            accept = ubuf[ui] < exp(delta)
+                            ui += 1
+                        if accept:
+                            r2c[x] = hv
+                            c2r[hv] = x
+                            c2r[z] = -1
+                            hv = z
+                            k += dk
                     else:
-                        if ui >= len(ubuf):
-                            ubuf = draws.refill_unit()
-                            ui = 0
-                        accept = ubuf[ui] < exp(delta)
-                        ui += 1
-                    if accept:
-                        r2c[w] = -1
-                        r2c[hu] = xc
-                        c2r[xc] = hu
-                        hu = w
-                        k += dk
+                        # Matched column xc: pull it onto the hole row.
+                        xc = x - n
+                        w = c2r[xc]
+                        dk = edge[w * n + xc] - edge[hu * n + xc]
+                        delta = (
+                            dk * log_lambda
+                            + log_w[w * n + hv]
+                            - log_w[hu * n + hv]
+                        )
+                        if delta >= 0.0:
+                            accept = True
+                        else:
+                            if ui >= len(ubuf):
+                                ubuf = draws.refill_unit()
+                                ui = 0
+                            accept = ubuf[ui] < exp(delta)
+                            ui += 1
+                        if accept:
+                            r2c[w] = -1
+                            r2c[hu] = xc
+                            c2r[xc] = hu
+                            hu = w
+                            k += dk
+            if run is spaced:
+                key = (hu * n + hv + 1) * n1 + k if hu >= 0 else k
+                counts[key] = count_of(key, 0) + 1
 
         self.hole_u = hu
         self.hole_v = hv

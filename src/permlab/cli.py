@@ -67,15 +67,23 @@ def _parse_relax(text: str) -> RelaxationFactors:
 
 def _parse_density(text: str) -> tuple[int, int]:
     num, _, den = text.partition("/")
-    if not den:
-        raise argparse.ArgumentTypeError(f"density must look like 3/4, got {text!r}")
-    return int(num), int(den)
+    try:
+        numerator, denominator = int(num), int(den)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"density must look like 3/4, got {text!r}") from None
+    if denominator <= 0:
+        raise argparse.ArgumentTypeError(f"density denominator must be positive, got {text!r}")
+    return numerator, denominator
+
+
+def _parse_densities(text: str) -> list[tuple[int, int]]:
+    return [_parse_density(part) for part in text.split(",")]
 
 
 def cmd_gen(args) -> int:
     manifest = generate_suite(
         sizes=[int(s) for s in args.sizes.split(",")],
-        densities=[_parse_density(d) for d in args.densities.split(",")],
+        densities=args.densities,
         count=args.count,
         seed=args.seed,
         out_dir=args.out,
@@ -168,6 +176,8 @@ def cmd_trials(args) -> int:
             value = entry.get(key)
             if key in entry and (isinstance(value, bool) or not isinstance(value, kind)):
                 raise ValueError(f"{where}, key {key!r}: must be {what}, got {value!r}")
+        if not 0 < entry["epsilon"] <= 1:
+            raise ValueError(f"{where}, key 'epsilon': must be in (0, 1], got {entry['epsilon']!r}")
         try:
             relax = RelaxationFactors.from_sequence(entry.get("relax", [1, 1, 1, 1]))
         except ValueError as exc:
@@ -204,7 +214,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a random instance suite")
     p.add_argument("--sizes", default="4,6,8,10", help="comma-separated side lengths")
-    p.add_argument("--densities", default="3/4,7/8", help="comma-separated fractions of n^2")
+    p.add_argument(
+        "--densities",
+        type=_parse_densities,
+        default="3/4,7/8",
+        help="comma-separated fractions of n^2",
+    )
     p.add_argument("--count", type=int, default=10, help="instances per (size, density) cell")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")

@@ -16,8 +16,11 @@ final perfect-matching fraction.
 
 Samples are never stored individually. A sample is fully described for both
 the weight update and the ratio Z_i by its hole position (or none) and its
-count of matched non-instance pairs, so each phase keeps only a table of
-counts keyed by those two values. Recomputing a Z_i from a stored table
+count of matched non-instance pairs, so each stage keeps only a table of
+counts keyed by those two values. The counting happens inside the chain's
+``walk`` loop (``ChainSampler.tally``): a stage is one burn-in walk and one
+sampling walk, and ``PhaseStats`` is built once from the counts, in the
+order each (hole, k) was first seen. Recomputing a Z_i from a stored table
 reproduces the recorded value bit for bit.
 
 A phase that leaves any hole position unsampled, or collects no perfect
@@ -125,9 +128,8 @@ def run_phase(
     """
     stats = PhaseStats(sampler.n)
     sampler.walk(tau_init)
-    for _ in range(num_samples):
-        sampler.walk(tau_resample)
-        stats.record(sampler.hole(), sampler.lambda_count)
+    for hole, k, count in sampler.tally(tau_resample, num_samples):
+        stats.record(hole, k, float(count))
     return stats
 
 
@@ -188,11 +190,8 @@ def final_refinement(
     stage's failure.
     """
     sampler.walk(tau_init)
-    hits = 0
-    for _ in range(num_samples):
-        sampler.walk(tau_resample)
-        if sampler.is_perfect and sampler.lambda_count == 0:
-            hits += 1
+    samples = sampler.tally(tau_resample, num_samples)
+    hits = sum(count for hole, k, count in samples if hole is None and k == 0)
     return hits / num_samples
 
 

@@ -25,7 +25,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -87,8 +87,21 @@ class TrialResult:
 
     @classmethod
     def from_json(cls, line: str) -> "TrialResult":
+        """Parse one results line; raises ValueError for any other record."""
         record = json.loads(line)
+        if not isinstance(record, dict):
+            raise ValueError(f"expected a JSON object, got {record!r}")
         record.pop("schema_version", None)
+        known = fields(cls)
+        missing = [f.name for f in known if f.default is MISSING and f.name not in record]
+        unknown = sorted(record.keys() - {f.name for f in known})
+        problems = []
+        if missing:
+            problems.append("missing keys " + ", ".join(missing))
+        if unknown:
+            problems.append("unknown keys " + ", ".join(unknown))
+        if problems:
+            raise ValueError("; ".join(problems))
         return cls(**record)
 
 
@@ -195,10 +208,13 @@ def write_results(results: Iterable[TrialResult], path) -> int:
 def read_results(path) -> list[TrialResult]:
     out = []
     with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                out.append(TrialResult.from_json(line))
+                try:
+                    out.append(TrialResult.from_json(line))
+                except ValueError as exc:
+                    raise ValueError(f"{path}, line {number}: {exc}") from None
     return out
 
 

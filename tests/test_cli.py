@@ -135,8 +135,24 @@ def test_trials_and_report_subcommands(tmp_path, capsys):
         (["exact"], "3\n101\n1x0\n101\n", "line 3: invalid character 'x'"),
         (["exact"], None, "No such file or directory"),
         (["estimate", "--quiet"], "3\n101\n110\n101\n", "parameter formulas require n >= 4, got 3"),
+        (["report"], '{"n": 4}\n', "line 1: missing keys ones_count, seed, exact,"),
+        (["report"], "\n[1]\n", "line 2: expected a JSON object, got [1]"),
+        (
+            ["report"],
+            '{"n": 4, "ones_count": 12, "seed": 0, "exact": 9, "estimate": 9.0, '
+            '"rel_error": 0.0, "failed": false, "within_bound": true, "steps_taken": 1, '
+            '"wall_seconds": 0.1, "nn": 4}\n',
+            "line 1: unknown keys nn",
+        ),
     ],
-    ids=["malformed", "missing", "undersized"],
+    ids=[
+        "malformed",
+        "missing",
+        "undersized",
+        "report-missing-keys",
+        "report-not-object",
+        "report-unknown-key",
+    ],
 )
 def test_domain_errors_print_one_line(tmp_path, capsys, command, text, message):
     path = tmp_path / "input.pmat"
@@ -166,6 +182,7 @@ def test_domain_errors_print_one_line(tmp_path, capsys, command, text, message):
             "entry 0, key 'relax': relaxation factor t_phase must be a finite number, got inf",
         ),
         ({"epsilon": "0.5"}, "entry 0, key 'epsilon': must be a number"),
+        ({"epsilon": 2}, "entry 0, key 'epsilon': must be in (0, 1], got 2"),
         ([{"epsilon": 0.5}, {"epsilon": 0.5, "seed": 1.5}], "entry 1, key 'seed': must be an int"),
         ({"epsilon": 0.5, "label": 3}, "entry 0, key 'label': must be a string"),
     ],
@@ -177,6 +194,7 @@ def test_domain_errors_print_one_line(tmp_path, capsys, command, text, message):
         "relax-not-numeric",
         "relax-infinite",
         "epsilon-string",
+        "epsilon-out-of-range",
         "seed-float",
         "label-int",
     ],
@@ -208,3 +226,20 @@ def test_bad_relax_argument(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["estimate", str(path), "--relax", "1,2,3"])
     assert "relax needs four factors" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "densities, message",
+    [
+        ("1/0", "density denominator must be positive, got '1/0'"),
+        ("3/4,1/-2", "density denominator must be positive, got '1/-2'"),
+        ("3", "density must look like 3/4, got '3'"),
+    ],
+    ids=["zero-denominator", "negative-denominator", "no-slash"],
+)
+def test_bad_density_argument(tmp_path, capsys, densities, message):
+    with pytest.raises(SystemExit) as info:
+        main(["gen", "--sizes", "4", "--densities", densities, "--out", str(tmp_path / "suite")])
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "suite").exists()

@@ -63,6 +63,80 @@ def test_run_phase_sample_count_and_steps():
     sampler.state().validate()
 
 
+def banded(n):
+    # Diagonal plus a band: has a perfect matching and enough absent pairs
+    # for the non-instance count k to take several values.
+    return Matrix.from_rows(
+        [[1 if (j - i) % n in (0, 1, 3) else 0 for j in range(n)] for i in range(n)]
+    )
+
+
+def replay_run_phase(sampler, tau_init, tau_resample, num_samples):
+    # One walk call and one record per sample.
+    stats = PhaseStats(sampler.n)
+    sampler.walk(tau_init)
+    for _ in range(num_samples):
+        sampler.walk(tau_resample)
+        stats.record(sampler.hole(), sampler.lambda_count)
+    return stats
+
+
+def assert_same_walker(sampler, twin):
+    assert sampler.state() == twin.state()
+    assert sampler.lambda_count == twin.lambda_count
+    assert sampler.steps_taken == twin.steps_taken
+    draws, twin_draws = sampler.draws, twin.draws
+    assert (draws.edge_pos, draws.vert_pos, draws.unit_pos) == (
+        twin_draws.edge_pos, twin_draws.vert_pos, twin_draws.unit_pos
+    )
+
+
+@pytest.mark.parametrize("tau_resample", [1, 2, 7])
+@pytest.mark.parametrize("n", [4, 8])
+def test_run_phase_tally_matches_per_sample_replay(n, tau_resample):
+    wt, sampler = make_sampler(banded(n), seed=n + tau_resample, log_lambda=-0.7)
+    _, twin = make_sampler(banded(n), seed=n + tau_resample, log_lambda=-0.7)
+    stats = run_phase(sampler, 300, tau_resample, 3_000)
+    expected = replay_run_phase(twin, 300, tau_resample, 3_000)
+    assert len(expected.holes) > 1 and len(expected.perfect) > 1
+    # Insertion order matters: phase_ratio sums in it.
+    assert list(stats.perfect.items()) == list(expected.perfect.items())
+    assert list(stats.holes) == list(expected.holes)
+    for hole, table in expected.holes.items():
+        assert list(stats.holes[hole].items()) == list(table.items())
+    assert stats.total == expected.total
+    assert_same_walker(sampler, twin)
+
+    # A lower activity, as in the final stage, makes instance-perfect
+    # samples common.
+    final_wt = wt.with_updates(log_lambda=-3.0)
+    sampler.set_weights(final_wt)
+    twin.set_weights(final_wt)
+    hits = 0
+    final = final_refinement(sampler, 50, tau_resample, 2_000)
+    twin.walk(50)
+    for _ in range(2_000):
+        twin.walk(tau_resample)
+        hits += twin.hole() is None and twin.lambda_count == 0
+    assert 0 < hits < 2_000
+    assert final == hits / 2_000
+    assert_same_walker(sampler, twin)
+
+
+def test_walk_makes_every_step_whatever_the_spacing():
+    _, sampler = make_sampler(banded(4), seed=5, log_lambda=-0.7)
+    _, twin = make_sampler(banded(4), seed=5, log_lambda=-0.7)
+    sampler.spacing = 3
+    sampler.walk(10)
+    twin.walk(10)
+    assert sum(sampler.counts.values()) == 3
+    assert_same_walker(sampler, twin)
+    assert sampler.tally(4, 0) == []
+    assert sampler.spacing == 0
+    with pytest.raises(ValueError, match="spacing"):
+        sampler.tally(0, 5)
+
+
 def test_run_phase_hole_frequencies_uniform():
     # Complete 2x2 graph, activity 1, unit hole weights: each of the four
     # hole classes carries equal stationary mass.
