@@ -30,9 +30,18 @@ ratio is at least 1).
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import itertools
 import math
+import operator
+import os
+import shutil
+import subprocess
+import tempfile
+from array import array
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -222,12 +231,115 @@ def exact_stationary(
     )
 
 
+# How _walk.c is compiled. No -ffast-math and no -march=native, and
+# -ffp-contract=off, so that delta rounds exactly as in the Python loop.
+_CC_ARGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off", "-x", "c", "-", "-lm")
+
+
+class _WalkState(ctypes.Structure):
+    """The ``walk_state`` struct of _walk.c."""
+
+    _fields_ = [
+        ("n", ctypes.c_int64),
+        ("edge", ctypes.c_void_p),
+        ("log_w", ctypes.c_void_p),
+        ("log_lambda", ctypes.c_double),
+        ("r2c", ctypes.c_void_p),
+        ("c2r", ctypes.c_void_p),
+        ("hu", ctypes.c_int64),
+        ("hv", ctypes.c_int64),
+        ("k", ctypes.c_int64),
+        ("ebuf", ctypes.c_void_p),
+        ("elen", ctypes.c_int64),
+        ("epos", ctypes.c_int64),
+        ("vbuf", ctypes.c_void_p),
+        ("vlen", ctypes.c_int64),
+        ("vpos", ctypes.c_int64),
+        ("ubuf", ctypes.c_void_p),
+        ("ulen", ctypes.c_int64),
+        ("upos", ctypes.c_int64),
+        ("need", ctypes.c_int64),
+        ("countdown", ctypes.c_int64),
+        ("spacing", ctypes.c_int64),
+        ("counts", ctypes.c_void_p),
+        ("seen", ctypes.c_void_p),
+        ("nseen", ctypes.c_int64),
+    ]
+
+
+def _walk_library() -> Path:
+    """The shared library built from _walk.c, compiling it on first use.
+
+    It lives in ~/.cache/permlab (mode 0700), named by the sha256 of the
+    source, the compiler arguments and the machine type. A build writes a
+    temporary file and renames it into place, so processes that build at
+    once never load a partial library.
+    """
+    import hashlib
+    import platform
+
+    if os.name != "posix":
+        raise OSError("the compiled walk is built only on POSIX systems")
+    source = Path(__file__).with_name("_walk.c").read_bytes()
+    digest = hashlib.sha256(
+        b"\0".join([source, " ".join(_CC_ARGS).encode(), platform.machine().encode()])
+    ).hexdigest()
+    cache = Path(os.path.expanduser("~/.cache/permlab"))
+    if not cache.is_absolute():
+        raise OSError("no home directory for the kernel cache")
+    cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+    info = cache.stat()
+    if info.st_uid != os.getuid() or info.st_mode & 0o022:
+        raise OSError(f"{cache} is writable by other users")
+    library = cache / f"walk-{digest[:32]}.so"
+    if library.exists():
+        return library
+    cc = shutil.which("cc")
+    if cc is None:
+        raise OSError("no C compiler (cc) on PATH")
+    fd, partial = tempfile.mkstemp(suffix=".partial", dir=cache)
+    os.close(fd)
+    try:
+        subprocess.run(
+            [cc, "-o", partial, *_CC_ARGS], input=source, capture_output=True, check=True, timeout=300
+        )
+        os.replace(partial, library)
+    finally:
+        if os.path.exists(partial):
+            os.unlink(partial)
+    return library
+
+
+@functools.cache
+def _walk_kernel():
+    """The compiled ``walk`` of _walk.c, or None when it cannot be built or loaded.
+
+    ``ChainSampler.walk`` asks for it on every call and runs its Python loop
+    on None, so nothing is compiled or loaded at import.
+    """
+    try:
+        # PyDLL keeps the interpreter lock through the call, so no other
+        # thread can refill or free a buffer while the kernel reads it.
+        kernel = ctypes.PyDLL(str(_walk_library())).walk
+    except (OSError, subprocess.SubprocessError):
+        return None
+    kernel.argtypes = (ctypes.POINTER(_WalkState), ctypes.c_int64)
+    kernel.restype = ctypes.c_int64
+    return kernel
+
+
+def _address(buffer) -> int:
+    """Address of a writable buffer's first byte; 0 when it is empty."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(buffer)) if len(buffer) else 0
+
+
 class ChainSampler:
     """Mutable walker used by the estimator's inner loop.
 
-    Keeps the matching as paired row/column assignment arrays plus the hole,
-    maintains the non-instance pair count incrementally, and consumes draws
-    from a BufferedDraws in exactly the same order as the reference ``step``
+    Keeps the matching as paired row/column assignment arrays (int64
+    ``array`` objects, updated in place) plus the hole, maintains the
+    non-instance pair count incrementally, and consumes draws from a
+    BufferedDraws in exactly the same order as the reference ``step``
     function, so short trajectories of the two are interchangeable.
 
     Spaced samples are tallied inside ``walk`` itself: while ``spacing`` is
@@ -235,6 +347,17 @@ class ChainSampler:
     ``counts`` under a key for its hole and non-instance pair count, so a
     whole stage of samples is one ``walk`` call. ``tally`` sets this up and
     decodes the table.
+
+    ``walk`` runs the compiled kernel of _walk.c when it can be built and
+    loaded, and otherwise its own Python loop; the two take the same steps
+    on the same draws, bit for bit. The kernel reads the draw buffers in
+    place and never refills one: when the next draw it needs is in an empty
+    buffer, it returns before that step (leaving an already-read proposal
+    draw unconsumed) with the steps still to take. ``walk`` then calls the
+    ``BufferedDraws`` refill itself and resumes the kernel, so refills
+    happen lazily, in consumption order, from ``walk``'s own frame, and
+    control comes back to the interpreter (signals, Ctrl-C) at least once
+    per buffer of draws.
     """
 
     def __init__(self, wt: WeightTable, start: Matching, draws: BufferedDraws):
@@ -247,8 +370,8 @@ class ChainSampler:
         self.log_w = list(wt.log_w)
         self.log_lambda = wt.log_lambda
         start.validate()
-        self.row_to_col = start.row_to_col()
-        self.col_to_row = [-1] * n
+        self.row_to_col = array("q", start.row_to_col())
+        self.col_to_row = array("q", [-1] * n)
         for u, v in start.pairs:
             self.col_to_row[v] = u
         if start.hole is None:
@@ -262,12 +385,43 @@ class ChainSampler:
         self.spacing = 0
         self.counts: dict[int, int] = {}
 
+        # The compiled kernel's view of the same state. Per-key sample counts
+        # and first-seen keys are indexed by the counts key, below
+        # (n * n + 1) * (n + 1).
+        self._edges = array("q", wt.edge_present)
+        self._tallies = np.zeros((n * n + 1) * (n + 1), dtype=np.int64)
+        self._seen = np.zeros_like(self._tallies)
+        self._kernel_state = _WalkState(
+            n=n,
+            edge=_address(self._edges),
+            r2c=_address(self.row_to_col),
+            c2r=_address(self.col_to_row),
+            counts=_address(self._tallies),
+            seen=_address(self._seen),
+        )
+        self._kernel_args = ctypes.byref(self._kernel_state)
+        self._set_kernel_weights(wt)
+        # The draw buffers whose addresses the kernel state holds.
+        self._buffers = (None, None, None)
+        # The Python loop's view of the assignment arrays.
+        self._r2c_view = memoryview(self.row_to_col)
+        self._c2r_view = memoryview(self.col_to_row)
+
+    def _set_kernel_weights(self, wt: WeightTable) -> None:
+        # The kernel indexes these without bounds checks.
+        if len(wt.edge_present) != self.n * self.n or len(wt.log_w) != self.n * self.n:
+            raise ValueError(f"weight table needs {self.n * self.n} entries per table")
+        self._weights = array("d", wt.log_w)
+        self._kernel_state.log_w = _address(self._weights)
+        self._kernel_state.log_lambda = wt.log_lambda
+
     def set_weights(self, wt: WeightTable) -> None:
         """Swap in the next stage's activity and hole weights."""
         if wt.n != self.n or list(wt.edge_present) != self.edge_flat:
             raise ValueError("weight table belongs to a different instance")
         self.log_w = list(wt.log_w)
         self.log_lambda = wt.log_lambda
+        self._set_kernel_weights(wt)
 
     def state(self) -> Matching:
         pairs = frozenset((u, v) for u, v in enumerate(self.row_to_col) if v >= 0)
@@ -304,16 +458,50 @@ class ChainSampler:
         step of this call is also counted in ``counts`` under the key
         (u * n + v + 1) * (n + 1) + k for hole (u, v), or k when perfect.
         """
+        draws = self.draws
+        kernel = _walk_kernel()
+        if kernel is not None:
+            st = self._kernel_state
+            st.hu, st.hv, st.k = self.hole_u, self.hole_v, self.lambda_count
+            st.spacing = self.spacing
+            st.countdown = self.spacing or -1
+            left = steps
+            while True:
+                buffers = (draws.edge_buf, draws.vert_buf, draws.unit_buf)
+                if not all(map(operator.is_, buffers, self._buffers)):
+                    self._buffers = buffers
+                    st.ebuf, st.vbuf, st.ubuf = map(_address, buffers)
+                    st.elen, st.vlen, st.ulen = map(len, buffers)
+                st.epos, st.vpos, st.upos = draws.edge_pos, draws.vert_pos, draws.unit_pos
+                left = kernel(self._kernel_args, left)
+                draws.edge_pos, draws.vert_pos, draws.unit_pos = st.epos, st.vpos, st.upos
+                if left <= 0:
+                    break
+                # need is the dry buffer's NEED_* value in _walk.c.
+                (draws.refill_edge, draws.refill_vert, draws.refill_unit)[st.need]()
+            self.hole_u, self.hole_v, self.lambda_count = st.hu, st.hv, st.k
+            self.steps_taken += steps
+            if st.nseen:
+                seen = self._seen[: st.nseen]
+                counts = self.counts
+                for key, count in zip(seen.tolist(), self._tallies[seen].tolist()):
+                    counts[key] = counts.get(key, 0) + count
+                self._tallies[seen] = 0
+                st.nseen = 0
+            return
+
         n = self.n
         edge = self.edge_flat
         log_w = self.log_w
         log_lambda = self.log_lambda
-        r2c = self.row_to_col
-        c2r = self.col_to_row
+        # Lists index faster than memoryviews of the assignment arrays, so a
+        # long walk works on list copies and writes them back at the end.
+        copied = steps > 64
+        r2c = self.row_to_col.tolist() if copied else self._r2c_view
+        c2r = self.col_to_row.tolist() if copied else self._c2r_view
         hu = self.hole_u
         hv = self.hole_v
         k = self.lambda_count
-        draws = self.draws
         ebuf = draws.edge_buf
         ei = draws.edge_pos
         vbuf = draws.vert_buf
@@ -335,7 +523,7 @@ class ChainSampler:
                 if hu < 0:
                     # Perfect: drop a uniformly chosen matched pair.
                     if ei >= len(ebuf):
-                        ebuf = draws.refill_edge()
+                        ebuf = draws.refill_edge().tolist()
                         ei = 0
                     u = ebuf[ei]
                     ei += 1
@@ -346,7 +534,7 @@ class ChainSampler:
                         accept = True
                     else:
                         if ui >= len(ubuf):
-                            ubuf = draws.refill_unit()
+                            ubuf = draws.refill_unit().tolist()
                             ui = 0
                         accept = ubuf[ui] < exp(delta)
                         ui += 1
@@ -358,7 +546,7 @@ class ChainSampler:
                         k += dk
                 else:
                     if vi >= len(vbuf):
-                        vbuf = draws.refill_vert()
+                        vbuf = draws.refill_vert().tolist()
                         vi = 0
                     x = vbuf[vi]
                     vi += 1
@@ -370,7 +558,7 @@ class ChainSampler:
                             accept = True
                         else:
                             if ui >= len(ubuf):
-                                ubuf = draws.refill_unit()
+                                ubuf = draws.refill_unit().tolist()
                                 ui = 0
                             accept = ubuf[ui] < exp(delta)
                             ui += 1
@@ -393,7 +581,7 @@ class ChainSampler:
                             accept = True
                         else:
                             if ui >= len(ubuf):
-                                ubuf = draws.refill_unit()
+                                ubuf = draws.refill_unit().tolist()
                                 ui = 0
                             accept = ubuf[ui] < exp(delta)
                             ui += 1
@@ -417,7 +605,7 @@ class ChainSampler:
                             accept = True
                         else:
                             if ui >= len(ubuf):
-                                ubuf = draws.refill_unit()
+                                ubuf = draws.refill_unit().tolist()
                                 ui = 0
                             accept = ubuf[ui] < exp(delta)
                             ui += 1
@@ -431,6 +619,9 @@ class ChainSampler:
                 key = (hu * n + hv + 1) * n1 + k if hu >= 0 else k
                 counts[key] = count_of(key, 0) + 1
 
+        if copied:
+            self._r2c_view[:] = array("q", r2c)
+            self._c2r_view[:] = array("q", c2r)
         self.hole_u = hu
         self.hole_v = hv
         self.lambda_count = k

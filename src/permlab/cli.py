@@ -80,9 +80,23 @@ def _parse_densities(text: str) -> list[tuple[int, int]]:
     return [_parse_density(part) for part in text.split(",")]
 
 
+def _positive_int(text: str, what: str = "value") -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{what} must be a positive integer, got {text!r}")
+    return value
+
+
+def _parse_sizes(text: str) -> list[int]:
+    return [_positive_int(part, "size") for part in text.split(",")]
+
+
 def cmd_gen(args) -> int:
     manifest = generate_suite(
-        sizes=[int(s) for s in args.sizes.split(",")],
+        sizes=args.sizes,
         densities=args.densities,
         count=args.count,
         seed=args.seed,
@@ -213,14 +227,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a random instance suite")
-    p.add_argument("--sizes", default="4,6,8,10", help="comma-separated side lengths")
+    p.add_argument(
+        "--sizes", type=_parse_sizes, default="4,6,8,10", help="comma-separated side lengths"
+    )
     p.add_argument(
         "--densities",
         type=_parse_densities,
         default="3/4,7/8",
         help="comma-separated fractions of n^2",
     )
-    p.add_argument("--count", type=int, default=10, help="instances per (size, density) cell")
+    p.add_argument(
+        "--count", type=_positive_int, default=10, help="instances per (size, density) cell"
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_gen)

@@ -100,9 +100,30 @@ class TrialResult:
             problems.append("missing keys " + ", ".join(missing))
         if unknown:
             problems.append("unknown keys " + ", ".join(unknown))
+        problems += [
+            f"{f.name} must be {f.type}, got {record[f.name]!r}"
+            for f in known
+            if f.name in record and not _json_value_fits(record[f.name], f.type)
+        ]
         if problems:
             raise ValueError("; ".join(problems))
         return cls(**record)
+
+
+# JSON value types for the annotations of TrialResult's fields.
+_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str, "None": type(None)}
+
+
+def _json_value_fits(value, annotation: str) -> bool:
+    """Whether a parsed JSON value fits an annotation such as ``float | None``.
+
+    A JSON true or false is a Python bool, which is an int too, so it fits
+    only ``bool``.
+    """
+    names = annotation.split(" | ")
+    if isinstance(value, bool):
+        return "bool" in names
+    return any(isinstance(value, _JSON_TYPES[name]) for name in names)
 
 
 def relative_error(estimate: float, exact: int) -> float | None:

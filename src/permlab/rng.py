@@ -9,7 +9,9 @@ the current matching is perfect, a vertex index uniform on [0, 2n) when it is
 near-perfect, and a unit float for the acceptance filter (drawn only when the
 proposal ratio is below 1). ``BufferedDraws`` pre-generates each kind in
 blocks, which makes per-step cost small while keeping the consumed stream a
-pure function of the seed.
+pure function of the seed. The blocks are the int64 and float64 arrays that
+PCG64 returns, kept as memoryviews, which the sampler's compiled kernel reads
+in place.
 """
 
 from __future__ import annotations
@@ -24,10 +26,11 @@ _BUFFER_SIZE = 1 << 16
 class BufferedDraws:
     """Three block-buffered draw streams over one seeded PCG64 generator.
 
-    The buffers are plain Python lists so the sampler's hot loop can index
-    them without numpy scalar boxing. Refills happen lazily in consumption
-    order, so a trajectory is a deterministic function of (seed, n, start
-    state).
+    Each buffer is a memoryview of the int64 or float64 array that PCG64
+    returned, with a read position; indexing it yields a Python ``int`` or
+    ``float`` without copying the block. Refills happen lazily in
+    consumption order, so a trajectory is a deterministic function of
+    (seed, n, start state).
     """
 
     def __init__(self, seed: int, n: int, buffer_size: int = _BUFFER_SIZE):
@@ -38,25 +41,25 @@ class BufferedDraws:
         self.size = buffer_size
         self._gen = np.random.Generator(np.random.PCG64(seed))
         # Empty buffers with pos 0 trigger a lazy refill on first use.
-        self.edge_buf: list[int] = []
+        self.edge_buf = memoryview(np.empty(0, dtype=np.int64))
         self.edge_pos = 0
-        self.vert_buf: list[int] = []
+        self.vert_buf = memoryview(np.empty(0, dtype=np.int64))
         self.vert_pos = 0
-        self.unit_buf: list[float] = []
+        self.unit_buf = memoryview(np.empty(0, dtype=np.float64))
         self.unit_pos = 0
 
-    def refill_edge(self) -> list[int]:
-        self.edge_buf = self._gen.integers(0, self.n, size=self.size).tolist()
+    def refill_edge(self) -> memoryview:
+        self.edge_buf = memoryview(self._gen.integers(0, self.n, size=self.size))
         self.edge_pos = 0
         return self.edge_buf
 
-    def refill_vert(self) -> list[int]:
-        self.vert_buf = self._gen.integers(0, 2 * self.n, size=self.size).tolist()
+    def refill_vert(self) -> memoryview:
+        self.vert_buf = memoryview(self._gen.integers(0, 2 * self.n, size=self.size))
         self.vert_pos = 0
         return self.vert_buf
 
-    def refill_unit(self) -> list[float]:
-        self.unit_buf = self._gen.random(size=self.size).tolist()
+    def refill_unit(self) -> memoryview:
+        self.unit_buf = memoryview(self._gen.random(size=self.size))
         self.unit_pos = 0
         return self.unit_buf
 

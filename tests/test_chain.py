@@ -1,5 +1,7 @@
 import hashlib
 import math
+import shutil
+import stat
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from permlab import (
     ChainSampler,
     Matching,
+    Matrix,
     WeightTable,
     build_transition_matrix,
     enumerate_states,
@@ -19,6 +22,7 @@ from permlab import (
     state_space_size,
     step,
 )
+from permlab import chain
 from permlab.chain import lambda_edges, state_key
 from permlab.params import log_factorial
 from permlab.rng import BufferedDraws
@@ -241,6 +245,18 @@ def test_sampler_matches_reference_step_replay():
         assert state_key(sampler.state()) == state_key(current)
 
 
+def test_sampler_rejects_a_weight_table_of_the_wrong_size():
+    # The compiled kernel indexes the tables without bounds checks.
+    wt = WeightTable.initial(FIG)
+    start = find_perfect_matching(FIG)
+    sampler = ChainSampler(wt, start, BufferedDraws(0, 3))
+    short = wt.with_updates(log_w=[0.0] * 8)
+    with pytest.raises(ValueError, match="9 entries"):
+        ChainSampler(short, start, BufferedDraws(0, 3))
+    with pytest.raises(ValueError, match="9 entries"):
+        sampler.set_weights(short)
+
+
 def test_sampler_incremental_count_matches_recount():
     m = generate_random(4, 9, seed=2)
     pm = find_perfect_matching(m)
@@ -265,19 +281,124 @@ def test_sampler_empirical_occupation_matches_stationary():
     assert tv < 0.01
 
 
-@pytest.mark.parametrize(
+GOLDEN_TRAJECTORIES = pytest.mark.parametrize(
     "n, digest",
     [(4, "e4b108be9676a518"), (8, "1a5cd38e89ffbc27"), (16, "e3f54d96f513cafc")],
 )
-def test_sampler_state_golden_pin(n, digest):
-    # Fixes the seed-to-trajectory mapping across refactors and numpy
-    # upgrades: a drift in the PCG64 streams or in the move rules changes
-    # the hash of the first 10^5 states.
+
+
+def golden_trajectory_digest(n):
     m = generate_random(n, 3 * n * n // 4, seed=n)
     wt = WeightTable.initial(m).with_updates(log_lambda=-log_factorial(n) / 2)
     sampler = ChainSampler(wt, find_perfect_matching(m), BufferedDraws(n, n))
     h = hashlib.sha256()
     for _ in range(100_000):
         sampler.walk(1)
-        h.update(repr((sampler.row_to_col, sampler.hole(), sampler.lambda_count)).encode())
-    assert h.hexdigest()[:16] == digest
+        h.update(repr(sampler_state(sampler)).encode())
+    return h.hexdigest()[:16]
+
+
+@GOLDEN_TRAJECTORIES
+def test_sampler_state_golden_pin(n, digest):
+    # Fixes the seed-to-trajectory mapping across refactors and numpy
+    # upgrades: a drift in the PCG64 streams or in the move rules changes
+    # the hash of the first 10^5 states.
+    assert golden_trajectory_digest(n) == digest
+
+
+@GOLDEN_TRAJECTORIES
+def test_sampler_state_golden_pin_on_python_walk(n, digest, python_walk):
+    assert golden_trajectory_digest(n) == digest
+
+
+def test_walk_matches_reference_step_across_refills(walk_kernel):
+    # Three-draw buffers run dry every few steps in every branch, so walk
+    # suspends and refills often, including after a step's proposal draw
+    # has been read and its acceptance draw is missing. Hole weights of both
+    # signs make every move kind, removal included, need acceptance draws.
+    m = banded_matrix(5)
+    wt = mixed_weights(m, math.log(0.3))
+    start = find_perfect_matching(m)
+    sampler = ChainSampler(wt, start, BufferedDraws(42, 5, buffer_size=3))
+    draws = BufferedDraws(42, 5, buffer_size=3)
+    current = start
+    for length in [1, 2, 3, 5, 13, 64, 65, 200] * 40:
+        sampler.walk(length)
+        for _ in range(length):
+            current = step(current, wt, draws)
+        assert sampler.state() == current
+        assert sampler.lambda_count == lambda_edges(current, wt)
+        assert draw_positions(sampler.draws) == draw_positions(draws)
+
+
+def draw_positions(draws):
+    return draws.edge_pos, draws.vert_pos, draws.unit_pos
+
+
+def sampler_state(sampler):
+    return sampler.row_to_col.tolist(), sampler.hole(), sampler.lambda_count
+
+
+def banded_matrix(n):
+    rows = [[1 if (j - i) % n in (0, 1, 3) else 0 for j in range(n)] for i in range(n)]
+    return Matrix.from_rows(rows)
+
+
+def mixed_weights(m, log_lambda):
+    """Hole weights between e^-2 and e^2, so that no move is always accepted."""
+    return WeightTable.initial(m).with_updates(
+        log_lambda=log_lambda, log_w=[2 * math.sin(3 * i) for i in range(m.n * m.n)]
+    )
+
+
+def walk_fingerprint(n, log_lambda, buffer_size):
+    """Hashes of the trajectory, the draw positions and the tallies of a mixed run."""
+    m = generate_random(n, 3 * n * n // 4, seed=n)
+    wt = mixed_weights(m, log_lambda)
+    draws = BufferedDraws(7 * n, n, buffer_size=buffer_size)
+    sampler = ChainSampler(wt, find_perfect_matching(m), draws)
+    hashes = [hashlib.sha256() for _ in range(3)]
+    trajectory, positions, tallies = hashes
+    for i in range(600):
+        sampler.walk(1 + i % 7)
+        trajectory.update(repr(sampler_state(sampler)).encode())
+        positions.update(repr(draw_positions(draws)).encode())
+    for spacing in (1, 3):
+        tallies.update(repr(sampler.tally(spacing, 700)).encode())
+    sampler.walk(5_000)
+    trajectory.update(repr(sampler_state(sampler)).encode())
+    positions.update(repr(draw_positions(draws)).encode())
+    return [h.hexdigest() for h in hashes]
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_compiled_walk_matches_python_walk(n, monkeypatch):
+    if chain._walk_kernel() is None:
+        pytest.skip("the compiled walk kernel cannot be built or loaded here")
+    settings = [
+        (log_lambda, buffer_size)
+        for log_lambda in (0.0, -1.0, -log_factorial(n) / 2)
+        for buffer_size in (1 << 16, 3)
+    ]
+    compiled = [walk_fingerprint(n, *setting) for setting in settings]
+    monkeypatch.setattr(chain, "_walk_kernel", lambda: None)
+    assert [walk_fingerprint(n, *setting) for setting in settings] == compiled
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc) on PATH")
+def test_compiled_walk_kernel_builds_and_loads(tmp_path, monkeypatch):
+    # Where a compiler exists, a broken build must not fall back to the
+    # Python loop unnoticed. A fresh home makes this a real build.
+    monkeypatch.setenv("HOME", str(tmp_path))
+    assert chain._walk_kernel.__wrapped__() is not None
+    cache = tmp_path / ".cache" / "permlab"
+    assert stat.S_IMODE(cache.stat().st_mode) == 0o700
+    library = chain._walk_library()
+    assert [path.name for path in cache.iterdir()] == [library.name]
+
+
+def test_walk_kernel_is_none_when_the_cache_cannot_be_written(tmp_path, monkeypatch):
+    home = tmp_path / "home"
+    home.write_text("a file, not a directory")
+    monkeypatch.setenv("HOME", str(home))
+    assert chain._walk_kernel.__wrapped__() is None

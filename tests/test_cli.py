@@ -144,6 +144,19 @@ def test_trials_and_report_subcommands(tmp_path, capsys):
             '"wall_seconds": 0.1, "nn": 4}\n',
             "line 1: unknown keys nn",
         ),
+        (
+            # A valid n = 4 line, then one whose n is a string: aggregate
+            # would fail to sort the groups.
+            ["report"],
+            '{"n": 4, "ones_count": 12, "seed": 0, "exact": 9, "estimate": 9.0, '
+            '"rel_error": 0.0, "failed": false, "within_bound": true, "steps_taken": 1, '
+            '"wall_seconds": 0.1}\n'
+            '{"n": "x", "ones_count": 12, "seed": true, "exact": 9, "estimate": "9", '
+            '"rel_error": null, "failed": false, "within_bound": null, "steps_taken": 1, '
+            '"wall_seconds": 0.1}\n',
+            "line 2: n must be int, got 'x'; seed must be int, got True; "
+            "estimate must be float, got '9'",
+        ),
     ],
     ids=[
         "malformed",
@@ -152,6 +165,7 @@ def test_trials_and_report_subcommands(tmp_path, capsys):
         "report-missing-keys",
         "report-not-object",
         "report-unknown-key",
+        "report-wrong-types",
     ],
 )
 def test_domain_errors_print_one_line(tmp_path, capsys, command, text, message):
@@ -240,6 +254,25 @@ def test_bad_relax_argument(tmp_path, capsys):
 def test_bad_density_argument(tmp_path, capsys, densities, message):
     with pytest.raises(SystemExit) as info:
         main(["gen", "--sizes", "4", "--densities", densities, "--out", str(tmp_path / "suite")])
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "suite").exists()
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--count", "0", "argument --count: value must be a positive integer, got '0'"),
+        ("--count", "-1", "argument --count: value must be a positive integer, got '-1'"),
+        ("--sizes", "4,x", "argument --sizes: size must be a positive integer, got 'x'"),
+        ("--sizes", "0", "argument --sizes: size must be a positive integer, got '0'"),
+        ("--sizes", "-4", "argument --sizes: size must be a positive integer, got '-4'"),
+    ],
+    ids=["count-zero", "count-negative", "size-not-int", "size-zero", "size-negative"],
+)
+def test_bad_gen_count_or_size(tmp_path, capsys, option, value, message):
+    with pytest.raises(SystemExit) as info:
+        main(["gen", "--out", str(tmp_path / "suite"), option, value])
     assert info.value.code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "suite").exists()
