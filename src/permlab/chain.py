@@ -34,7 +34,6 @@ import ctypes
 import functools
 import itertools
 import math
-import operator
 import os
 import shutil
 import subprocess
@@ -237,7 +236,8 @@ _CC_ARGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off", "-x", "c", "-", "-lm
 
 
 class _WalkState(ctypes.Structure):
-    """The ``walk_state`` struct of _walk.c."""
+    """The ``walk_state`` struct of _walk.c; ChainSampler's only copy of its
+    hole and non-instance pair count."""
 
     _fields_ = [
         ("n", ctypes.c_int64),
@@ -328,9 +328,14 @@ def _walk_kernel():
     return kernel
 
 
+def _pin(buffer) -> ctypes.c_char:
+    """The first byte of a writable buffer, which stays exported while this lives."""
+    return ctypes.c_char.from_buffer(buffer)
+
+
 def _address(buffer) -> int:
     """Address of a writable buffer's first byte; 0 when it is empty."""
-    return ctypes.addressof(ctypes.c_char.from_buffer(buffer)) if len(buffer) else 0
+    return ctypes.addressof(_pin(buffer)) if len(buffer) else 0
 
 
 class ChainSampler:
@@ -338,7 +343,8 @@ class ChainSampler:
 
     Keeps the matching as paired row/column assignment arrays (int64
     ``array`` objects, updated in place) plus the hole, maintains the
-    non-instance pair count incrementally, and consumes draws from a
+    non-instance pair count incrementally (the hole and the count live in
+    the kernel state, for both kernels), and consumes draws from a
     BufferedDraws in exactly the same order as the reference ``step``
     function, so short trajectories of the two are interchangeable.
 
@@ -357,7 +363,9 @@ class ChainSampler:
     ``BufferedDraws`` refill itself and resumes the kernel, so refills
     happen lazily, in consumption order, from ``walk``'s own frame, and
     control comes back to the interpreter (signals, Ctrl-C) at least once
-    per buffer of draws.
+    per buffer of draws. The state is whole after every kernel return, so a
+    refill that raises leaves the sampler at the steps taken so far, with
+    their samples counted.
     """
 
     def __init__(self, wt: WeightTable, start: Matching, draws: BufferedDraws):
@@ -374,38 +382,41 @@ class ChainSampler:
         self.col_to_row = array("q", [-1] * n)
         for u, v in start.pairs:
             self.col_to_row[v] = u
-        if start.hole is None:
-            self.hole_u = -1
-            self.hole_v = -1
-        else:
-            self.hole_u, self.hole_v = start.hole
-        self.lambda_count = lambda_edges(start, wt)
         self.steps_taken = 0
         # 0 makes walk a plain walk; see tally.
         self.spacing = 0
         self.counts: dict[int, int] = {}
 
-        # The compiled kernel's view of the same state. Per-key sample counts
-        # and first-seen keys are indexed by the counts key, below
-        # (n * n + 1) * (n + 1).
+        # The kernel state owns the hole and the non-instance pair count for
+        # both kernels. Per-key sample counts and first-seen keys are indexed
+        # by the counts key, below (n * n + 1) * (n + 1). The arrays it points
+        # into stay exported through _pinned, so none can be resized or freed
+        # under it.
+        hu, hv = (-1, -1) if start.hole is None else start.hole
         self._edges = array("q", wt.edge_present)
         self._tallies = np.zeros((n * n + 1) * (n + 1), dtype=np.int64)
         self._seen = np.zeros_like(self._tallies)
-        self._kernel_state = _WalkState(
-            n=n,
-            edge=_address(self._edges),
-            r2c=_address(self.row_to_col),
-            c2r=_address(self.col_to_row),
-            counts=_address(self._tallies),
-            seen=_address(self._seen),
-        )
-        self._kernel_args = ctypes.byref(self._kernel_state)
+        self._pinned = [
+            _pin(a) for a in (self._edges, self.row_to_col, self.col_to_row, self._tallies, self._seen)
+        ]
+        st = self._kernel_state = _WalkState(n=n, hu=hu, hv=hv, k=lambda_edges(start, wt), countdown=-1)
+        st.edge, st.r2c, st.c2r, st.counts, st.seen = map(ctypes.addressof, self._pinned)
+        self._kernel_args = ctypes.byref(st)
         self._set_kernel_weights(wt)
         # The draw buffers whose addresses the kernel state holds.
         self._buffers = (None, None, None)
-        # The Python loop's view of the assignment arrays.
-        self._r2c_view = memoryview(self.row_to_col)
-        self._c2r_view = memoryview(self.col_to_row)
+
+    @property
+    def hole_u(self) -> int:
+        return self._kernel_state.hu
+
+    @property
+    def hole_v(self) -> int:
+        return self._kernel_state.hv
+
+    @property
+    def lambda_count(self) -> int:
+        return self._kernel_state.k
 
     def _set_kernel_weights(self, wt: WeightTable) -> None:
         # The kernel indexes these without bounds checks.
@@ -428,7 +439,8 @@ class ChainSampler:
         return Matching(self.n, pairs, self.hole())
 
     def hole(self) -> tuple[int, int] | None:
-        return None if self.hole_u < 0 else (self.hole_u, self.hole_v)
+        st = self._kernel_state
+        return None if st.hu < 0 else (st.hu, st.hv)
 
     def tally(self, spacing: int, samples: int) -> list[tuple[tuple[int, int] | None, int, int]]:
         """Take ``samples`` samples ``spacing`` steps apart in one ``walk`` call.
@@ -459,49 +471,60 @@ class ChainSampler:
         (u * n + v + 1) * (n + 1) + k for hole (u, v), or k when perfect.
         """
         draws = self.draws
+        st = self._kernel_state
+        spacing = self.spacing
         kernel = _walk_kernel()
         if kernel is not None:
-            st = self._kernel_state
-            st.hu, st.hv, st.k = self.hole_u, self.hole_v, self.lambda_count
-            st.spacing = self.spacing
-            st.countdown = self.spacing or -1
+            if spacing:
+                st.spacing = st.countdown = spacing
             left = steps
-            while True:
-                buffers = (draws.edge_buf, draws.vert_buf, draws.unit_buf)
-                if not all(map(operator.is_, buffers, self._buffers)):
-                    self._buffers = buffers
-                    st.ebuf, st.vbuf, st.ubuf = map(_address, buffers)
-                    st.elen, st.vlen, st.ulen = map(len, buffers)
-                st.epos, st.vpos, st.upos = draws.edge_pos, draws.vert_pos, draws.unit_pos
-                left = kernel(self._kernel_args, left)
-                draws.edge_pos, draws.vert_pos, draws.unit_pos = st.epos, st.vpos, st.upos
-                if left <= 0:
-                    break
-                # need is the dry buffer's NEED_* value in _walk.c.
-                (draws.refill_edge, draws.refill_vert, draws.refill_unit)[st.need]()
-            self.hole_u, self.hole_v, self.lambda_count = st.hu, st.hv, st.k
-            self.steps_taken += steps
-            if st.nseen:
-                seen = self._seen[: st.nseen]
-                counts = self.counts
-                for key, count in zip(seen.tolist(), self._tallies[seen].tolist()):
-                    counts[key] = counts.get(key, 0) + count
-                self._tallies[seen] = 0
-                st.nseen = 0
+            try:
+                while True:
+                    buffers = self._buffers
+                    if (
+                        draws.edge_buf is not buffers[0]
+                        or draws.vert_buf is not buffers[1]
+                        or draws.unit_buf is not buffers[2]
+                    ):
+                        self._buffers = buffers = (draws.edge_buf, draws.vert_buf, draws.unit_buf)
+                        st.ebuf, st.vbuf, st.ubuf = map(_address, buffers)
+                        st.elen, st.vlen, st.ulen = map(len, buffers)
+                    st.epos, st.vpos, st.upos = draws.edge_pos, draws.vert_pos, draws.unit_pos
+                    left = kernel(self._kernel_args, left)
+                    draws.edge_pos, draws.vert_pos, draws.unit_pos = st.epos, st.vpos, st.upos
+                    if left <= 0:
+                        break
+                    # need is the dry buffer's NEED_* value in _walk.c.
+                    (draws.refill_edge, draws.refill_vert, draws.refill_unit)[st.need]()
+            finally:
+                # Also on an interrupted refill: the kernel state is whole
+                # after every kernel return, so count the steps and samples
+                # taken so far.
+                self.steps_taken += steps - left
+                if spacing:
+                    st.countdown = -1
+                    seen = self._seen[: st.nseen]
+                    counts = self.counts
+                    for key, count in zip(seen.tolist(), self._tallies[seen].tolist()):
+                        counts[key] = counts.get(key, 0) + count
+                    self._tallies[seen] = 0
+                    st.nseen = 0
             return
 
         n = self.n
         edge = self.edge_flat
         log_w = self.log_w
         log_lambda = self.log_lambda
-        # Lists index faster than memoryviews of the assignment arrays, so a
-        # long walk works on list copies and writes them back at the end.
-        copied = steps > 64
-        r2c = self.row_to_col.tolist() if copied else self._r2c_view
-        c2r = self.col_to_row.tolist() if copied else self._c2r_view
-        hu = self.hole_u
-        hv = self.hole_v
-        k = self.lambda_count
+        # Lists index faster than the assignment arrays, so a long walk works
+        # on list copies and writes them back at the end. Copying costs about
+        # as much as it saves over 8 steps at n = 4 and over 20 at n = 16, so
+        # a walk of up to 16 steps indexes the arrays in place.
+        copied = steps > 16
+        r2c = self.row_to_col.tolist() if copied else self.row_to_col
+        c2r = self.col_to_row.tolist() if copied else self.col_to_row
+        hu = st.hu
+        hv = st.hv
+        k = st.k
         ebuf = draws.edge_buf
         ei = draws.edge_pos
         vbuf = draws.vert_buf
@@ -509,7 +532,6 @@ class ChainSampler:
         ubuf = draws.unit_buf
         ui = draws.unit_pos
         exp = math.exp
-        spacing = self.spacing
         counts = self.counts
         count_of = counts.get
         n1 = n + 1
@@ -620,11 +642,11 @@ class ChainSampler:
                 counts[key] = count_of(key, 0) + 1
 
         if copied:
-            self._r2c_view[:] = array("q", r2c)
-            self._c2r_view[:] = array("q", c2r)
-        self.hole_u = hu
-        self.hole_v = hv
-        self.lambda_count = k
+            self.row_to_col[:] = array("q", r2c)
+            self.col_to_row[:] = array("q", c2r)
+        st.hu = hu
+        st.hv = hv
+        st.k = k
         self.steps_taken += steps
         draws.edge_pos = ei
         draws.vert_pos = vi

@@ -322,7 +322,7 @@ def test_walk_matches_reference_step_across_refills(walk_kernel):
     sampler = ChainSampler(wt, start, BufferedDraws(42, 5, buffer_size=3))
     draws = BufferedDraws(42, 5, buffer_size=3)
     current = start
-    for length in [1, 2, 3, 5, 13, 64, 65, 200] * 40:
+    for length in [1, 2, 3, 5, 13, 16, 17, 64, 200] * 40:
         sampler.walk(length)
         for _ in range(length):
             current = step(current, wt, draws)
@@ -383,6 +383,51 @@ def test_compiled_walk_matches_python_walk(n, monkeypatch):
     compiled = [walk_fingerprint(n, *setting) for setting in settings]
     monkeypatch.setattr(chain, "_walk_kernel", lambda: None)
     assert [walk_fingerprint(n, *setting) for setting in settings] == compiled
+
+
+def test_interrupted_compiled_walk_keeps_the_steps_and_samples_it_took():
+    # A refill that raises (as Ctrl-C would) leaves the sampler exactly where
+    # its kernel stopped, with the samples taken so far counted, and nothing
+    # carried into the next tally.
+    if chain._walk_kernel() is None:
+        pytest.skip("the compiled walk kernel cannot be built or loaded here")
+    m = banded_matrix(5)
+    wt = mixed_weights(m, -0.7)
+    sampler, twin = (
+        ChainSampler(wt, find_perfect_matching(m), BufferedDraws(3, 5, buffer_size=50))
+        for _ in range(2)
+    )
+    refills = 0
+
+    def interrupt_the_fourth(refill):
+        def wrapped():
+            nonlocal refills
+            refills += 1
+            if refills == 4:
+                raise KeyboardInterrupt
+            return refill()
+
+        return wrapped
+
+    draws = sampler.draws
+    for name in ("refill_edge", "refill_vert", "refill_unit"):
+        setattr(draws, name, interrupt_the_fourth(getattr(draws, name)))
+    with pytest.raises(KeyboardInterrupt):
+        sampler.tally(3, 1_000)
+    taken = sampler.steps_taken
+    assert 0 < taken < 3_000
+    twin.spacing = 3
+    twin.walk(taken)
+    twin.spacing = 0
+    assert sampler.counts == twin.counts
+    assert sampler_state(sampler) == sampler_state(twin)
+    assert draw_positions(draws) == draw_positions(twin.draws)
+    sampler.walk(100)
+    twin.walk(100)
+    samples = sampler.tally(3, 100)
+    assert samples == twin.tally(3, 100)
+    assert sum(count for _, _, count in samples) == 100
+    assert sampler_state(sampler) == sampler_state(twin)
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc) on PATH")
