@@ -34,16 +34,12 @@ import ctypes
 import functools
 import itertools
 import math
-import os
-import shutil
-import subprocess
-import tempfile
 from array import array
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from . import _native
 from .matrix import Matching, Matrix
 from .rng import BufferedDraws
 
@@ -230,11 +226,6 @@ def exact_stationary(
     )
 
 
-# How _walk.c is compiled. No -ffast-math and no -march=native, and
-# -ffp-contract=off, so that delta rounds exactly as in the Python loop.
-_CC_ARGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off", "-x", "c", "-", "-lm")
-
-
 class _WalkState(ctypes.Structure):
     """The ``walk_state`` struct of _walk.c; ChainSampler's only copy of its
     hole and non-instance pair count."""
@@ -267,75 +258,14 @@ class _WalkState(ctypes.Structure):
     ]
 
 
-def _walk_library() -> Path:
-    """The shared library built from _walk.c, compiling it on first use.
-
-    It lives in ~/.cache/permlab (mode 0700), named by the sha256 of the
-    source, the compiler arguments and the machine type. A build writes a
-    temporary file and renames it into place, so processes that build at
-    once never load a partial library.
-    """
-    import hashlib
-    import platform
-
-    if os.name != "posix":
-        raise OSError("the compiled walk is built only on POSIX systems")
-    source = Path(__file__).with_name("_walk.c").read_bytes()
-    digest = hashlib.sha256(
-        b"\0".join([source, " ".join(_CC_ARGS).encode(), platform.machine().encode()])
-    ).hexdigest()
-    cache = Path(os.path.expanduser("~/.cache/permlab"))
-    if not cache.is_absolute():
-        raise OSError("no home directory for the kernel cache")
-    cache.mkdir(mode=0o700, parents=True, exist_ok=True)
-    info = cache.stat()
-    if info.st_uid != os.getuid() or info.st_mode & 0o022:
-        raise OSError(f"{cache} is writable by other users")
-    library = cache / f"walk-{digest[:32]}.so"
-    if library.exists():
-        return library
-    cc = shutil.which("cc")
-    if cc is None:
-        raise OSError("no C compiler (cc) on PATH")
-    fd, partial = tempfile.mkstemp(suffix=".partial", dir=cache)
-    os.close(fd)
-    try:
-        subprocess.run(
-            [cc, "-o", partial, *_CC_ARGS], input=source, capture_output=True, check=True, timeout=300
-        )
-        os.replace(partial, library)
-    finally:
-        if os.path.exists(partial):
-            os.unlink(partial)
-    return library
-
-
 @functools.cache
 def _walk_kernel():
     """The compiled ``walk`` of _walk.c, or None when it cannot be built or loaded.
 
     ``ChainSampler.walk`` asks for it on every call and runs its Python loop
-    on None, so nothing is compiled or loaded at import.
+    on None.
     """
-    try:
-        # PyDLL keeps the interpreter lock through the call, so no other
-        # thread can refill or free a buffer while the kernel reads it.
-        kernel = ctypes.PyDLL(str(_walk_library())).walk
-    except (OSError, subprocess.SubprocessError):
-        return None
-    kernel.argtypes = (ctypes.POINTER(_WalkState), ctypes.c_int64)
-    kernel.restype = ctypes.c_int64
-    return kernel
-
-
-def _pin(buffer) -> ctypes.c_char:
-    """The first byte of a writable buffer, which stays exported while this lives."""
-    return ctypes.c_char.from_buffer(buffer)
-
-
-def _address(buffer) -> int:
-    """Address of a writable buffer's first byte; 0 when it is empty."""
-    return ctypes.addressof(_pin(buffer)) if len(buffer) else 0
+    return _native.kernel("walk", ctypes.c_int64, ctypes.POINTER(_WalkState), ctypes.c_int64)
 
 
 class ChainSampler:
@@ -397,7 +327,8 @@ class ChainSampler:
         self._tallies = np.zeros((n * n + 1) * (n + 1), dtype=np.int64)
         self._seen = np.zeros_like(self._tallies)
         self._pinned = [
-            _pin(a) for a in (self._edges, self.row_to_col, self.col_to_row, self._tallies, self._seen)
+            _native.pin(a)
+            for a in (self._edges, self.row_to_col, self.col_to_row, self._tallies, self._seen)
         ]
         st = self._kernel_state = _WalkState(n=n, hu=hu, hv=hv, k=lambda_edges(start, wt), countdown=-1)
         st.edge, st.r2c, st.c2r, st.counts, st.seen = map(ctypes.addressof, self._pinned)
@@ -423,7 +354,7 @@ class ChainSampler:
         if len(wt.edge_present) != self.n * self.n or len(wt.log_w) != self.n * self.n:
             raise ValueError(f"weight table needs {self.n * self.n} entries per table")
         self._weights = array("d", wt.log_w)
-        self._kernel_state.log_w = _address(self._weights)
+        self._kernel_state.log_w = _native.address(self._weights)
         self._kernel_state.log_lambda = wt.log_lambda
 
     def set_weights(self, wt: WeightTable) -> None:
@@ -487,7 +418,7 @@ class ChainSampler:
                         or draws.unit_buf is not buffers[2]
                     ):
                         self._buffers = buffers = (draws.edge_buf, draws.vert_buf, draws.unit_buf)
-                        st.ebuf, st.vbuf, st.ubuf = map(_address, buffers)
+                        st.ebuf, st.vbuf, st.ubuf = map(_native.address, buffers)
                         st.elen, st.vlen, st.ulen = map(len, buffers)
                     st.epos, st.vpos, st.upos = draws.edge_pos, draws.vert_pos, draws.unit_pos
                     left = kernel(self._kernel_args, left)

@@ -1,20 +1,32 @@
 """Exact permanent computation.
 
 Two independent routes are kept deliberately separate so one can check the
-other: a brute-force permutation sum used as the oracle at small n, and the
-inclusion-exclusion algorithm over column subsets whose row sums are
+other: a brute-force permutation sum used as the oracle at small n, and
+Ryser's inclusion-exclusion formula over column subsets whose row sums are
 maintained incrementally in Gray code order, giving O(n * 2^n) work overall.
-Results are Python ints, which are arbitrary precision (n! passes 2^63 at
-n = 21).
+
+``permanent_ryser`` has two kernels that return the same value: the
+compiled one of _ryser.c, which works mod 2^128 and so is exact up to
+``KERNEL_LIMIT``, and a Python loop in arbitrary-precision ints, which is
+the fallback and the oracle. Results are Python ints either way (n! passes
+2^63 at n = 21).
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import itertools
+from array import array
 from typing import Iterator
 
+from . import _native
 from .matrix import Matrix
 
 NAIVE_LIMIT = 12
+# The largest n with n! < 2^128. A {0,1} permanent counts permutations, so
+# 0 <= perm <= n!, and below this bound perm mod 2^128 is perm itself.
+KERNEL_LIMIT = 34
 
 
 def permanent_naive(m: Matrix) -> int:
@@ -66,14 +78,44 @@ def gray_code_subsets(n: int) -> Iterator[tuple[int, int, int]]:
         prev = mask
 
 
+@functools.cache
+def _ryser_kernel():
+    """The compiled ``ryser`` of _ryser.c, or None when it cannot be built or loaded.
+
+    ``permanent_ryser`` asks for it on every call and runs its Python loop
+    on None.
+    """
+    return _native.kernel("ryser", None, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p)
+
+
 def permanent_ryser(m: Matrix) -> int:
     """Inclusion-exclusion permanent with Gray-coded column updates.
 
     Walks the nonempty column subsets in Gray code order, so each transition
     adds or removes a single column from the running row sums (O(n) per
     subset instead of O(n^2)). The sign of each term comes from the subset
-    cardinality's parity, tracked as a toggle.
+    cardinality's parity.
+
+    For n <= ``KERNEL_LIMIT`` (34) it runs the compiled kernel of _ryser.c
+    when that can be built and loaded. The kernel keeps int64 row sums and
+    forms the row products and the signed sum in unsigned 128-bit integers,
+    wrapping mod 2^128; since 0 <= perm <= n! < 2^128 for such n, the
+    wrapped sum is the permanent exactly. Above the limit, or without the
+    kernel, it runs a Python loop over the same subsets in the same order,
+    in arbitrary-precision ints; that loop is also the oracle the kernel is
+    tested against.
     """
+    kernel = _ryser_kernel() if m.n <= KERNEL_LIMIT else None
+    if kernel is None:
+        return _ryser_python(m)
+    cols = array("q", itertools.chain.from_iterable(m.columns()))
+    out = array("Q", [0, 0])
+    kernel(m.n, _native.address(cols), _native.address(out))
+    return out[0] | out[1] << 64
+
+
+def _ryser_python(m: Matrix) -> int:
+    """permanent_ryser's Python loop, in arbitrary-precision ints."""
     n = m.n
     cols = m.columns()
     row_sums = [0] * n

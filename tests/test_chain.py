@@ -1,7 +1,5 @@
 import hashlib
 import math
-import shutil
-import stat
 
 import numpy as np
 import pytest
@@ -428,22 +426,3 @@ def test_interrupted_compiled_walk_keeps_the_steps_and_samples_it_took():
     assert samples == twin.tally(3, 100)
     assert sum(count for _, _, count in samples) == 100
     assert sampler_state(sampler) == sampler_state(twin)
-
-
-@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc) on PATH")
-def test_compiled_walk_kernel_builds_and_loads(tmp_path, monkeypatch):
-    # Where a compiler exists, a broken build must not fall back to the
-    # Python loop unnoticed. A fresh home makes this a real build.
-    monkeypatch.setenv("HOME", str(tmp_path))
-    assert chain._walk_kernel.__wrapped__() is not None
-    cache = tmp_path / ".cache" / "permlab"
-    assert stat.S_IMODE(cache.stat().st_mode) == 0o700
-    library = chain._walk_library()
-    assert [path.name for path in cache.iterdir()] == [library.name]
-
-
-def test_walk_kernel_is_none_when_the_cache_cannot_be_written(tmp_path, monkeypatch):
-    home = tmp_path / "home"
-    home.write_text("a file, not a directory")
-    monkeypatch.setenv("HOME", str(home))
-    assert chain._walk_kernel.__wrapped__() is None

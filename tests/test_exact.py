@@ -1,3 +1,4 @@
+import ctypes
 import math
 import random
 
@@ -11,6 +12,8 @@ from permlab import (
     permanent_naive,
     permanent_ryser,
 )
+from permlab import exact
+from permlab.exact import KERNEL_LIMIT
 
 FIG = parse_matrix("3\n101\n110\n101\n")
 
@@ -35,7 +38,7 @@ def test_ryser_known_values():
     assert permanent_ryser(Matrix.from_rows([[0]])) == 0
 
 
-def test_ryser_matches_naive_randomized():
+def check_ryser_matches_naive_randomized():
     rng = random.Random(20240817)
     for trial in range(200):
         n = 1 + trial % 8
@@ -44,7 +47,15 @@ def test_ryser_matches_naive_randomized():
         assert permanent_ryser(m) == permanent_naive(m)
 
 
-def test_ryser_matches_naive_exhaustive_tiny():
+def test_ryser_matches_naive_randomized():
+    check_ryser_matches_naive_randomized()
+
+
+def test_ryser_matches_naive_randomized_on_python_ryser(python_ryser):
+    check_ryser_matches_naive_randomized()
+
+
+def check_ryser_matches_naive_exhaustive_tiny():
     for n in (1, 2):
         for bits in range(1 << (n * n)):
             rows = tuple(
@@ -54,7 +65,15 @@ def test_ryser_matches_naive_exhaustive_tiny():
             assert permanent_ryser(m) == permanent_naive(m)
 
 
-def test_permanent_in_factorial_range():
+def test_ryser_matches_naive_exhaustive_tiny():
+    check_ryser_matches_naive_exhaustive_tiny()
+
+
+def test_ryser_matches_naive_exhaustive_tiny_on_python_ryser(python_ryser):
+    check_ryser_matches_naive_exhaustive_tiny()
+
+
+def check_permanent_in_factorial_range():
     for seed in range(40):
         n = 1 + seed % 7
         m = generate_random(n, (seed * 3) % (n * n + 1), seed=seed)
@@ -62,7 +81,15 @@ def test_permanent_in_factorial_range():
         assert 0 <= value <= math.factorial(n)
 
 
-def test_permanent_invariant_under_permutations():
+def test_permanent_in_factorial_range():
+    check_permanent_in_factorial_range()
+
+
+def test_permanent_in_factorial_range_on_python_ryser(python_ryser):
+    check_permanent_in_factorial_range()
+
+
+def check_permanent_invariant_under_permutations():
     rng = random.Random(7)
     for _ in range(30):
         n = rng.randint(2, 6)
@@ -75,6 +102,71 @@ def test_permanent_invariant_under_permutations():
         rng.shuffle(cols)
         permuted = [[row[c] for c in cols] for row in m.rows]
         assert permanent_ryser(Matrix.from_rows(permuted)) == reference
+
+
+def test_permanent_invariant_under_permutations():
+    check_permanent_invariant_under_permutations()
+
+
+def test_permanent_invariant_under_permutations_on_python_ryser(python_ryser):
+    check_permanent_invariant_under_permutations()
+
+
+def compiled_ryser():
+    if exact._ryser_kernel() is None:
+        pytest.skip("the compiled Ryser kernel cannot be built or loaded here")
+
+
+@pytest.mark.parametrize("num, den", [(1, 4), (1, 2), (7, 8)])
+def test_compiled_ryser_matches_python_ryser(num, den):
+    # The sizes where the 64-bit row-product groups and the zero-row skip
+    # first matter, at densities where most subsets are skipped and where
+    # almost none are.
+    compiled_ryser()
+    rng = random.Random(num * 100 + den)
+    for n in range(9, 17):
+        for _ in range(2):
+            m = generate_random(n, n * n * num // den, seed=rng.getrandbits(32))
+            assert permanent_ryser(m) == exact._ryser_python(m)
+
+
+def test_ryser_is_zero_with_a_zero_row_or_column(ryser_kernel):
+    for n in (1, 2, 5, 9):
+        for i in (0, n - 1):
+            zero_row = [[int(u != i) for v in range(n)] for u in range(n)]
+            zero_column = [[int(v != i) for v in range(n)] for u in range(n)]
+            assert permanent_ryser(Matrix.from_rows(zero_row)) == 0
+            assert permanent_ryser(Matrix.from_rows(zero_column)) == 0
+
+
+@pytest.mark.parametrize("n", [21, 22])
+def test_compiled_ryser_is_exact_past_64_bits(n):
+    # perm of the all-ones matrix is n!, which passes 2^64 at n = 21.
+    compiled_ryser()
+    assert math.factorial(n) > 2**64
+    assert permanent_ryser(Matrix.from_rows([[1] * n] * n)) == math.factorial(n)
+
+
+def test_kernel_limit_is_the_last_n_whose_factorial_fits_128_bits():
+    assert math.factorial(KERNEL_LIMIT) < 2**128 <= math.factorial(KERNEL_LIMIT + 1)
+
+
+def test_ryser_runs_the_kernel_up_to_the_limit_and_python_above_it(monkeypatch):
+    calls = []
+
+    def spy(n, cols, out):
+        calls.append(n)
+        words = (ctypes.c_uint64 * 2).from_address(out)
+        words[0], words[1] = 5, 7
+
+    monkeypatch.setattr(exact, "_ryser_kernel", lambda: spy)
+    monkeypatch.setattr(exact, "_ryser_python", lambda m: "python")
+    ones = [[1] * KERNEL_LIMIT] * KERNEL_LIMIT
+    assert permanent_ryser(Matrix.from_rows(ones)) == 5 + (7 << 64)
+    assert calls == [KERNEL_LIMIT]
+    big = Matrix.from_rows([[1] * (KERNEL_LIMIT + 1)] * (KERNEL_LIMIT + 1))
+    assert permanent_ryser(big) == "python"
+    assert calls == [KERNEL_LIMIT]
 
 
 def test_gray_sequence_small():

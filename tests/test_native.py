@@ -1,0 +1,29 @@
+import shutil
+import stat
+
+import pytest
+
+from permlab import _native, chain, exact
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc) on PATH")
+def test_compiled_kernels_build_and_load_from_one_library(tmp_path, monkeypatch):
+    # Where a compiler exists, a broken build must not fall back to the
+    # Python loops unnoticed. A fresh home makes this a real build.
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.setattr(_native, "library", _native.library.__wrapped__)
+    assert chain._walk_kernel.__wrapped__() is not None
+    assert exact._ryser_kernel.__wrapped__() is not None
+    cache = tmp_path / ".cache" / "permlab"
+    assert stat.S_IMODE(cache.stat().st_mode) == 0o700
+    library = _native.library_path()
+    assert [path.name for path in cache.iterdir()] == [library.name]
+
+
+def test_kernels_are_none_when_the_cache_cannot_be_written(tmp_path, monkeypatch):
+    home = tmp_path / "home"
+    home.write_text("a file, not a directory")
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.setattr(_native, "library", _native.library.__wrapped__)
+    assert chain._walk_kernel.__wrapped__() is None
+    assert exact._ryser_kernel.__wrapped__() is None
