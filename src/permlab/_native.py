@@ -39,6 +39,7 @@ def library_path() -> Path:
         raise OSError("the compiled kernels are built only on POSIX systems")
     sources = sorted(Path(__file__).parent.glob("_*.c"))
     if not sources:
+        # cc would link an empty library without complaint.
         raise OSError("no kernel sources next to the package")
     digest = hashlib.sha256(
         b"\0".join(
