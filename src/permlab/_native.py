@@ -19,7 +19,7 @@ from pathlib import Path
 
 # How the sources are compiled. No -ffast-math and no -march=native, and
 # -ffp-contract=off, so that the walk's delta rounds exactly as in the Python
-# loop.
+# kernel.
 _CC_ARGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 

@@ -13,15 +13,29 @@
 
 typedef unsigned __int128 u128;
 
-/* cols: n columns of n entries each, column-major, 0 or 1; 1 <= n <= 34.
- * out: the low and high 64-bit words of the result. */
-void ryser(int64_t n, const int64_t *cols, uint64_t *out)
+typedef struct {
+    int64_t n;            /* 1 <= n <= 34 */
+    const int64_t *cols;  /* n columns of n entries each, column-major, 0 or 1 */
+    uint64_t k;           /* Gray-code index of the next subset, from 1 */
+    int64_t zeros;        /* rows whose sum is 0; the product is 0 unless none */
+    uint64_t total[2];    /* low and high 64-bit words of the sum so far */
+    int64_t sums[64];     /* row sums over the current subset */
+} ryser_state;
+
+/* Adds the terms of the subsets with Gray-code index s->k up to end - 1;
+ * the caller starts from k = 1, zeros = n and zero sums, and runs up to
+ * 2^n, in as many calls as it likes. */
+void ryser(ryser_state *s, uint64_t end)
 {
-    int64_t sums[64] = {0};
-    int64_t zeros = n;  /* rows whose sum is 0; the product is 0 unless none */
-    u128 total = 0;
-    uint64_t prev = 0;  /* the previous subset */
-    for (uint64_t k = 1; k < (uint64_t)1 << n; k++) {
+    const int64_t n = s->n;
+    const int64_t *cols = s->cols;
+    int64_t sums[64];
+    for (int64_t u = 0; u < n; u++)
+        sums[u] = s->sums[u];
+    int64_t zeros = s->zeros;
+    u128 total = (u128)s->total[1] << 64 | s->total[0];
+    uint64_t prev = (s->k - 1) ^ ((s->k - 1) >> 1);  /* the previous subset */
+    for (uint64_t k = s->k; k < end; k++) {
         uint64_t mask = k ^ (k >> 1);
         const int64_t *col = cols + __builtin_ctzll(k) * n;  /* the flipped column */
         if (mask & ~prev) {
@@ -59,6 +73,10 @@ void ryser(int64_t n, const int64_t *cols, uint64_t *out)
         else
             total += product;
     }
-    out[0] = (uint64_t)total;
-    out[1] = (uint64_t)(total >> 64);
+    for (int64_t u = 0; u < n; u++)
+        s->sums[u] = sums[u];
+    s->k = end;
+    s->zeros = zeros;
+    s->total[0] = (uint64_t)total;
+    s->total[1] = (uint64_t)(total >> 64);
 }

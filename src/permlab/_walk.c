@@ -1,16 +1,18 @@
-/* Compiled ChainSampler.walk: the move rules, draw order and spaced tally of
- * the Python loop in chain.py, step for step.
+/* The compiled kernel of ChainSampler.walk. ChainSampler._python_walk in
+ * chain.py is the other kernel, and both keep one contract: the same move
+ * rules, draw order and spaced tally, step for step, on the state of one
+ * walk_state struct.
  *
  * Built with -ffp-contract=off so that no fused multiply-add changes how
  * delta rounds; with the same libm exp, every acceptance decision is the one
- * the Python loop makes.
+ * the Python kernel makes.
  *
- * The kernel never refills a draw buffer. When the next draw it needs is in
- * an empty buffer it stops before that step, sets `need`, and returns the
- * steps still to take; the caller refills that buffer and calls again. A
- * step whose proposal draw has been read but whose acceptance draw is
- * missing is abandoned whole: the proposal draw is read again on the next
- * call.
+ * A kernel never refills a draw buffer. When the next draw it needs is in
+ * an empty buffer it stops before that step, stores the state back, sets
+ * `need`, and returns the steps still to take; ChainSampler.walk, the one
+ * caller of both kernels, refills that buffer and calls again. A step whose
+ * proposal draw has been read but whose acceptance draw is missing is
+ * abandoned whole: the proposal draw is read again on the next call.
  */
 #include <math.h>
 #include <stdint.h>
@@ -23,17 +25,17 @@ typedef struct {
     const double *log_w;  /* n * n hole weights, row-major */
     double log_lambda;
     int64_t *r2c, *c2r;   /* assignments, -1 at the hole row and column */
-    int64_t hu, hv, k;    /* hole (hu < 0 when perfect), non-instance pairs */
-    const int64_t *ebuf;
-    int64_t elen, epos;
-    const int64_t *vbuf;
-    int64_t vlen, vpos;
+    const int64_t *ebuf, *vbuf;
     const double *ubuf;
-    int64_t ulen, upos;
-    int64_t need;
+    int64_t elen, vlen, ulen;
+    /* The fields from epos to countdown move on every call; they are
+     * adjacent so that the Python kernel moves them in one struct call. */
+    int64_t epos, vpos, upos;
+    int64_t hu, hv, k;    /* hole (hu < 0 when perfect), non-instance pairs */
     /* Steps to the next tallied sample, then `spacing` again; negative
      * while nothing is tallied. */
     int64_t countdown, spacing;
+    int64_t need;
     int64_t *counts;      /* per-key sample counts */
     int64_t *seen;        /* keys in first-seen order */
     int64_t nseen;

@@ -34,6 +34,7 @@ import ctypes
 import functools
 import itertools
 import math
+import struct
 from array import array
 from dataclasses import dataclass
 
@@ -227,8 +228,9 @@ def exact_stationary(
 
 
 class _WalkState(ctypes.Structure):
-    """The ``walk_state`` struct of _walk.c; ChainSampler's only copy of its
-    hole and non-instance pair count."""
+    """The ``walk_state`` struct of _walk.c, which both walk kernels read and
+    write; with the arrays it points into, ChainSampler's only store of the
+    weights, the matching, the hole, the non-instance pair count and the tally."""
 
     _fields_ = [
         ("n", ctypes.c_int64),
@@ -237,33 +239,44 @@ class _WalkState(ctypes.Structure):
         ("log_lambda", ctypes.c_double),
         ("r2c", ctypes.c_void_p),
         ("c2r", ctypes.c_void_p),
+        ("ebuf", ctypes.c_void_p),
+        ("vbuf", ctypes.c_void_p),
+        ("ubuf", ctypes.c_void_p),
+        ("elen", ctypes.c_int64),
+        ("vlen", ctypes.c_int64),
+        ("ulen", ctypes.c_int64),
+        ("epos", ctypes.c_int64),
+        ("vpos", ctypes.c_int64),
+        ("upos", ctypes.c_int64),
         ("hu", ctypes.c_int64),
         ("hv", ctypes.c_int64),
         ("k", ctypes.c_int64),
-        ("ebuf", ctypes.c_void_p),
-        ("elen", ctypes.c_int64),
-        ("epos", ctypes.c_int64),
-        ("vbuf", ctypes.c_void_p),
-        ("vlen", ctypes.c_int64),
-        ("vpos", ctypes.c_int64),
-        ("ubuf", ctypes.c_void_p),
-        ("ulen", ctypes.c_int64),
-        ("upos", ctypes.c_int64),
-        ("need", ctypes.c_int64),
         ("countdown", ctypes.c_int64),
         ("spacing", ctypes.c_int64),
+        ("need", ctypes.c_int64),
         ("counts", ctypes.c_void_p),
         ("seen", ctypes.c_void_p),
         ("nseen", ctypes.c_int64),
     ]
 
 
+# The fields from epos to countdown, which every kernel call moves: adjacent
+# int64s, so that one struct call reads or writes them all (ctypes takes a
+# call per field). The first three are the draw positions.
+_MOVED = struct.Struct("7q")
+_POSITIONS = struct.Struct("3q")
+_MOVED_AT = _WalkState.epos.offset
+
+# The NEED_* values of _walk.c: the buffer a stopped kernel needs refilled.
+_NEED_EDGE, _NEED_VERT, _NEED_UNIT = 0, 1, 2
+
+
 @functools.cache
 def _walk_kernel():
     """The compiled ``walk`` of _walk.c, or None when it cannot be built or loaded.
 
-    ``ChainSampler.walk`` asks for it on every call and runs its Python loop
-    on None.
+    ``ChainSampler.walk`` asks for it on every call and runs the Python
+    kernel on None.
     """
     return _native.kernel("walk", ctypes.c_int64, ctypes.POINTER(_WalkState), ctypes.c_int64)
 
@@ -271,106 +284,108 @@ def _walk_kernel():
 class ChainSampler:
     """Mutable walker used by the estimator's inner loop.
 
-    Keeps the matching as paired row/column assignment arrays (int64
-    ``array`` objects, updated in place) plus the hole, maintains the
-    non-instance pair count incrementally (the hole and the count live in
-    the kernel state, for both kernels), and consumes draws from a
-    BufferedDraws in exactly the same order as the reference ``step``
-    function, so short trajectories of the two are interchangeable.
+    The whole chain state lives in one ``_WalkState`` struct and the arrays
+    it points into: the instance and hole-weight tables, the matching as
+    paired row/column assignment arrays (int64 ``array`` objects, updated in
+    place), the hole, the non-instance pair count (kept incrementally) and
+    the per-key sample counts. Draws are consumed from a BufferedDraws in
+    exactly the same order as the reference ``step`` function, so short
+    trajectories of the two are interchangeable.
 
     Spaced samples are tallied inside ``walk`` itself: while ``spacing`` is
-    positive, the state after every ``spacing``-th step is counted in
-    ``counts`` under a key for its hole and non-instance pair count, so a
-    whole stage of samples is one ``walk`` call. ``tally`` sets this up and
-    decodes the table.
+    positive, the state after every ``spacing``-th step is counted under a
+    key for its hole and non-instance pair count, so a whole stage of
+    samples is one ``walk`` call. ``tally`` sets this up and decodes the
+    counts.
 
-    ``walk`` runs the compiled kernel of _walk.c when it can be built and
-    loaded, and otherwise its own Python loop; the two take the same steps
-    on the same draws, bit for bit. The kernel reads the draw buffers in
-    place and never refills one: when the next draw it needs is in an empty
-    buffer, it returns before that step (leaving an already-read proposal
-    draw unconsumed) with the steps still to take. ``walk`` then calls the
-    ``BufferedDraws`` refill itself and resumes the kernel, so refills
-    happen lazily, in consumption order, from ``walk``'s own frame, and
-    control comes back to the interpreter (signals, Ctrl-C) at least once
-    per buffer of draws. The state is whole after every kernel return, so a
-    refill that raises leaves the sampler at the steps taken so far, with
-    their samples counted.
+    ``walk`` is one loop over two kernels with one contract: the compiled
+    ``walk`` of _walk.c when it can be built and loaded, and otherwise
+    ``_python_walk``, which takes the same steps on the same draws, bit for
+    bit. A kernel takes the struct and the steps left, reads the draw
+    buffers bound into the struct and never refills one: when the next draw
+    it needs is in an empty buffer, it stores the state back, sets ``need``
+    and returns before that step (leaving an already-read proposal draw
+    unconsumed) with the steps still to take. ``walk`` then calls the
+    ``BufferedDraws`` refill itself and resumes the kernel, so refills happen
+    lazily, in consumption order, from ``walk``'s own frame, and control
+    comes back to the interpreter (signals, Ctrl-C) at least once per buffer
+    of draws. The state is whole after every kernel return, so a refill that
+    raises leaves the sampler at the steps taken so far, with their samples
+    counted.
     """
 
     def __init__(self, wt: WeightTable, start: Matching, draws: BufferedDraws):
         n = wt.n
         if draws.n != n:
             raise ValueError("draw source sized for a different n")
+        start.validate()
         self.n = n
         self.draws = draws
-        self.edge_flat = list(wt.edge_present)
-        self.log_w = list(wt.log_w)
-        self.log_lambda = wt.log_lambda
-        start.validate()
+        self.steps_taken = 0
+        hu, hv = (-1, -1) if start.hole is None else start.hole
+        st = self._state = _WalkState(n=n, hu=hu, hv=hv, countdown=-1)
+        self._edges = array("q", wt.edge_present)
+        self._weights = array("d", bytes(8 * n * n))
+        self.set_weights(wt)
+        st.k = lambda_edges(start, wt)
         self.row_to_col = array("q", start.row_to_col())
         self.col_to_row = array("q", [-1] * n)
         for u, v in start.pairs:
             self.col_to_row[v] = u
-        self.steps_taken = 0
-        # 0 makes walk a plain walk; see tally.
-        self.spacing = 0
-        self.counts: dict[int, int] = {}
-
-        # The kernel state owns the hole and the non-instance pair count for
-        # both kernels. Per-key sample counts and first-seen keys are indexed
-        # by the counts key, below (n * n + 1) * (n + 1). The arrays it points
-        # into stay exported through _pinned, so none can be resized or freed
-        # under it.
-        hu, hv = (-1, -1) if start.hole is None else start.hole
-        self._edges = array("q", wt.edge_present)
-        self._tallies = np.zeros((n * n + 1) * (n + 1), dtype=np.int64)
-        self._seen = np.zeros_like(self._tallies)
-        self._pinned = [
-            _native.pin(a)
-            for a in (self._edges, self.row_to_col, self.col_to_row, self._tallies, self._seen)
-        ]
-        st = self._kernel_state = _WalkState(n=n, hu=hu, hv=hv, k=lambda_edges(start, wt), countdown=-1)
-        st.edge, st.r2c, st.c2r, st.counts, st.seen = map(ctypes.addressof, self._pinned)
-        self._kernel_args = ctypes.byref(st)
-        self._set_kernel_weights(wt)
-        # The draw buffers whose addresses the kernel state holds.
-        self._buffers = (None, None, None)
-
-    @property
-    def hole_u(self) -> int:
-        return self._kernel_state.hu
-
-    @property
-    def hole_v(self) -> int:
-        return self._kernel_state.hv
+        # Per-key sample counts and first-seen keys, indexed by the key of
+        # walk's docstring, which is below (n * n + 1) * (n + 1).
+        self._tallies = array("q", bytes(8 * (n * n + 1) * (n + 1)))
+        self._seen = array("q", self._tallies)
+        # The arrays the struct points into stay exported through _pinned, so
+        # none can be resized or freed under it.
+        arrays = (self._edges, self._weights, self.row_to_col, self.col_to_row, self._tallies, self._seen)
+        self._pinned = [_native.pin(a) for a in arrays]
+        st.edge, st.log_w, st.r2c, st.c2r, st.counts, st.seen = map(ctypes.addressof, self._pinned)
+        # The draw buffers bound into the struct, and the Python kernel's list
+        # copies of them with the buffers they were made from.
+        self._buffers = self._listed = (None, None, None)
+        self._lists = ([], [], [])
 
     @property
     def lambda_count(self) -> int:
-        return self._kernel_state.k
+        return self._state.k
 
-    def _set_kernel_weights(self, wt: WeightTable) -> None:
-        # The kernel indexes these without bounds checks.
-        if len(wt.edge_present) != self.n * self.n or len(wt.log_w) != self.n * self.n:
-            raise ValueError(f"weight table needs {self.n * self.n} entries per table")
-        self._weights = array("d", wt.log_w)
-        self._kernel_state.log_w = _native.address(self._weights)
-        self._kernel_state.log_lambda = wt.log_lambda
+    @property
+    def spacing(self) -> int:
+        """Steps between tallied samples; 0 while nothing is tallied.
+
+        Setting it restarts the countdown to the next sample.
+        """
+        return self._state.spacing
+
+    @spacing.setter
+    def spacing(self, spacing: int) -> None:
+        self._state.spacing = spacing
+        self._state.countdown = spacing if spacing > 0 else -1
+
+    @property
+    def counts(self) -> dict[int, int]:
+        """Sample counts by key, in first-seen order, since the last ``tally`` began."""
+        tallies = self._tallies
+        return {key: tallies[key] for key in self._seen[: self._state.nseen]}
 
     def set_weights(self, wt: WeightTable) -> None:
         """Swap in the next stage's activity and hole weights."""
-        if wt.n != self.n or list(wt.edge_present) != self.edge_flat:
+        # The kernels index the tables without bounds checks.
+        n = self.n
+        if len(wt.edge_present) != n * n or len(wt.log_w) != n * n:
+            raise ValueError(f"weight table needs {n * n} entries per table")
+        if wt.n != self.n or array("q", wt.edge_present) != self._edges:
             raise ValueError("weight table belongs to a different instance")
-        self.log_w = list(wt.log_w)
-        self.log_lambda = wt.log_lambda
-        self._set_kernel_weights(wt)
+        self._weights[:] = array("d", wt.log_w)
+        self._state.log_lambda = wt.log_lambda
 
     def state(self) -> Matching:
         pairs = frozenset((u, v) for u, v in enumerate(self.row_to_col) if v >= 0)
         return Matching(self.n, pairs, self.hole())
 
     def hole(self) -> tuple[int, int] | None:
-        st = self._kernel_state
+        st = self._state
         return None if st.hu < 0 else (st.hu, st.hv)
 
     def tally(self, spacing: int, samples: int) -> list[tuple[tuple[int, int] | None, int, int]]:
@@ -381,8 +396,11 @@ class ChainSampler:
         """
         if spacing < 1:
             raise ValueError(f"sample spacing must be at least 1, got {spacing}")
+        st = self._state
+        for key in self._seen[: st.nseen]:
+            self._tallies[key] = 0
+        st.nseen = 0
         self.spacing = spacing
-        self.counts = {}
         try:
             self.walk(spacing * samples)
         finally:
@@ -398,99 +416,82 @@ class ChainSampler:
         """Advance the chain by ``steps`` Metropolis transitions.
 
         While ``spacing`` is positive, the state after every ``spacing``-th
-        step of this call is also counted in ``counts`` under the key
+        step is also counted in ``counts`` under the key
         (u * n + v + 1) * (n + 1) + k for hole (u, v), or k when perfect.
         """
         draws = self.draws
-        st = self._kernel_state
-        spacing = self.spacing
-        kernel = _walk_kernel()
-        if kernel is not None:
-            if spacing:
-                st.spacing = st.countdown = spacing
-            left = steps
-            try:
-                while True:
-                    buffers = self._buffers
-                    if (
-                        draws.edge_buf is not buffers[0]
-                        or draws.vert_buf is not buffers[1]
-                        or draws.unit_buf is not buffers[2]
-                    ):
-                        self._buffers = buffers = (draws.edge_buf, draws.vert_buf, draws.unit_buf)
-                        st.ebuf, st.vbuf, st.ubuf = map(_native.address, buffers)
-                        st.elen, st.vlen, st.ulen = map(len, buffers)
-                    st.epos, st.vpos, st.upos = draws.edge_pos, draws.vert_pos, draws.unit_pos
-                    left = kernel(self._kernel_args, left)
-                    draws.edge_pos, draws.vert_pos, draws.unit_pos = st.epos, st.vpos, st.upos
-                    if left <= 0:
-                        break
-                    # need is the dry buffer's NEED_* value in _walk.c.
-                    (draws.refill_edge, draws.refill_vert, draws.refill_unit)[st.need]()
-            finally:
-                # Also on an interrupted refill: the kernel state is whole
-                # after every kernel return, so count the steps and samples
-                # taken so far.
-                self.steps_taken += steps - left
-                if spacing:
-                    st.countdown = -1
-                    seen = self._seen[: st.nseen]
-                    counts = self.counts
-                    for key, count in zip(seen.tolist(), self._tallies[seen].tolist()):
-                        counts[key] = counts.get(key, 0) + count
-                    self._tallies[seen] = 0
-                    st.nseen = 0
-            return
+        st = self._state
+        kernel = _walk_kernel() or self._python_walk
+        left = steps
+        try:
+            while True:
+                buffers = self._buffers
+                if (
+                    draws.edge_buf is not buffers[0]
+                    or draws.vert_buf is not buffers[1]
+                    or draws.unit_buf is not buffers[2]
+                ):
+                    self._buffers = buffers = (draws.edge_buf, draws.vert_buf, draws.unit_buf)
+                    st.ebuf, st.vbuf, st.ubuf = map(_native.address, buffers)
+                    st.elen, st.vlen, st.ulen = map(len, buffers)
+                _POSITIONS.pack_into(st, _MOVED_AT, draws.edge_pos, draws.vert_pos, draws.unit_pos)
+                left = kernel(st, left)
+                draws.edge_pos, draws.vert_pos, draws.unit_pos = _POSITIONS.unpack_from(st, _MOVED_AT)
+                if left <= 0:
+                    return
+                (draws.refill_edge, draws.refill_vert, draws.refill_unit)[st.need]()
+        finally:
+            # Also on an interrupted refill: the state is whole after every
+            # kernel return.
+            self.steps_taken += steps - left
 
+    def _python_walk(self, st: _WalkState, left: int) -> int:
+        """The ``walk`` of _walk.c in Python: the same contract, step for step."""
+        if left <= 0:
+            return left
+        buffers = self._buffers
+        if buffers is not self._listed:
+            # Lists index faster than memoryviews; each buffer is copied once.
+            self._lists = tuple(
+                copy if buffer is listed else buffer.tolist()
+                for buffer, listed, copy in zip(buffers, self._listed, self._lists)
+            )
+            self._listed = buffers
+        ebuf, vbuf, ubuf = self._lists
+        ei, vi, ui, hu, hv, k, countdown = _MOVED.unpack_from(st, _MOVED_AT)
         n = self.n
-        edge = self.edge_flat
-        log_w = self.log_w
-        log_lambda = self.log_lambda
-        # Lists index faster than the assignment arrays, so a long walk works
-        # on list copies and writes them back at the end. Copying costs about
-        # as much as it saves over 8 steps at n = 4 and over 20 at n = 16, so
-        # a walk of up to 16 steps indexes the arrays in place.
-        copied = steps > 16
-        r2c = self.row_to_col.tolist() if copied else self.row_to_col
-        c2r = self.col_to_row.tolist() if copied else self.col_to_row
-        hu = st.hu
-        hv = st.hv
-        k = st.k
-        ebuf = draws.edge_buf
-        ei = draws.edge_pos
-        vbuf = draws.vert_buf
-        vi = draws.vert_pos
-        ubuf = draws.unit_buf
-        ui = draws.unit_pos
+        log_lambda = st.log_lambda
+        # Lists also index faster than arrays, so a long walk works on list
+        # copies and writes the assignment back at the end. A copy pays for
+        # itself after about 16 steps for the assignment arrays, and after
+        # about n * n / 4 for the n * n tables (measured at n = 4, 8 and 16).
+        copied = left > 16
+        r2c, c2r = self.row_to_col, self.col_to_row
+        if copied:
+            r2c, c2r = r2c.tolist(), c2r.tolist()
+        edge, log_w = self._edges, self._weights
+        if left > n * n // 4:
+            edge, log_w = edge.tolist(), log_w.tolist()
+        tallies = self._tallies
         exp = math.exp
-        counts = self.counts
-        count_of = counts.get
-        n1 = n + 1
+        # The index of the step after which the next sample is tallied; the
+        # countdown is negative, so never, while nothing is tallied.
+        mark = countdown - 1
 
-        # ``full`` runs of ``spacing`` steps, each followed by a tallied
-        # sample, then the untallied rest.
-        full, rest = divmod(steps, spacing) if spacing > 0 and steps > 0 else (0, steps)
-        spaced = range(spacing)
-        for run in itertools.chain(itertools.repeat(spaced, full), (range(rest),)):
-            for _ in run:
+        try:
+            for taken in range(left):
                 if hu < 0:
                     # Perfect: drop a uniformly chosen matched pair.
-                    if ei >= len(ebuf):
-                        ebuf = draws.refill_edge().tolist()
-                        ei = 0
                     u = ebuf[ei]
-                    ei += 1
                     v = r2c[u]
                     dk = edge[u * n + v] - 1
                     delta = dk * log_lambda + log_w[u * n + v]
                     if delta >= 0.0:
                         accept = True
                     else:
-                        if ui >= len(ubuf):
-                            ubuf = draws.refill_unit().tolist()
-                            ui = 0
                         accept = ubuf[ui] < exp(delta)
                         ui += 1
+                    ei += 1
                     if accept:
                         r2c[u] = -1
                         c2r[v] = -1
@@ -498,11 +499,7 @@ class ChainSampler:
                         hv = v
                         k += dk
                 else:
-                    if vi >= len(vbuf):
-                        vbuf = draws.refill_vert().tolist()
-                        vi = 0
                     x = vbuf[vi]
-                    vi += 1
                     if x == hu or x - n == hv:
                         # Hole row or hole column: complete the hole pair.
                         dk = 1 - edge[hu * n + hv]
@@ -510,9 +507,6 @@ class ChainSampler:
                         if delta >= 0.0:
                             accept = True
                         else:
-                            if ui >= len(ubuf):
-                                ubuf = draws.refill_unit().tolist()
-                                ui = 0
                             accept = ubuf[ui] < exp(delta)
                             ui += 1
                         if accept:
@@ -525,17 +519,10 @@ class ChainSampler:
                         z = r2c[x]
                         base = x * n
                         dk = edge[base + z] - edge[base + hv]
-                        delta = (
-                            dk * log_lambda
-                            + log_w[hu * n + z]
-                            - log_w[hu * n + hv]
-                        )
+                        delta = dk * log_lambda + log_w[hu * n + z] - log_w[hu * n + hv]
                         if delta >= 0.0:
                             accept = True
                         else:
-                            if ui >= len(ubuf):
-                                ubuf = draws.refill_unit().tolist()
-                                ui = 0
                             accept = ubuf[ui] < exp(delta)
                             ui += 1
                         if accept:
@@ -549,17 +536,10 @@ class ChainSampler:
                         xc = x - n
                         w = c2r[xc]
                         dk = edge[w * n + xc] - edge[hu * n + xc]
-                        delta = (
-                            dk * log_lambda
-                            + log_w[w * n + hv]
-                            - log_w[hu * n + hv]
-                        )
+                        delta = dk * log_lambda + log_w[w * n + hv] - log_w[hu * n + hv]
                         if delta >= 0.0:
                             accept = True
                         else:
-                            if ui >= len(ubuf):
-                                ubuf = draws.refill_unit().tolist()
-                                ui = 0
                             accept = ubuf[ui] < exp(delta)
                             ui += 1
                         if accept:
@@ -568,17 +548,30 @@ class ChainSampler:
                             c2r[xc] = hu
                             hu = w
                             k += dk
-            if run is spaced:
-                key = (hu * n + hv + 1) * n1 + k if hu >= 0 else k
-                counts[key] = count_of(key, 0) + 1
+                    vi += 1
+                if taken == mark:
+                    key = (hu * n + hv + 1) * (n + 1) + k if hu >= 0 else k
+                    if tallies[key] == 0:
+                        self._seen[st.nseen] = key
+                        st.nseen += 1
+                    tallies[key] += 1
+                    mark += st.spacing
+        except IndexError:
+            # A draw buffer ran dry: stop before this step, which has
+            # consumed no draw yet.
+            if hu < 0 and ei == len(ebuf):
+                st.need = _NEED_EDGE
+            elif hu >= 0 and vi == len(vbuf):
+                st.need = _NEED_VERT
+            elif ui == len(ubuf):
+                st.need = _NEED_UNIT
+            else:
+                raise
+        else:
+            taken = left
 
         if copied:
             self.row_to_col[:] = array("q", r2c)
             self.col_to_row[:] = array("q", c2r)
-        st.hu = hu
-        st.hv = hv
-        st.k = k
-        self.steps_taken += steps
-        draws.edge_pos = ei
-        draws.vert_pos = vi
-        draws.unit_pos = ui
+        _MOVED.pack_into(st, _MOVED_AT, ei, vi, ui, hu, hv, k, mark + 1 - taken)
+        return left - taken

@@ -78,6 +78,25 @@ def gray_code_subsets(n: int) -> Iterator[tuple[int, int, int]]:
         prev = mask
 
 
+class _RyserState(ctypes.Structure):
+    """The ``ryser_state`` struct of _ryser.c: where a permanent_ryser run is."""
+
+    _fields_ = [
+        ("n", ctypes.c_int64),
+        ("cols", ctypes.c_void_p),
+        ("k", ctypes.c_uint64),
+        ("zeros", ctypes.c_int64),
+        ("total", ctypes.c_uint64 * 2),
+        ("sums", ctypes.c_int64 * 64),
+    ]
+
+
+# Subsets per kernel call, so that control comes back to the interpreter
+# (signals, Ctrl-C) between ranges: a range took 0.3-0.45 s on the all-ones
+# matrices at n = 24-34 on a 2-vCPU host. Up to n = 22 a permanent is one call.
+_RYSER_CHUNK = 1 << 22
+
+
 @functools.cache
 def _ryser_kernel():
     """The compiled ``ryser`` of _ryser.c, or None when it cannot be built or loaded.
@@ -85,7 +104,7 @@ def _ryser_kernel():
     ``permanent_ryser`` asks for it on every call and runs its Python loop
     on None.
     """
-    return _native.kernel("ryser", None, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p)
+    return _native.kernel("ryser", None, ctypes.POINTER(_RyserState), ctypes.c_uint64)
 
 
 def permanent_ryser(m: Matrix) -> int:
@@ -97,21 +116,24 @@ def permanent_ryser(m: Matrix) -> int:
     cardinality's parity.
 
     For n <= ``KERNEL_LIMIT`` (34) it runs the compiled kernel of _ryser.c
-    when that can be built and loaded. The kernel keeps int64 row sums and
-    forms the row products and the signed sum in unsigned 128-bit integers,
-    wrapping mod 2^128; since 0 <= perm <= n! < 2^128 for such n, the
-    wrapped sum is the permanent exactly. Above the limit, or without the
-    kernel, it runs a Python loop over the same subsets in the same order,
-    in arbitrary-precision ints; that loop is also the oracle the kernel is
+    when that can be built and loaded, over ranges of ``_RYSER_CHUNK``
+    subsets at a time. The kernel keeps int64 row sums and forms the row
+    products and the signed sum in unsigned 128-bit integers, wrapping mod
+    2^128; since 0 <= perm <= n! < 2^128 for such n, the wrapped sum is the
+    permanent exactly. Above the limit, or without the kernel, it runs a
+    Python loop over the same subsets in the same order, in
+    arbitrary-precision ints; that loop is also the oracle the kernel is
     tested against.
     """
     kernel = _ryser_kernel() if m.n <= KERNEL_LIMIT else None
     if kernel is None:
         return _ryser_python(m)
     cols = array("q", itertools.chain.from_iterable(m.columns()))
-    out = array("Q", [0, 0])
-    kernel(m.n, _native.address(cols), _native.address(out))
-    return out[0] | out[1] << 64
+    st = _RyserState(n=m.n, cols=_native.address(cols), k=1, zeros=m.n)
+    subsets = 1 << m.n
+    for start in range(0, subsets, _RYSER_CHUNK):
+        kernel(st, min(start + _RYSER_CHUNK, subsets))
+    return st.total[0] | st.total[1] << 64
 
 
 def _ryser_python(m: Matrix) -> int:

@@ -141,17 +141,10 @@ class RelaxationFactors:
     t_final: float = 1
 
     def __post_init__(self) -> None:
-        for name, value in self.as_tuple_named():
+        for field in fields(self):
+            value = getattr(self, field.name)
             if value < 1:
-                raise ValueError(f"relaxation factor {name} must be >= 1, got {value}")
-
-    def as_tuple_named(self):
-        return (
-            ("s_phase", self.s_phase),
-            ("t_phase", self.t_phase),
-            ("s_final", self.s_final),
-            ("t_final", self.t_final),
-        )
+                raise ValueError(f"relaxation factor {field.name} must be >= 1, got {value}")
 
     @classmethod
     def identity(cls) -> "RelaxationFactors":

@@ -36,6 +36,9 @@ class BufferedDraws:
     def __init__(self, seed: int, n: int, buffer_size: int = _BUFFER_SIZE):
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
+        if buffer_size < 1:
+            # An empty refill would leave walk resuming forever.
+            raise ValueError(f"buffer_size must be >= 1, got {buffer_size}")
         self.seed = seed
         self.n = n
         self.size = buffer_size

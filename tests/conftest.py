@@ -5,7 +5,7 @@ from permlab import chain, exact
 
 @pytest.fixture
 def python_walk(monkeypatch):
-    """Run ChainSampler.walk on its Python loop, as when the kernel cannot load."""
+    """Run ChainSampler.walk on its Python kernel, as when the compiled one cannot load."""
     monkeypatch.setattr(chain, "_walk_kernel", lambda: None)
 
 

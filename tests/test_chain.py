@@ -383,21 +383,12 @@ def test_compiled_walk_matches_python_walk(n, monkeypatch):
     assert [walk_fingerprint(n, *setting) for setting in settings] == compiled
 
 
-def test_interrupted_compiled_walk_keeps_the_steps_and_samples_it_took():
-    # A refill that raises (as Ctrl-C would) leaves the sampler exactly where
-    # its kernel stopped, with the samples taken so far counted, and nothing
-    # carried into the next tally.
-    if chain._walk_kernel() is None:
-        pytest.skip("the compiled walk kernel cannot be built or loaded here")
-    m = banded_matrix(5)
-    wt = mixed_weights(m, -0.7)
-    sampler, twin = (
-        ChainSampler(wt, find_perfect_matching(m), BufferedDraws(3, 5, buffer_size=50))
-        for _ in range(2)
-    )
+def interrupt_the_fourth_refill(draws):
+    """Make the fourth refill of ``draws``, whichever buffer it is for, raise
+    as Ctrl-C would."""
     refills = 0
 
-    def interrupt_the_fourth(refill):
+    def interrupting(refill):
         def wrapped():
             nonlocal refills
             refills += 1
@@ -407,9 +398,30 @@ def test_interrupted_compiled_walk_keeps_the_steps_and_samples_it_took():
 
         return wrapped
 
-    draws = sampler.draws
     for name in ("refill_edge", "refill_vert", "refill_unit"):
-        setattr(draws, name, interrupt_the_fourth(getattr(draws, name)))
+        setattr(draws, name, interrupting(getattr(draws, name)))
+
+
+def check_interrupted_walk_keeps_the_steps_and_samples_it_took():
+    # A refill that raises leaves the sampler exactly where its kernel
+    # stopped, with the samples taken so far counted, and nothing carried
+    # into the next tally: in a long tally, and in a loop of short walks.
+    m = banded_matrix(5)
+    wt = mixed_weights(m, -0.7)
+
+    def sampler_and_twin():
+        return (
+            ChainSampler(wt, find_perfect_matching(m), BufferedDraws(3, 5, buffer_size=50))
+            for _ in range(2)
+        )
+
+    def assert_same_chain(sampler, twin):
+        assert sampler_state(sampler) == sampler_state(twin)
+        assert draw_positions(sampler.draws) == draw_positions(twin.draws)
+        sampler.state().validate()
+
+    sampler, twin = sampler_and_twin()
+    interrupt_the_fourth_refill(sampler.draws)
     with pytest.raises(KeyboardInterrupt):
         sampler.tally(3, 1_000)
     taken = sampler.steps_taken
@@ -418,11 +430,41 @@ def test_interrupted_compiled_walk_keeps_the_steps_and_samples_it_took():
     twin.walk(taken)
     twin.spacing = 0
     assert sampler.counts == twin.counts
-    assert sampler_state(sampler) == sampler_state(twin)
-    assert draw_positions(draws) == draw_positions(twin.draws)
+    assert_same_chain(sampler, twin)
     sampler.walk(100)
     twin.walk(100)
     samples = sampler.tally(3, 100)
     assert samples == twin.tally(3, 100)
     assert sum(count for _, _, count in samples) == 100
-    assert sampler_state(sampler) == sampler_state(twin)
+    assert_same_chain(sampler, twin)
+
+    sampler, twin = sampler_and_twin()
+    interrupt_the_fourth_refill(sampler.draws)
+    with pytest.raises(KeyboardInterrupt):
+        for _ in range(300):
+            sampler.walk(10)
+    taken = sampler.steps_taken
+    assert 0 < taken < 3_000
+    twin.walk(taken)
+    assert_same_chain(sampler, twin)
+    for _ in range(10):
+        sampler.walk(10)
+        twin.walk(10)
+        assert_same_chain(sampler, twin)
+
+
+def test_interrupted_compiled_walk_keeps_the_steps_and_samples_it_took():
+    if chain._walk_kernel() is None:
+        pytest.skip("the compiled walk kernel cannot be built or loaded here")
+    check_interrupted_walk_keeps_the_steps_and_samples_it_took()
+
+
+def test_interrupted_walk_keeps_the_steps_and_samples_it_took_on_python_walk(python_walk):
+    check_interrupted_walk_keeps_the_steps_and_samples_it_took()
+
+
+def test_buffered_draws_refuse_an_empty_buffer():
+    # Every refill would return no draws, so walk would resume forever.
+    for size in (0, -1):
+        with pytest.raises(ValueError, match="buffer_size"):
+            BufferedDraws(0, 2, buffer_size=size)

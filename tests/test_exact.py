@@ -1,4 +1,3 @@
-import ctypes
 import math
 import random
 
@@ -154,19 +153,43 @@ def test_kernel_limit_is_the_last_n_whose_factorial_fits_128_bits():
 def test_ryser_runs_the_kernel_up_to_the_limit_and_python_above_it(monkeypatch):
     calls = []
 
-    def spy(n, cols, out):
-        calls.append(n)
-        words = (ctypes.c_uint64 * 2).from_address(out)
-        words[0], words[1] = 5, 7
+    def spy(state, end):
+        calls.append((state.n, end))
+        state.total[0], state.total[1] = 5, 7
 
     monkeypatch.setattr(exact, "_ryser_kernel", lambda: spy)
     monkeypatch.setattr(exact, "_ryser_python", lambda m: "python")
     ones = [[1] * KERNEL_LIMIT] * KERNEL_LIMIT
     assert permanent_ryser(Matrix.from_rows(ones)) == 5 + (7 << 64)
-    assert calls == [KERNEL_LIMIT]
+    chunk = exact._RYSER_CHUNK
+    assert calls == [(KERNEL_LIMIT, end) for end in range(chunk, (1 << KERNEL_LIMIT) + 1, chunk)]
+    del calls[:]
     big = Matrix.from_rows([[1] * (KERNEL_LIMIT + 1)] * (KERNEL_LIMIT + 1))
     assert permanent_ryser(big) == "python"
-    assert calls == [KERNEL_LIMIT]
+    assert calls == []
+
+
+def test_compiled_ryser_resumes_across_kernel_calls(monkeypatch):
+    # Ranges of 16 subsets: every permanent at n = 9..16 takes 32 to 4096
+    # kernel calls, each resuming the Gray-code walk where the last stopped.
+    compiled_ryser()
+    kernel = exact._ryser_kernel()
+    calls = 0
+
+    def counted(state, end):
+        nonlocal calls
+        calls += 1
+        kernel(state, end)
+
+    monkeypatch.setattr(exact, "_ryser_kernel", lambda: counted)
+    monkeypatch.setattr(exact, "_RYSER_CHUNK", 1 << 4)
+    rng = random.Random(5)
+    for n in range(9, 17):
+        for num, den in ((1, 4), (7, 8)):
+            m = generate_random(n, n * n * num // den, seed=rng.getrandbits(32))
+            calls = 0
+            assert permanent_ryser(m) == exact._ryser_python(m)
+            assert calls == 1 << (n - 4)
 
 
 def test_gray_sequence_small():
