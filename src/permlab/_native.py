@@ -18,8 +18,10 @@ import tempfile
 from pathlib import Path
 
 # How the sources are compiled. No -ffast-math and no -march=native, and
-# -ffp-contract=off, so that the walk's delta rounds exactly as in the Python
-# kernel.
+# -ffp-contract=off: the kernels' floating-point results must round exactly
+# as the Python code they are tested against. Today the only such result is
+# the unit draw of _rng.c, one product by a power of two that no fused
+# multiply-add could change; the flag stays for any expression added later.
 _CC_ARGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 
@@ -81,7 +83,17 @@ def library_path() -> Path:
 
 @functools.cache
 def library():
-    """The loaded shared library, or None when it cannot be built or loaded."""
+    """The loaded shared library, or None when it cannot be built or loaded.
+
+    Replacing this function (with one that returns None, say) switches every
+    caller to its Python code; ``load_library`` stays the real loader.
+    """
+    return load_library()
+
+
+def load_library():
+    """The shared library, built if need be and loaded afresh, or None when
+    it cannot be built or loaded."""
     try:
         # PyDLL keeps the interpreter lock through each call, so no other
         # thread can refill or free a buffer while a kernel reads it.

@@ -3,9 +3,12 @@
  * rules, draw order and spaced tally, step for step, on the state of one
  * walk_state struct.
  *
- * Built with -ffp-contract=off so that no fused multiply-add changes how
- * delta rounds; with the same libm exp, every acceptance decision is the one
- * the Python kernel makes.
+ * Neither kernel does any floating-point arithmetic. Each step reads its
+ * move's entry of the stage's acceptance table, which chain.acceptance_table
+ * fills once per stage (layout in its docstring): a negative entry accepts
+ * without a unit draw, and any other accepts when the next unit draw is
+ * below it. Both kernels compare the same doubles, so every acceptance
+ * decision is the same on both.
  *
  * A kernel never refills a draw buffer. When the next draw it needs is in
  * an empty buffer it stops before that step, stores the state back, sets
@@ -14,7 +17,6 @@
  * proposal draw has been read but whose acceptance draw is missing is
  * abandoned whole: the proposal draw is read again on the next call.
  */
-#include <math.h>
 #include <stdint.h>
 
 enum { NEED_EDGE = 0, NEED_VERT = 1, NEED_UNIT = 2 };
@@ -22,8 +24,7 @@ enum { NEED_EDGE = 0, NEED_VERT = 1, NEED_UNIT = 2 };
 typedef struct {
     int64_t n;
     const int64_t *edge;  /* n * n instance matrix, row-major, 0 or 1 */
-    const double *log_w;  /* n * n hole weights, row-major */
-    double log_lambda;
+    const double *accept; /* 2 n^2 + 6 n^3 acceptance entries */
     int64_t *r2c, *c2r;   /* assignments, -1 at the hole row and column */
     const int64_t *ebuf, *vbuf;
     const double *ubuf;
@@ -43,10 +44,12 @@ typedef struct {
 
 int64_t walk(walk_state *s, int64_t steps)
 {
-    const int64_t n = s->n;
+    const int64_t n = s->n, nn = n * n, cube = nn * n;
     const int64_t *edge = s->edge;
-    const double *log_w = s->log_w;
-    const double log_lambda = s->log_lambda;
+    const double *drops = s->accept, *completions = drops + nn;
+    /* The row-move and column-move entries with dk = 0. */
+    const double *row_moves = drops + 2 * nn + cube;
+    const double *column_moves = drops + 2 * nn + 4 * cube;
     int64_t *r2c = s->r2c, *c2r = s->c2r;
     int64_t hu = s->hu, hv = s->hv, k = s->k;
     const int64_t *ebuf = s->ebuf, *vbuf = s->vbuf;
@@ -59,91 +62,87 @@ int64_t walk(walk_state *s, int64_t steps)
     int64_t nseen = s->nseen;
 
     for (; steps > 0; steps--) {
-        int64_t dk;
-        double delta;
-        int accept;
+        int64_t dk, x, z = 0, w = 0;
+        int move; /* 0 drop, 1 complete, 2 matched row, 3 matched column */
+        double ratio;
         if (hu < 0) {
-            /* Perfect: drop a uniformly chosen matched pair. */
+            /* Perfect: drop a uniformly chosen matched pair (x, z). */
             if (epos >= elen) {
                 s->need = NEED_EDGE;
                 break;
             }
-            int64_t u = ebuf[epos];
-            int64_t v = r2c[u];
-            dk = edge[u * n + v] - 1;
-            delta = dk * log_lambda + log_w[u * n + v];
-            if (delta >= 0.0) {
-                accept = 1;
-            } else {
-                if (upos >= ulen) {
-                    s->need = NEED_UNIT;
-                    break;
-                }
-                accept = ubuf[upos++] < exp(delta);
-            }
-            epos++;
-            if (accept) {
-                r2c[u] = -1;
-                c2r[v] = -1;
-                hu = u;
-                hv = v;
-                k += dk;
-            }
+            move = 0;
+            x = ebuf[epos];
+            z = r2c[x];
+            dk = edge[x * n + z] - 1;
+            ratio = drops[x * n + z];
         } else {
             if (vpos >= vlen) {
                 s->need = NEED_VERT;
                 break;
             }
-            int64_t x = vbuf[vpos];
-            int move; /* 0 complete, 1 matched row, 2 matched column */
-            int64_t z = 0, w = 0, xc = 0;
+            x = vbuf[vpos];
             if (x == hu || x - n == hv) {
                 /* Hole row or hole column: complete the hole pair. */
-                move = 0;
-                dk = 1 - edge[hu * n + hv];
-                delta = dk * log_lambda - log_w[hu * n + hv];
-            } else if (x < n) {
-                /* Matched row x: swing its column onto the hole column. */
                 move = 1;
+                dk = 1 - edge[hu * n + hv];
+                ratio = completions[hu * n + hv];
+            } else if (x < n) {
+                /* Matched row x: swing its column z onto the hole column. */
+                move = 2;
                 z = r2c[x];
                 dk = edge[x * n + z] - edge[x * n + hv];
-                delta = dk * log_lambda + log_w[hu * n + z] - log_w[hu * n + hv];
+                ratio = row_moves[dk * cube + hu * nn + z * n + hv];
             } else {
-                /* Matched column xc: pull it onto the hole row. */
-                move = 2;
-                xc = x - n;
-                w = c2r[xc];
-                dk = edge[w * n + xc] - edge[hu * n + xc];
-                delta = dk * log_lambda + log_w[w * n + hv] - log_w[hu * n + hv];
+                /* Matched column x - n: pull it, from its row w, onto the
+                 * hole row. */
+                move = 3;
+                x -= n;
+                w = c2r[x];
+                dk = edge[w * n + x] - edge[hu * n + x];
+                ratio = column_moves[dk * cube + w * nn + hu * n + hv];
             }
-            if (delta >= 0.0) {
-                accept = 1;
-            } else {
-                if (upos >= ulen) {
-                    s->need = NEED_UNIT;
-                    break;
-                }
-                accept = ubuf[upos++] < exp(delta);
+        }
+        int accept;
+        if (ratio < 0.0) {
+            accept = 1;
+        } else {
+            if (upos >= ulen) {
+                s->need = NEED_UNIT;
+                break;
             }
+            accept = ubuf[upos++] < ratio;
+        }
+        if (move == 0)
+            epos++;
+        else
             vpos++;
-            if (accept) {
-                if (move == 0) {
-                    r2c[hu] = hv;
-                    c2r[hv] = hu;
-                    hu = -1;
-                } else if (move == 1) {
-                    r2c[x] = hv;
-                    c2r[hv] = x;
-                    c2r[z] = -1;
-                    hv = z;
-                } else {
-                    r2c[w] = -1;
-                    r2c[hu] = xc;
-                    c2r[xc] = hu;
-                    hu = w;
-                }
-                k += dk;
+        if (accept) {
+            switch (move) {
+            case 0:
+                r2c[x] = -1;
+                c2r[z] = -1;
+                hu = x;
+                hv = z;
+                break;
+            case 1:
+                r2c[hu] = hv;
+                c2r[hv] = hu;
+                hu = -1;
+                break;
+            case 2:
+                r2c[x] = hv;
+                c2r[hv] = x;
+                c2r[z] = -1;
+                hv = z;
+                break;
+            default:
+                r2c[w] = -1;
+                r2c[hu] = x;
+                c2r[x] = hu;
+                hu = w;
             }
+            k += dk;
         }
         if (--countdown == 0) {
             int64_t key = hu >= 0 ? (hu * n + hv + 1) * (n + 1) + k : k;

@@ -25,7 +25,8 @@ applies to every draw. Each proposal is accepted with probability
 min(1, w(M') / w(M)), computed as exp of the log-weight difference; a
 rejected proposal still consumes a step. Exactly one draw selects the
 proposal and at most one more decides acceptance (none when the weight
-ratio is at least 1).
+ratio is at least 1). ``ChainSampler`` reads each ratio from a table that
+``acceptance_table`` builds once per stage.
 """
 
 from __future__ import annotations
@@ -227,16 +228,66 @@ def exact_stationary(
     )
 
 
+# The acceptance_table entry of a move whose weight ratio is at least 1: it
+# is accepted without a unit draw. Every other entry is a ratio in [0, 1]
+# (or NaN, which rejects), so any negative value would do.
+NO_DRAW = -1.0
+
+
+def acceptance_table(wt: WeightTable) -> array:
+    """The acceptance entry of every move of one stage, as both walk kernels read it.
+
+    A move's log-weight difference delta depends only on the hole, the moved
+    index, the change dk in the non-instance pair count and the stage's
+    weights. Its entry is ``NO_DRAW`` where delta >= 0.0, and otherwise
+    exp(delta), the probability that the move is accepted, against one unit
+    draw. With nn = n * n, the 2 * nn + 6 * n^3 entries are:
+
+    * drop the pair (u, v) of a perfect matching: [u * n + v];
+    * complete the hole (hu, hv): [nn + hu * n + hv];
+    * move matched row x onto the hole column hv, which frees x's column z:
+      [2 * nn + (dk + 1) * n^3 + hu * nn + z * n + hv];
+    * move matched column xc onto the hole row hu, which frees xc's row w:
+      [2 * nn + 3 * n^3 + (dk + 1) * n^3 + w * nn + hu * n + hv].
+
+    delta is dk * ln(lambda) plus the hole log-weight moved to, minus the
+    one left (drop: plus the pair's; complete: minus the hole's), summed left
+    to right in float64; numpy's elementwise operations round as the scalar
+    ones do. exp is libm's, through ``math.exp``, and is never evaluated at
+    delta >= 0, where it could overflow.
+    """
+    n = wt.n
+    log_lambda = wt.log_lambda
+    log_w = np.array(wt.log_w, dtype=np.float64).reshape(n, n)
+    edge = np.array(wt.edge_present, dtype=np.int64).reshape(n, n)
+    dk_terms = np.array([-1.0, 0.0, 1.0])[:, None, None, None] * log_lambda
+    deltas = [
+        (edge - 1) * log_lambda + log_w,
+        (1 - edge) * log_lambda - log_w,
+        dk_terms + log_w[None, :, :, None] - log_w[None, :, None, :],
+        dk_terms + log_w[None, :, None, :] - log_w[None, None, :, :],
+    ]
+    exp = math.exp
+    return array(
+        "d",
+        [
+            NO_DRAW if delta >= 0.0 else exp(delta)
+            for part in deltas
+            for delta in part.ravel().tolist()
+        ],
+    )
+
+
 class _WalkState(ctypes.Structure):
     """The ``walk_state`` struct of _walk.c, which both walk kernels read and
     write; with the arrays it points into, ChainSampler's only store of the
-    weights, the matching, the hole, the non-instance pair count and the tally."""
+    acceptance table, the matching, the hole, the non-instance pair count and
+    the tally."""
 
     _fields_ = [
         ("n", ctypes.c_int64),
         ("edge", ctypes.c_void_p),
-        ("log_w", ctypes.c_void_p),
-        ("log_lambda", ctypes.c_double),
+        ("accept", ctypes.c_void_p),
         ("r2c", ctypes.c_void_p),
         ("c2r", ctypes.c_void_p),
         ("ebuf", ctypes.c_void_p),
@@ -285,10 +336,11 @@ class ChainSampler:
     """Mutable walker used by the estimator's inner loop.
 
     The whole chain state lives in one ``_WalkState`` struct and the arrays
-    it points into: the instance and hole-weight tables, the matching as
-    paired row/column assignment arrays (int64 ``array`` objects, updated in
-    place), the hole, the non-instance pair count (kept incrementally) and
-    the per-key sample counts. Draws are consumed from a BufferedDraws in
+    it points into: the instance matrix, the stage's ``acceptance_table``
+    (rebuilt by ``set_weights``), the matching as paired row/column
+    assignment arrays (int64 ``array`` objects, updated in place), the hole,
+    the non-instance pair count (kept incrementally) and the per-key sample
+    counts. Draws are consumed from a BufferedDraws in
     exactly the same order as the reference ``step`` function, so short
     trajectories of the two are interchangeable.
 
@@ -325,7 +377,7 @@ class ChainSampler:
         hu, hv = (-1, -1) if start.hole is None else start.hole
         st = self._state = _WalkState(n=n, hu=hu, hv=hv, countdown=-1)
         self._edges = array("q", wt.edge_present)
-        self._weights = array("d", bytes(8 * n * n))
+        self._accept = array("d", bytes(8 * (2 * n * n + 6 * n**3)))
         self.set_weights(wt)
         st.k = lambda_edges(start, wt)
         self.row_to_col = array("q", start.row_to_col())
@@ -338,9 +390,9 @@ class ChainSampler:
         self._seen = array("q", self._tallies)
         # The arrays the struct points into stay exported through _pinned, so
         # none can be resized or freed under it.
-        arrays = (self._edges, self._weights, self.row_to_col, self.col_to_row, self._tallies, self._seen)
+        arrays = (self._edges, self._accept, self.row_to_col, self.col_to_row, self._tallies, self._seen)
         self._pinned = [_native.pin(a) for a in arrays]
-        st.edge, st.log_w, st.r2c, st.c2r, st.counts, st.seen = map(ctypes.addressof, self._pinned)
+        st.edge, st.accept, st.r2c, st.c2r, st.counts, st.seen = map(ctypes.addressof, self._pinned)
         # The draw buffers bound into the struct, and the Python kernel's list
         # copies of them with the buffers they were made from.
         self._buffers = self._listed = (None, None, None)
@@ -370,15 +422,14 @@ class ChainSampler:
         return {key: tallies[key] for key in self._seen[: self._state.nseen]}
 
     def set_weights(self, wt: WeightTable) -> None:
-        """Swap in the next stage's activity and hole weights."""
+        """Swap in the next stage's activity and hole weights, as its acceptance table."""
         # The kernels index the tables without bounds checks.
         n = self.n
         if len(wt.edge_present) != n * n or len(wt.log_w) != n * n:
             raise ValueError(f"weight table needs {n * n} entries per table")
         if wt.n != self.n or array("q", wt.edge_present) != self._edges:
             raise ValueError("weight table belongs to a different instance")
-        self._weights[:] = array("d", wt.log_w)
-        self._state.log_lambda = wt.log_lambda
+        self._accept[:] = acceptance_table(wt)
 
     def state(self) -> Matching:
         pairs = frozenset((u, v) for u, v in enumerate(self.row_to_col) if v >= 0)
@@ -460,20 +511,26 @@ class ChainSampler:
         ebuf, vbuf, ubuf = self._lists
         ei, vi, ui, hu, hv, k, countdown = _MOVED.unpack_from(st, _MOVED_AT)
         n = self.n
-        log_lambda = st.log_lambda
+        nn = n * n
+        cube = nn * n
+        # Where the row-move and column-move parts of the acceptance table
+        # put their dk = 0 entries.
+        row_moves = 2 * nn + cube
+        column_moves = 2 * nn + 4 * cube
         # Lists also index faster than arrays, so a long walk works on list
         # copies and writes the assignment back at the end. A copy pays for
         # itself after about 16 steps for the assignment arrays, and after
-        # about n * n / 4 for the n * n tables (measured at n = 4, 8 and 16).
+        # about n * n / 4 for the instance table (measured at n = 4, 8 and
+        # 16). The acceptance table is read once a step, in place.
         copied = left > 16
         r2c, c2r = self.row_to_col, self.col_to_row
         if copied:
             r2c, c2r = r2c.tolist(), c2r.tolist()
-        edge, log_w = self._edges, self._weights
-        if left > n * n // 4:
-            edge, log_w = edge.tolist(), log_w.tolist()
+        edge = self._edges
+        if left > nn // 4:
+            edge = edge.tolist()
+        table = self._accept
         tallies = self._tallies
-        exp = math.exp
         # The index of the step after which the next sample is tallied; the
         # countdown is negative, so never, while nothing is tallied.
         mark = countdown - 1
@@ -485,11 +542,11 @@ class ChainSampler:
                     u = ebuf[ei]
                     v = r2c[u]
                     dk = edge[u * n + v] - 1
-                    delta = dk * log_lambda + log_w[u * n + v]
-                    if delta >= 0.0:
+                    ratio = table[u * n + v]
+                    if ratio < 0.0:
                         accept = True
                     else:
-                        accept = ubuf[ui] < exp(delta)
+                        accept = ubuf[ui] < ratio
                         ui += 1
                     ei += 1
                     if accept:
@@ -503,11 +560,11 @@ class ChainSampler:
                     if x == hu or x - n == hv:
                         # Hole row or hole column: complete the hole pair.
                         dk = 1 - edge[hu * n + hv]
-                        delta = dk * log_lambda - log_w[hu * n + hv]
-                        if delta >= 0.0:
+                        ratio = table[nn + hu * n + hv]
+                        if ratio < 0.0:
                             accept = True
                         else:
-                            accept = ubuf[ui] < exp(delta)
+                            accept = ubuf[ui] < ratio
                             ui += 1
                         if accept:
                             r2c[hu] = hv
@@ -519,11 +576,11 @@ class ChainSampler:
                         z = r2c[x]
                         base = x * n
                         dk = edge[base + z] - edge[base + hv]
-                        delta = dk * log_lambda + log_w[hu * n + z] - log_w[hu * n + hv]
-                        if delta >= 0.0:
+                        ratio = table[row_moves + dk * cube + hu * nn + z * n + hv]
+                        if ratio < 0.0:
                             accept = True
                         else:
-                            accept = ubuf[ui] < exp(delta)
+                            accept = ubuf[ui] < ratio
                             ui += 1
                         if accept:
                             r2c[x] = hv
@@ -536,11 +593,11 @@ class ChainSampler:
                         xc = x - n
                         w = c2r[xc]
                         dk = edge[w * n + xc] - edge[hu * n + xc]
-                        delta = dk * log_lambda + log_w[w * n + hv] - log_w[hu * n + hv]
-                        if delta >= 0.0:
+                        ratio = table[column_moves + dk * cube + w * nn + hu * n + hv]
+                        if ratio < 0.0:
                             accept = True
                         else:
-                            accept = ubuf[ui] < exp(delta)
+                            accept = ubuf[ui] < ratio
                             ui += 1
                         if accept:
                             r2c[w] = -1

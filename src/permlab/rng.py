@@ -9,40 +9,95 @@ the current matching is perfect, a vertex index uniform on [0, 2n) when it is
 near-perfect, and a unit float for the acceptance filter (drawn only when the
 proposal ratio is below 1). ``BufferedDraws`` pre-generates each kind in
 blocks, which makes per-step cost small while keeping the consumed stream a
-pure function of the seed. The blocks are the int64 and float64 arrays that
-PCG64 returns, kept as memoryviews, which the sampler's compiled kernel reads
-in place.
+pure function of the seed. The blocks are fresh int64 and float64 arrays,
+kept as memoryviews, which the sampler's compiled kernel reads in place.
+
+The blocks come from one of two sources that give the same values, bit for
+bit. Where the compiled kernels load (see _native.py), ``fill_bounded`` and
+``fill_unit`` of _rng.c fill them: a C port of PCG64 and of the numpy
+``Generator.integers(0, high)`` and ``Generator.random()`` algorithms,
+working on a copy of the seeded ``np.random.PCG64``'s state. Otherwise the
+numpy ``Generator`` itself fills them; it is also the oracle the C port is
+tested against.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+
 import numpy as np
+
+from . import _native
 
 RNG_ALGORITHM = "pcg64"
 
 _BUFFER_SIZE = 1 << 16
 
 
+class _PCG64State(ctypes.Structure):
+    """The ``pcg64_state`` struct of _rng.c: a PCG64 bit generator's ``.state``."""
+
+    _fields_ = [
+        ("state", ctypes.c_uint64 * 2),
+        ("inc", ctypes.c_uint64 * 2),
+        ("has_uint32", ctypes.c_int64),
+        ("uinteger", ctypes.c_uint64),
+    ]
+
+
+@functools.cache
+def _refill_kernels():
+    """``fill_bounded`` and ``fill_unit`` of _rng.c, or None when they cannot be
+    built or loaded.
+
+    ``BufferedDraws`` asks once, when it is made, and keeps its generator
+    state in the numpy ``Generator`` on None.
+    """
+    state = ctypes.POINTER(_PCG64State)
+    bounded = _native.kernel("fill_bounded", None, state, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64)
+    if bounded is None:
+        return None
+    return bounded, _native.kernel("fill_unit", None, state, ctypes.c_void_p, ctypes.c_int64)
+
+
+def _words(value: int) -> tuple[int, int]:
+    return value & (1 << 64) - 1, value >> 64
+
+
 class BufferedDraws:
     """Three block-buffered draw streams over one seeded PCG64 generator.
 
-    Each buffer is a memoryview of the int64 or float64 array that PCG64
-    returned, with a read position; indexing it yields a Python ``int`` or
-    ``float`` without copying the block. Refills happen lazily in
-    consumption order, so a trajectory is a deterministic function of
-    (seed, n, start state).
+    Each buffer is a memoryview of a fresh int64 or float64 array, with a
+    read position; indexing it yields a Python ``int`` or ``float`` without
+    copying the block. Refills happen lazily in consumption order, so a
+    trajectory is a deterministic function of (seed, n, start state).
     """
 
     def __init__(self, seed: int, n: int, buffer_size: int = _BUFFER_SIZE):
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
+        if not 1 <= n < 1 << 31:
+            # _rng.c draws vertex indices with 32-bit bounds.
+            raise ValueError(f"n must be in [1, 2^31), got {n}")
         if buffer_size < 1:
             # An empty refill would leave walk resuming forever.
             raise ValueError(f"buffer_size must be >= 1, got {buffer_size}")
         self.seed = seed
         self.n = n
         self.size = buffer_size
-        self._gen = np.random.Generator(np.random.PCG64(seed))
+        bit_generator = np.random.PCG64(seed)
+        # From here on the generator state lives in exactly one place: numpy's
+        # Generator, or the struct that the C refills advance.
+        self._kernels = _refill_kernels()
+        if self._kernels is None:
+            self._gen = np.random.Generator(bit_generator)
+        else:
+            state = bit_generator.state
+            self._pcg = _PCG64State(
+                _words(state["state"]["state"]),
+                _words(state["state"]["inc"]),
+                state["has_uint32"],
+                state["uinteger"],
+            )
         # Empty buffers with pos 0 trigger a lazy refill on first use.
         self.edge_buf = memoryview(np.empty(0, dtype=np.int64))
         self.edge_pos = 0
@@ -51,18 +106,31 @@ class BufferedDraws:
         self.unit_buf = memoryview(np.empty(0, dtype=np.float64))
         self.unit_pos = 0
 
+    def _bounded(self, high: int) -> memoryview:
+        """A fresh block of ``integers(0, high)``."""
+        if self._kernels is None:
+            return memoryview(self._gen.integers(0, high, size=self.size))
+        block = np.empty(self.size, dtype=np.int64)
+        self._kernels[0](self._pcg, high, block.ctypes.data, self.size)
+        return memoryview(block)
+
     def refill_edge(self) -> memoryview:
-        self.edge_buf = memoryview(self._gen.integers(0, self.n, size=self.size))
+        self.edge_buf = self._bounded(self.n)
         self.edge_pos = 0
         return self.edge_buf
 
     def refill_vert(self) -> memoryview:
-        self.vert_buf = memoryview(self._gen.integers(0, 2 * self.n, size=self.size))
+        self.vert_buf = self._bounded(2 * self.n)
         self.vert_pos = 0
         return self.vert_buf
 
     def refill_unit(self) -> memoryview:
-        self.unit_buf = memoryview(self._gen.random(size=self.size))
+        if self._kernels is None:
+            block = self._gen.random(size=self.size)
+        else:
+            block = np.empty(self.size, dtype=np.float64)
+            self._kernels[1](self._pcg, block.ctypes.data, self.size)
+        self.unit_buf = memoryview(block)
         self.unit_pos = 0
         return self.unit_buf
 

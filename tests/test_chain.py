@@ -468,3 +468,41 @@ def test_buffered_draws_refuse_an_empty_buffer():
     for size in (0, -1):
         with pytest.raises(ValueError, match="buffer_size"):
             BufferedDraws(0, 2, buffer_size=size)
+
+
+def reference_table_index(state, x, dk, n):
+    """Where acceptance_table's docstring puts the entry of the proposal that
+    draw ``x`` makes from ``state``, whose non-instance pair count changes by ``dk``."""
+    nn, cube = n * n, n**3
+    assignment = state.row_to_col()
+    if state.is_perfect:
+        return x * n + assignment[x]
+    hu, hv = state.hole
+    if x == hu or x - n == hv:
+        return nn + hu * n + hv
+    if x < n:
+        return 2 * nn + (dk + 1) * cube + hu * nn + assignment[x] * n + hv
+    w = assignment.index(x - n)
+    return 2 * nn + 3 * cube + (dk + 1) * cube + w * nn + hu * n + hv
+
+
+@pytest.mark.parametrize("log_lambda", [0.0, math.log(0.3)])
+def test_acceptance_table_matches_the_reference_chain(log_lambda):
+    # FIG has non-instance pairs, so dk takes all of -1, 0 and 1, and
+    # log_lambda = 0 drops the activity term that log(0.3) keeps. The hole
+    # weights make differences of both signs, and some exactly 0 (hole (0, 0)
+    # weighs 1).
+    n = FIG.n
+    wt = mixed_weights(FIG, log_lambda)
+    table = chain.acceptance_table(wt)
+    assert len(table) == 2 * n * n + 6 * n**3
+    for state in enumerate_states(n):
+        for x in range(n if state.is_perfect else 2 * n):
+            proposal = propose(state, chain._FixedDraw(x))
+            difference = log_weight(proposal, wt) - log_weight(state, wt)
+            dk = lambda_edges(proposal, wt) - lambda_edges(state, wt)
+            entry = table[reference_table_index(state, x, dk, n)]
+            if abs(difference) >= 1e-12:
+                assert (entry == chain.NO_DRAW) == (difference >= 0.0)
+            if entry != chain.NO_DRAW:
+                assert entry == pytest.approx(math.exp(difference), rel=1e-12, abs=0.0)

@@ -3,7 +3,12 @@ import stat
 
 import pytest
 
-from permlab import _native, chain, exact
+from permlab import _native, chain, exact, rng
+
+
+def kernel_lookups():
+    """Each caller's uncached lookup of its compiled kernel."""
+    return [chain._walk_kernel.__wrapped__, exact._ryser_kernel.__wrapped__, rng._refill_kernels.__wrapped__]
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc) on PATH")
@@ -11,9 +16,8 @@ def test_compiled_kernels_build_and_load_from_one_library(tmp_path, monkeypatch)
     # Where a compiler exists, a broken build must not fall back to the
     # Python loops unnoticed. A fresh home makes this a real build.
     monkeypatch.setenv("HOME", str(tmp_path))
-    monkeypatch.setattr(_native, "library", _native.library.__wrapped__)
-    assert chain._walk_kernel.__wrapped__() is not None
-    assert exact._ryser_kernel.__wrapped__() is not None
+    monkeypatch.setattr(_native, "library", _native.load_library)
+    assert all(lookup() is not None for lookup in kernel_lookups())
     cache = tmp_path / ".cache" / "permlab"
     assert stat.S_IMODE(cache.stat().st_mode) == 0o700
     library = _native.library_path()
@@ -24,6 +28,5 @@ def test_kernels_are_none_when_the_cache_cannot_be_written(tmp_path, monkeypatch
     home = tmp_path / "home"
     home.write_text("a file, not a directory")
     monkeypatch.setenv("HOME", str(home))
-    monkeypatch.setattr(_native, "library", _native.library.__wrapped__)
-    assert chain._walk_kernel.__wrapped__() is None
-    assert exact._ryser_kernel.__wrapped__() is None
+    monkeypatch.setattr(_native, "library", _native.load_library)
+    assert [lookup() for lookup in kernel_lookups()] == [None, None, None]
