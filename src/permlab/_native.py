@@ -31,7 +31,8 @@ def library_path() -> Path:
     It lives in ~/.cache/permlab (mode 0700), named by the sha256 of the
     sources (names and contents, in name order), the compiler arguments and
     the machine type. A build writes a temporary file and renames it into
-    place, so processes that build at once never load a partial library.
+    place, so processes that build at once never load a partial library,
+    and then deletes the libraries of other sources from the cache.
     """
     # Imported here so that importing permlab stays as cheap as it can be.
     import hashlib
@@ -78,6 +79,14 @@ def library_path() -> Path:
     finally:
         if os.path.exists(partial):
             os.unlink(partial)
+    # Delete the libraries of other sources, walk-*.so among them (the walk
+    # kernel's library before the kernels shared one): this checkout never
+    # loads them again. A process that loaded one keeps its mapping, and a
+    # checkout with those sources rebuilds once. A *.partial file may belong
+    # to a build still running, so it stays.
+    for stale in [*cache.glob("permlab-*.so"), *cache.glob("walk-*.so")]:
+        if stale != library:
+            stale.unlink(missing_ok=True)
     return library
 
 

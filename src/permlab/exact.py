@@ -6,10 +6,11 @@ Ryser's inclusion-exclusion formula over column subsets whose row sums are
 maintained incrementally in Gray code order, giving O(n * 2^n) work overall.
 
 ``permanent_ryser`` has two kernels that return the same value: the
-compiled one of _ryser.c, which works mod 2^128 and so is exact up to
-``KERNEL_LIMIT``, and a Python loop in arbitrary-precision ints, which is
-the fallback and the oracle. Results are Python ints either way (n! passes
-2^63 at n = 21).
+compiled one of _ryser.c, which takes Nijenhuis and Wilf's form of Ryser's
+formula over half the subsets and is exact up to ``KERNEL_LIMIT``, and a
+Python loop of plain Ryser in arbitrary-precision ints, which is the
+fallback and, being built on the other formula, the oracle. Results are
+Python ints either way (n! passes 2^63 at n = 21).
 """
 
 from __future__ import annotations
@@ -24,8 +25,10 @@ from . import _native
 from .matrix import Matrix
 
 NAIVE_LIMIT = 12
-# The largest n with n! < 2^128. A {0,1} permanent counts permutations, so
-# 0 <= perm <= n!, and below this bound perm mod 2^128 is perm itself.
+# The largest n the compiled kernel takes. A {0,1} permanent counts
+# permutations, so 0 <= perm <= n!; up to this n the kernel's int64 product
+# chains hold 12 row values of at most 34 (34^12 < 2^62) and its signed
+# 192-bit sum holds n! 2^(n-1) < 2^162 (see _ryser.c).
 KERNEL_LIMIT = 34
 
 
@@ -85,15 +88,14 @@ class _RyserState(ctypes.Structure):
         ("n", ctypes.c_int64),
         ("cols", ctypes.c_void_p),
         ("k", ctypes.c_uint64),
-        ("zeros", ctypes.c_int64),
-        ("total", ctypes.c_uint64 * 2),
-        ("sums", ctypes.c_int64 * 64),
+        ("total", ctypes.c_uint64 * 3),
+        ("values", ctypes.c_int64 * KERNEL_LIMIT),
     ]
 
 
 # Subsets per kernel call, so that control comes back to the interpreter
-# (signals, Ctrl-C) between ranges: a range took 0.3-0.45 s on the all-ones
-# matrices at n = 24-34 on a 2-vCPU host. Up to n = 22 a permanent is one call.
+# (signals, Ctrl-C) between ranges: a range took 0.08-0.17 s on the all-ones
+# matrices at n = 24-34 on a 2-vCPU host. Up to n = 23 a permanent is one call.
 _RYSER_CHUNK = 1 << 22
 
 
@@ -110,30 +112,35 @@ def _ryser_kernel():
 def permanent_ryser(m: Matrix) -> int:
     """Inclusion-exclusion permanent with Gray-coded column updates.
 
-    Walks the nonempty column subsets in Gray code order, so each transition
-    adds or removes a single column from the running row sums (O(n) per
-    subset instead of O(n^2)). The sign of each term comes from the subset
+    Walks column subsets in Gray code order, so each transition adds or
+    removes a single column from the running row sums (O(n) per subset
+    instead of O(n^2)). The sign of each term comes from the subset
     cardinality's parity.
 
     For n <= ``KERNEL_LIMIT`` (34) it runs the compiled kernel of _ryser.c
     when that can be built and loaded, over ranges of ``_RYSER_CHUNK``
-    subsets at a time. The kernel keeps int64 row sums and forms the row
-    products and the signed sum in unsigned 128-bit integers, wrapping mod
-    2^128; since 0 <= perm <= n! < 2^128 for such n, the wrapped sum is the
-    permanent exactly. Above the limit, or without the kernel, it runs a
-    Python loop over the same subsets in the same order, in
-    arbitrary-precision ints; that loop is also the oracle the kernel is
-    tested against.
+    subsets at a time. The kernel fixes the last column and walks the
+    2^(n-1) subsets of the others (Nijenhuis and Wilf), with doubled row
+    values in int16 lanes, and forms the signed sum
+    (-1)^(n-1) 2^(n-1) perm in 192 bits, wrapping mod 2^192; since
+    n! 2^(n-1) < 2^162 for such n, the wrapped sum is exact, and the
+    permanent is that sum shifted right by n - 1 with its sign fixed. Above
+    the limit, or without the kernel, it runs plain Ryser as a Python loop
+    over the 2^n - 1 nonempty subsets, in arbitrary-precision ints; that
+    loop is also the oracle the kernel is tested against.
     """
     kernel = _ryser_kernel() if m.n <= KERNEL_LIMIT else None
     if kernel is None:
         return _ryser_python(m)
     cols = array("q", itertools.chain.from_iterable(m.columns()))
-    st = _RyserState(n=m.n, cols=_native.address(cols), k=1, zeros=m.n)
-    subsets = 1 << m.n
+    st = _RyserState(n=m.n, cols=_native.address(cols))
+    subsets = 1 << (m.n - 1)
     for start in range(0, subsets, _RYSER_CHUNK):
         kernel(st, min(start + _RYSER_CHUNK, subsets))
-    return st.total[0] | st.total[1] << 64
+    total = st.total[0] | st.total[1] << 64 | st.total[2] << 128
+    if total >> 191:  # negative, as a signed 192-bit integer
+        total -= 1 << 192
+    return (total if m.n & 1 else -total) >> (m.n - 1)
 
 
 def _ryser_python(m: Matrix) -> int:

@@ -138,9 +138,28 @@ def test_ryser_is_zero_with_a_zero_row_or_column(ryser_kernel):
             assert permanent_ryser(Matrix.from_rows(zero_column)) == 0
 
 
-@pytest.mark.parametrize("n", [21, 22])
+def test_ryser_with_odd_and_even_row_sums(ryser_kernel):
+    # The compiled kernel's doubled row value 2 sum_{j in S} a_uj + 2 a_u,n-1 - r_u
+    # has the parity of the row sum r_u, so it can reach 0 only in a row with
+    # an even sum. Rows all even, all odd, and alternating.
+    rng = random.Random(11)
+    for n in range(2, 10):
+        for parity in ("even", "odd", "mixed"):
+            rows = []
+            for u in range(n):
+                row = [int(rng.random() < 0.6) for _ in range(n)]
+                odd = {"even": 0, "odd": 1, "mixed": u % 2}[parity]
+                if sum(row) % 2 != odd:
+                    row[rng.randrange(n)] ^= 1
+                rows.append(row)
+            m = Matrix.from_rows(rows)
+            assert permanent_ryser(m) == permanent_naive(m)
+
+
+@pytest.mark.parametrize("n", [21, 22, 29])
 def test_compiled_ryser_is_exact_past_64_bits(n):
-    # perm of the all-ones matrix is n!, which passes 2^64 at n = 21.
+    # perm of the all-ones matrix is n!, which passes 2^64 at n = 21. At
+    # n = 29 the kernel's sum, n! 2^(n-1) in magnitude, first passes 2^127.
     compiled_ryser()
     assert math.factorial(n) > 2**64
     assert permanent_ryser(Matrix.from_rows([[1] * n] * n)) == math.factorial(n)
@@ -148,21 +167,31 @@ def test_compiled_ryser_is_exact_past_64_bits(n):
 
 def test_kernel_limit_is_the_last_n_whose_factorial_fits_128_bits():
     assert math.factorial(KERNEL_LIMIT) < 2**128 <= math.factorial(KERNEL_LIMIT + 1)
+    # The bounds of _ryser.c: int64 product chains of at most 12 row values
+    # of magnitude at most n, and a signed 192-bit sum of n! 2^(n-1) at most.
+    assert math.ceil(KERNEL_LIMIT / 3) <= 12 and KERNEL_LIMIT**12 < 2**62
+    assert math.factorial(KERNEL_LIMIT) << (KERNEL_LIMIT - 1) < 2**162
 
 
 def test_ryser_runs_the_kernel_up_to_the_limit_and_python_above_it(monkeypatch):
     calls = []
 
+    # The kernel's sum is (-1)^(n-1) 2^(n-1) perm, mod 2^192.
+    perm = 5 + (7 << 64)
+    total = (-perm << (KERNEL_LIMIT - 1)) % (1 << 192)
+
     def spy(state, end):
         calls.append((state.n, end))
-        state.total[0], state.total[1] = 5, 7
+        for i in range(3):
+            state.total[i] = total >> (64 * i) & (1 << 64) - 1
 
     monkeypatch.setattr(exact, "_ryser_kernel", lambda: spy)
     monkeypatch.setattr(exact, "_ryser_python", lambda m: "python")
     ones = [[1] * KERNEL_LIMIT] * KERNEL_LIMIT
-    assert permanent_ryser(Matrix.from_rows(ones)) == 5 + (7 << 64)
+    assert permanent_ryser(Matrix.from_rows(ones)) == perm
     chunk = exact._RYSER_CHUNK
-    assert calls == [(KERNEL_LIMIT, end) for end in range(chunk, (1 << KERNEL_LIMIT) + 1, chunk)]
+    subsets = 1 << (KERNEL_LIMIT - 1)
+    assert calls == [(KERNEL_LIMIT, end) for end in range(chunk, subsets + 1, chunk)]
     del calls[:]
     big = Matrix.from_rows([[1] * (KERNEL_LIMIT + 1)] * (KERNEL_LIMIT + 1))
     assert permanent_ryser(big) == "python"
@@ -170,7 +199,7 @@ def test_ryser_runs_the_kernel_up_to_the_limit_and_python_above_it(monkeypatch):
 
 
 def test_compiled_ryser_resumes_across_kernel_calls(monkeypatch):
-    # Ranges of 16 subsets: every permanent at n = 9..16 takes 32 to 4096
+    # Ranges of 16 subsets: every permanent at n = 9..16 takes 16 to 2048
     # kernel calls, each resuming the Gray-code walk where the last stopped.
     compiled_ryser()
     kernel = exact._ryser_kernel()
@@ -189,7 +218,7 @@ def test_compiled_ryser_resumes_across_kernel_calls(monkeypatch):
             m = generate_random(n, n * n * num // den, seed=rng.getrandbits(32))
             calls = 0
             assert permanent_ryser(m) == exact._ryser_python(m)
-            assert calls == 1 << (n - 4)
+            assert calls == 1 << (n - 5)
 
 
 def test_gray_sequence_small():

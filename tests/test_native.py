@@ -15,13 +15,18 @@ def kernel_lookups():
 def test_compiled_kernels_build_and_load_from_one_library(tmp_path, monkeypatch):
     # Where a compiler exists, a broken build must not fall back to the
     # Python loops unnoticed. A fresh home makes this a real build.
+    # The build deletes the libraries of older sources and leaves the
+    # temporary file of a build that may still be running.
     monkeypatch.setenv("HOME", str(tmp_path))
     monkeypatch.setattr(_native, "library", _native.load_library)
-    assert all(lookup() is not None for lookup in kernel_lookups())
     cache = tmp_path / ".cache" / "permlab"
+    cache.mkdir(mode=0o700, parents=True)
+    for name in ("permlab-" + "0" * 32 + ".so", "walk-" + "0" * 32 + ".so", "tmp1234.partial"):
+        (cache / name).write_bytes(b"")
+    assert all(lookup() is not None for lookup in kernel_lookups())
     assert stat.S_IMODE(cache.stat().st_mode) == 0o700
     library = _native.library_path()
-    assert [path.name for path in cache.iterdir()] == [library.name]
+    assert sorted(path.name for path in cache.iterdir()) == sorted([library.name, "tmp1234.partial"])
 
 
 def test_kernels_are_none_when_the_cache_cannot_be_written(tmp_path, monkeypatch):
