@@ -102,10 +102,17 @@ def library():
 
 def load_library():
     """The shared library, built if need be and loaded afresh, or None when
-    it cannot be built or loaded."""
+    it cannot be built or loaded. A library that another checkout's build
+    deletes before it is loaded is built again, once."""
+    # PyDLL keeps the interpreter lock through each call, so no other
+    # thread can refill or free a buffer while a kernel reads it.
     try:
-        # PyDLL keeps the interpreter lock through each call, so no other
-        # thread can refill or free a buffer while a kernel reads it.
+        path = library_path()
+        try:
+            return ctypes.PyDLL(str(path))
+        except OSError:
+            if path.exists():
+                raise
         return ctypes.PyDLL(str(library_path()))
     except (OSError, subprocess.SubprocessError):
         return None

@@ -10,12 +10,13 @@
  * below it. Both kernels compare the same doubles, so every acceptance
  * decision is the same on both.
  *
- * A kernel never refills a draw buffer. When the next draw it needs is in
- * an empty buffer it stops before that step, stores the state back, sets
- * `need`, and returns the steps still to take; ChainSampler.walk, the one
- * caller of both kernels, refills that buffer and calls again. A step whose
- * proposal draw has been read but whose acceptance draw is missing is
- * abandoned whole: the proposal draw is read again on the next call.
+ * A kernel takes `left` steps, and never refills a draw buffer. When the
+ * next draw it needs is in an empty buffer it stops before that step, sets
+ * `need`, and stores the state back with the steps still to take in
+ * `left`; ChainSampler.walk, the one caller of both kernels, refills that
+ * buffer and calls again. A step whose proposal draw has been read but
+ * whose acceptance draw is missing is abandoned whole: the proposal draw is
+ * read again on the next call.
  */
 #include <stdint.h>
 
@@ -29,8 +30,9 @@ typedef struct {
     const int64_t *ebuf, *vbuf;
     const double *ubuf;
     int64_t elen, vlen, ulen;
-    /* The fields from epos to countdown move on every call; they are
+    /* The fields from left to countdown move on every call; they are
      * adjacent so that the Python kernel moves them in one struct call. */
+    int64_t left;         /* steps still to take */
     int64_t epos, vpos, upos;
     int64_t hu, hv, k;    /* hole (hu < 0 when perfect), non-instance pairs */
     /* Steps to the next tallied sample, then `spacing` again; negative
@@ -42,8 +44,9 @@ typedef struct {
     int64_t nseen;
 } walk_state;
 
-int64_t walk(walk_state *s, int64_t steps)
+void walk(walk_state *s)
 {
+    int64_t steps = s->left;
     const int64_t n = s->n, nn = n * n, cube = nn * n;
     const int64_t *edge = s->edge;
     const double *drops = s->accept, *completions = drops + nn;
@@ -160,5 +163,5 @@ int64_t walk(walk_state *s, int64_t steps)
     s->upos = upos;
     s->countdown = countdown;
     s->nseen = nseen;
-    return steps;
+    s->left = steps;
 }

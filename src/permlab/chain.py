@@ -296,6 +296,7 @@ class _WalkState(ctypes.Structure):
         ("elen", ctypes.c_int64),
         ("vlen", ctypes.c_int64),
         ("ulen", ctypes.c_int64),
+        ("left", ctypes.c_int64),
         ("epos", ctypes.c_int64),
         ("vpos", ctypes.c_int64),
         ("upos", ctypes.c_int64),
@@ -311,12 +312,13 @@ class _WalkState(ctypes.Structure):
     ]
 
 
-# The fields from epos to countdown, which every kernel call moves: adjacent
+# The fields from left to countdown, which every kernel call moves: adjacent
 # int64s, so that one struct call reads or writes them all (ctypes takes a
-# call per field). The first three are the draw positions.
-_MOVED = struct.Struct("7q")
+# call per field). The three after left are the draw positions.
+_MOVED = struct.Struct("8q")
+_MOVED_AT = _WalkState.left.offset
 _POSITIONS = struct.Struct("3q")
-_MOVED_AT = _WalkState.epos.offset
+_POSITIONS_AT = _WalkState.epos.offset
 
 # The NEED_* values of _walk.c: the buffer a stopped kernel needs refilled.
 _NEED_EDGE, _NEED_VERT, _NEED_UNIT = 0, 1, 2
@@ -329,7 +331,7 @@ def _walk_kernel():
     ``ChainSampler.walk`` asks for it on every call and runs the Python
     kernel on None.
     """
-    return _native.kernel("walk", ctypes.c_int64, ctypes.POINTER(_WalkState), ctypes.c_int64)
+    return _native.kernel("walk", None, ctypes.POINTER(_WalkState))
 
 
 class ChainSampler:
@@ -338,11 +340,10 @@ class ChainSampler:
     The whole chain state lives in one ``_WalkState`` struct and the arrays
     it points into: the instance matrix, the stage's ``acceptance_table``
     (rebuilt by ``set_weights``), the matching as paired row/column
-    assignment arrays (int64 ``array`` objects, updated in place), the hole,
-    the non-instance pair count (kept incrementally) and the per-key sample
-    counts. Draws are consumed from a BufferedDraws in
-    exactly the same order as the reference ``step`` function, so short
-    trajectories of the two are interchangeable.
+    assignment arrays (int64 ``array`` objects), the hole, the non-instance
+    pair count (kept incrementally) and the per-key sample counts. Draws are
+    consumed from a BufferedDraws in exactly the same order as the reference
+    ``step`` function, so short trajectories of the two are interchangeable.
 
     Spaced samples are tallied inside ``walk`` itself: while ``spacing`` is
     positive, the state after every ``spacing``-th step is counted under a
@@ -353,17 +354,21 @@ class ChainSampler:
     ``walk`` is one loop over two kernels with one contract: the compiled
     ``walk`` of _walk.c when it can be built and loaded, and otherwise
     ``_python_walk``, which takes the same steps on the same draws, bit for
-    bit. A kernel takes the struct and the steps left, reads the draw
-    buffers bound into the struct and never refills one: when the next draw
-    it needs is in an empty buffer, it stores the state back, sets ``need``
-    and returns before that step (leaving an already-read proposal draw
-    unconsumed) with the steps still to take. ``walk`` then calls the
+    bit. A kernel takes the struct, with the steps left in it, reads the draw
+    buffers bound into the struct and never refills one: before a step whose
+    next draw is in an empty buffer, it sets ``need`` and stores the state
+    and the steps still to take back into the struct (an already-read
+    proposal draw stays unconsumed). ``walk`` then calls the
     ``BufferedDraws`` refill itself and resumes the kernel, so refills happen
     lazily, in consumption order, from ``walk``'s own frame, and control
-    comes back to the interpreter (signals, Ctrl-C) at least once per buffer
-    of draws. The state is whole after every kernel return, so a refill that
-    raises leaves the sampler at the steps taken so far, with their samples
-    counted.
+    comes back to the interpreter (signals, Ctrl-C) at least once per buffer.
+
+    An exception raised while ``walk`` runs leaves the sampler at the steps
+    and samples its kernels have stored: ``walk`` takes ``steps_taken`` and
+    the draw positions from the struct as it unwinds. The Python kernel
+    stores its work once, after its step loop, so an exception inside that
+    loop leaves the sampler as the call found it; only one during that final
+    store can leave it part-written.
     """
 
     def __init__(self, wt: WeightTable, start: Matching, draws: BufferedDraws):
@@ -473,43 +478,62 @@ class ChainSampler:
         draws = self.draws
         st = self._state
         kernel = _walk_kernel() or self._python_walk
-        left = steps
+        st.left = steps
+        self._bind_draws()
         try:
             while True:
-                buffers = self._buffers
-                if (
-                    draws.edge_buf is not buffers[0]
-                    or draws.vert_buf is not buffers[1]
-                    or draws.unit_buf is not buffers[2]
-                ):
-                    self._buffers = buffers = (draws.edge_buf, draws.vert_buf, draws.unit_buf)
-                    st.ebuf, st.vbuf, st.ubuf = map(_native.address, buffers)
-                    st.elen, st.vlen, st.ulen = map(len, buffers)
-                _POSITIONS.pack_into(st, _MOVED_AT, draws.edge_pos, draws.vert_pos, draws.unit_pos)
-                left = kernel(st, left)
-                draws.edge_pos, draws.vert_pos, draws.unit_pos = _POSITIONS.unpack_from(st, _MOVED_AT)
-                if left <= 0:
+                kernel(st)
+                if st.left <= 0:
                     return
+                draws.edge_pos, draws.vert_pos, draws.unit_pos = _POSITIONS.unpack_from(st, _POSITIONS_AT)
                 (draws.refill_edge, draws.refill_vert, draws.refill_unit)[st.need]()
+                self._bind_draws()
         finally:
-            # Also on an interrupted refill: the state is whole after every
-            # kernel return.
-            self.steps_taken += steps - left
+            # The struct holds the steps and draws that the kernels have
+            # taken, also when an exception cut this loop short (a signal
+            # handler run as a kernel call returns, a refill that raises).
+            # Its draw positions hold for the buffers it points at.
+            self.steps_taken += steps - st.left
+            if self._bound():
+                draws.edge_pos, draws.vert_pos, draws.unit_pos = _POSITIONS.unpack_from(st, _POSITIONS_AT)
 
-    def _python_walk(self, st: _WalkState, left: int) -> int:
-        """The ``walk`` of _walk.c in Python: the same contract, step for step."""
+    def _bound(self) -> bool:
+        """Whether the struct points at every draw buffer of ``draws``."""
+        draws, (edge, vert, unit) = self.draws, self._buffers
+        return draws.edge_buf is edge and draws.vert_buf is vert and draws.unit_buf is unit
+
+    def _bind_draws(self) -> None:
+        """Point the struct at the draw buffers and positions of ``draws``."""
+        draws, st = self.draws, self._state
+        _POSITIONS.pack_into(st, _POSITIONS_AT, draws.edge_pos, draws.vert_pos, draws.unit_pos)
+        if not self._bound():
+            buffers = draws.edge_buf, draws.vert_buf, draws.unit_buf
+            st.ebuf, st.vbuf, st.ubuf = map(_native.address, buffers)
+            st.elen, st.vlen, st.ulen = map(len, buffers)
+            # Last: until the struct points at the new buffers, this keeps
+            # the old ones alive.
+            self._buffers = buffers
+
+    def _python_walk(self, st: _WalkState) -> None:
+        """The ``walk`` of _walk.c in Python: the same contract, step for step.
+
+        Its step loop works on local copies (lists index faster than arrays)
+        and writes nothing the sampler keeps; the one store of the call comes
+        after it. So an exception raised inside the loop leaves the sampler
+        as the call found it.
+        """
+        left, ei, vi, ui, hu, hv, k, countdown = _MOVED.unpack_from(st, _MOVED_AT)
         if left <= 0:
-            return left
+            return
         buffers = self._buffers
         if buffers is not self._listed:
-            # Lists index faster than memoryviews; each buffer is copied once.
+            # Each draw buffer is copied once.
             self._lists = tuple(
                 copy if buffer is listed else buffer.tolist()
                 for buffer, listed, copy in zip(buffers, self._listed, self._lists)
             )
             self._listed = buffers
         ebuf, vbuf, ubuf = self._lists
-        ei, vi, ui, hu, hv, k, countdown = _MOVED.unpack_from(st, _MOVED_AT)
         n = self.n
         nn = n * n
         cube = nn * n
@@ -517,23 +541,16 @@ class ChainSampler:
         # put their dk = 0 entries.
         row_moves = 2 * nn + cube
         column_moves = 2 * nn + 4 * cube
-        # Lists also index faster than arrays, so a long walk works on list
-        # copies and writes the assignment back at the end. A copy pays for
-        # itself after about 16 steps for the assignment arrays, and after
-        # about n * n / 4 for the instance table (measured at n = 4, 8 and
-        # 16). The acceptance table is read once a step, in place.
-        copied = left > 16
-        r2c, c2r = self.row_to_col, self.col_to_row
-        if copied:
-            r2c, c2r = r2c.tolist(), c2r.tolist()
-        edge = self._edges
-        if left > nn // 4:
-            edge = edge.tolist()
+        r2c, c2r, edge = self.row_to_col.tolist(), self.col_to_row.tolist(), self._edges.tolist()
         table = self._accept
-        tallies = self._tallies
+        spacing = st.spacing
         # The index of the step after which the next sample is tallied; the
         # countdown is negative, so never, while nothing is tallied.
         mark = countdown - 1
+        # Sample counts by key, in first-seen order: as many entries as
+        # distinct keys, however many samples the call takes.
+        samples = {}
+        count = samples.get
 
         try:
             for taken in range(left):
@@ -608,11 +625,8 @@ class ChainSampler:
                     vi += 1
                 if taken == mark:
                     key = (hu * n + hv + 1) * (n + 1) + k if hu >= 0 else k
-                    if tallies[key] == 0:
-                        self._seen[st.nseen] = key
-                        st.nseen += 1
-                    tallies[key] += 1
-                    mark += st.spacing
+                    samples[key] = count(key, 0) + 1
+                    mark += spacing
         except IndexError:
             # A draw buffer ran dry: stop before this step, which has
             # consumed no draw yet.
@@ -627,8 +641,13 @@ class ChainSampler:
         else:
             taken = left
 
-        if copied:
-            self.row_to_col[:] = array("q", r2c)
-            self.col_to_row[:] = array("q", c2r)
-        _MOVED.pack_into(st, _MOVED_AT, ei, vi, ui, hu, hv, k, mark + 1 - taken)
-        return left - taken
+        self.row_to_col[:] = array("q", r2c)
+        self.col_to_row[:] = array("q", c2r)
+        _MOVED.pack_into(st, _MOVED_AT, left - taken, ei, vi, ui, hu, hv, k, mark + 1 - taken)
+        tallies, seen, nseen = self._tallies, self._seen, st.nseen
+        for key, added in samples.items():
+            if tallies[key] == 0:
+                seen[nseen] = key
+                nseen += 1
+            tallies[key] += added
+        st.nseen = nseen

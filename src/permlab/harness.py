@@ -4,8 +4,9 @@ A suite is a directory of .pmat files plus a JSON manifest recording each
 instance's seed, ones count, and exact permanent. Trials pair a matrix with
 an error bound, relaxation factors, and a seed; each trial computes the
 exact permanent (Ryser), runs the estimator, and emits one TrialResult. A
-trial whose matrix cannot be read, or whose instance the estimator rejects,
-yields a failed TrialResult with ``error`` set, and the batch goes on.
+trial whose matrix cannot be read, whose instance the estimator rejects, or
+whose run ends in a PhaseFailure yields a failed TrialResult with ``error``
+set, and the batch goes on.
 Results persist as JSON Lines, one record per line, written afresh on each
 run; a CSV export serves table-building.
 
@@ -195,6 +196,9 @@ def run_single_trial(config: TrialConfig) -> TrialResult:
         wall_seconds=wall,
         label=config.label,
         matrix_path=config.matrix_path,
+        error=(
+            f"phase {estimate.failed_phase}: {estimate.failure_reason}" if estimate.failed else None
+        ),
     )
 
 
@@ -366,19 +370,34 @@ def configs_from_manifest(
     base_seed: int,
     label: str = "",
 ) -> list[TrialConfig]:
-    """One TrialConfig per manifest instance, with derived per-trial seeds."""
+    """One TrialConfig per manifest instance, with derived per-trial seeds.
+
+    A malformed manifest raises ValueError, naming the file and the entry.
+    """
     manifest_path = Path(manifest_path)
+    where = f"manifest {manifest_path}"
     with open(manifest_path, "r", encoding="ascii") as fh:
-        manifest = json.load(fh)
-    configs = []
-    for i, entry in enumerate(manifest["matrices"]):
-        configs.append(
-            TrialConfig(
-                matrix_path=str(manifest_path.parent / entry["path"]),
-                epsilon=epsilon,
-                relax=relax,
-                seed=base_seed + i,
-                label=label,
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+    entries = manifest.get("matrices") if isinstance(manifest, dict) else None
+    if not isinstance(entries, list):
+        raise ValueError(f"{where}: expected an object with a 'matrices' list")
+    paths = [entry.get("path") if isinstance(entry, dict) else None for entry in entries]
+    for i, path in enumerate(paths):
+        if not isinstance(path, str):
+            raise ValueError(
+                f"{where}, matrices entry {i}: expected an object with a string 'path', "
+                f"got {entries[i]!r}"
             )
+    return [
+        TrialConfig(
+            matrix_path=str(manifest_path.parent / path),
+            epsilon=epsilon,
+            relax=relax,
+            seed=base_seed + i,
+            label=label,
         )
-    return configs
+        for i, path in enumerate(paths)
+    ]

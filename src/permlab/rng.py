@@ -81,7 +81,6 @@ class BufferedDraws:
         if buffer_size < 1:
             # An empty refill would leave walk resuming forever.
             raise ValueError(f"buffer_size must be >= 1, got {buffer_size}")
-        self.seed = seed
         self.n = n
         self.size = buffer_size
         bit_generator = np.random.PCG64(seed)

@@ -14,29 +14,28 @@ import numpy as np
 import pytest
 
 from permlab import (
-    ChainSampler,
-    Matching,
     Matrix,
     RelaxationFactors,
-    WeightTable,
-    build_transition_matrix,
     compute_params,
     crossover,
     estimate_permanent,
-    exact_stationary,
-    find_perfect_matching,
     generate_random,
-    log_weight,
     parse_matrix,
     permanent_naive,
     permanent_ryser,
-    phase_count_closed_form,
-    phase_schedule,
-    state_space_size,
     total_steps,
 )
-from permlab.chain import state_key
+from permlab.chain import (
+    ChainSampler,
+    WeightTable,
+    build_transition_matrix,
+    exact_stationary,
+    log_weight,
+    state_key,
+)
 from permlab.harness import relative_error, within_multiplicative_bound
+from permlab.matrix import Matching, find_perfect_matching
+from permlab.params import phase_count_closed_form, phase_schedule, state_space_size
 from permlab.rng import BufferedDraws
 
 FIG = parse_matrix("3\n101\n110\n101\n")

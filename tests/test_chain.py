@@ -1,28 +1,27 @@
+import functools
 import hashlib
 import math
+from array import array
 
 import numpy as np
 import pytest
 
-from permlab import (
+from permlab import Matrix, generate_random, parse_matrix
+from permlab import chain
+from permlab.chain import (
     ChainSampler,
-    Matching,
-    Matrix,
     WeightTable,
     build_transition_matrix,
     enumerate_states,
     exact_stationary,
-    find_perfect_matching,
-    generate_random,
+    lambda_edges,
     log_weight,
-    parse_matrix,
     propose,
-    state_space_size,
+    state_key,
     step,
 )
-from permlab import chain
-from permlab.chain import lambda_edges, state_key
-from permlab.params import log_factorial
+from permlab.matrix import Matching, find_perfect_matching
+from permlab.params import log_factorial, state_space_size
 from permlab.rng import BufferedDraws
 
 FIG = parse_matrix("3\n101\n110\n101\n")
@@ -383,84 +382,148 @@ def test_compiled_walk_matches_python_walk(n, monkeypatch):
     assert [walk_fingerprint(n, *setting) for setting in settings] == compiled
 
 
-def interrupt_the_fourth_refill(draws):
-    """Make the fourth refill of ``draws``, whichever buffer it is for, raise
-    as Ctrl-C would."""
+def interrupt_the_fourth_refill(sampler, monkeypatch, refilled=False):
+    """Make the fourth refill of the sampler's draws, whichever buffer it is
+    for, raise as Ctrl-C would: instead of refilling, or once refilled, as a
+    signal handler that CPython runs as the refill returns would."""
+    draws = sampler.draws
     refills = 0
 
     def interrupting(refill):
         def wrapped():
             nonlocal refills
             refills += 1
+            if refills == 4 and not refilled:
+                raise KeyboardInterrupt
+            buffer = refill()
             if refills == 4:
                 raise KeyboardInterrupt
-            return refill()
+            return buffer
 
         return wrapped
 
     for name in ("refill_edge", "refill_vert", "refill_unit"):
-        setattr(draws, name, interrupting(getattr(draws, name)))
+        monkeypatch.setattr(draws, name, interrupting(getattr(draws, name)))
 
 
-def check_interrupted_walk_keeps_the_steps_and_samples_it_took():
-    # A refill that raises leaves the sampler exactly where its kernel
-    # stopped, with the samples taken so far counted, and nothing carried
-    # into the next tally: in a long tally, and in a loop of short walks.
+def interrupt_the_fourth_kernel_return(sampler, monkeypatch):
+    """Make the sampler's fourth kernel call raise just after the kernel
+    returns, as a signal handler that CPython runs then would."""
+    compiled = chain._walk_kernel()
+    kernel = compiled or sampler._python_walk
+    calls = 0
+
+    def interrupting(st):
+        nonlocal calls
+        kernel(st)
+        if st is sampler._state:
+            calls += 1
+            if calls == 4:
+                raise KeyboardInterrupt
+
+    if compiled is None:
+        monkeypatch.setattr(sampler, "_python_walk", interrupting, raising=False)
+    else:
+        monkeypatch.setattr(chain, "_walk_kernel", lambda: interrupting)
+
+
+class InterruptingTable(array):
+    """An acceptance table whose ``reads``-th read raises as Ctrl-C would."""
+
+    def __getitem__(self, index):
+        self.reads -= 1
+        if self.reads == 0:
+            raise KeyboardInterrupt
+        return super().__getitem__(index)
+
+
+def interrupt_a_table_read(sampler, monkeypatch):
+    """Make the Python kernel's 1999th read of the acceptance table raise,
+    in the middle of a kernel call: the 15th step of the 125th of a loop of
+    16-step walks."""
+    table = InterruptingTable("d", sampler._accept)
+    table.reads = 1999
+    monkeypatch.setattr(sampler, "_accept", table)
+
+
+INTERRUPTS = {
+    "refill": interrupt_the_fourth_refill,
+    "refill-return": functools.partial(interrupt_the_fourth_refill, refilled=True),
+    "kernel-return": interrupt_the_fourth_kernel_return,
+    "table-read": interrupt_a_table_read,
+}
+
+
+@pytest.mark.parametrize(
+    "walk_kernel, interrupt",
+    [
+        ("compiled", "refill"),
+        ("python", "refill"),
+        ("compiled", "refill-return"),
+        ("python", "refill-return"),
+        ("compiled", "kernel-return"),
+        ("python", "kernel-return"),
+        ("python", "table-read"),
+    ],
+    indirect=["walk_kernel"],
+)
+def test_interrupted_walk_keeps_the_steps_and_samples_it_took(walk_kernel, interrupt, monkeypatch):
+    # An exception raised while walk runs leaves the sampler exactly where
+    # its kernels last stored it, with the samples taken so far counted and
+    # nothing carried into the next tally: in a long tally, in a loop of
+    # 16-step walks and in a loop of single steps.
     m = banded_matrix(5)
     wt = mixed_weights(m, -0.7)
-
-    def sampler_and_twin():
-        return (
-            ChainSampler(wt, find_perfect_matching(m), BufferedDraws(3, 5, buffer_size=50))
-            for _ in range(2)
-        )
 
     def assert_same_chain(sampler, twin):
         assert sampler_state(sampler) == sampler_state(twin)
         assert draw_positions(sampler.draws) == draw_positions(twin.draws)
         sampler.state().validate()
 
-    sampler, twin = sampler_and_twin()
-    interrupt_the_fourth_refill(sampler.draws)
-    with pytest.raises(KeyboardInterrupt):
+    def tally(sampler):
         sampler.tally(3, 1_000)
-    taken = sampler.steps_taken
-    assert 0 < taken < 3_000
-    twin.spacing = 3
-    twin.walk(taken)
-    twin.spacing = 0
-    assert sampler.counts == twin.counts
-    assert_same_chain(sampler, twin)
-    sampler.walk(100)
-    twin.walk(100)
-    samples = sampler.tally(3, 100)
-    assert samples == twin.tally(3, 100)
-    assert sum(count for _, _, count in samples) == 100
-    assert_same_chain(sampler, twin)
 
-    sampler, twin = sampler_and_twin()
-    interrupt_the_fourth_refill(sampler.draws)
-    with pytest.raises(KeyboardInterrupt):
-        for _ in range(300):
-            sampler.walk(10)
-    taken = sampler.steps_taken
-    assert 0 < taken < 3_000
-    twin.walk(taken)
-    assert_same_chain(sampler, twin)
-    for _ in range(10):
-        sampler.walk(10)
-        twin.walk(10)
+    def walk_16(sampler):
+        for _ in range(200):
+            sampler.walk(16)
+
+    def walk_1(sampler):
+        for _ in range(3_000):
+            sampler.walk(1)
+
+    for run, spacing in [(tally, 3), (walk_16, 0), (walk_1, 0)]:
+        sampler, twin = (
+            ChainSampler(wt, find_perfect_matching(m), BufferedDraws(3, 5, buffer_size=50))
+            for _ in range(2)
+        )
+        INTERRUPTS[interrupt](sampler, monkeypatch)
+        with pytest.raises(KeyboardInterrupt):
+            run(sampler)
+        taken = sampler.steps_taken
+        assert 0 < taken < 3_000
+        twin.spacing = spacing
+        twin.walk(taken)
+        twin.spacing = 0
+        assert sampler.counts == twin.counts
+        if interrupt in ("refill-return", "table-read"):
+            # The sampler has refilled a buffer, or given up a Python kernel
+            # call that came right after a refill, which the twin, stopping
+            # earlier, has not made yet: the draw positions agree once both
+            # draw further.
+            assert sampler_state(sampler) == sampler_state(twin)
+            sampler.state().validate()
+        else:
+            assert_same_chain(sampler, twin)
+        sampler.walk(500)
+        twin.walk(500)
         assert_same_chain(sampler, twin)
-
-
-def test_interrupted_compiled_walk_keeps_the_steps_and_samples_it_took():
-    if chain._walk_kernel() is None:
-        pytest.skip("the compiled walk kernel cannot be built or loaded here")
-    check_interrupted_walk_keeps_the_steps_and_samples_it_took()
-
-
-def test_interrupted_walk_keeps_the_steps_and_samples_it_took_on_python_walk(python_walk):
-    check_interrupted_walk_keeps_the_steps_and_samples_it_took()
+        samples = sampler.tally(3, 100)
+        assert samples == twin.tally(3, 100)
+        assert sum(count for _, _, count in samples) == 100
+        for _ in range(10):
+            sampler.walk(10)
+            twin.walk(10)
+            assert_same_chain(sampler, twin)
 
 
 def test_buffered_draws_refuse_an_empty_buffer():

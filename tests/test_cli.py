@@ -234,6 +234,34 @@ def test_bad_trials_config_prints_one_line(tmp_path, capsys, config, message):
     assert not results.exists()
 
 
+@pytest.mark.parametrize(
+    "manifest, message",
+    [
+        ({"schema_version": "1"}, "manifest.json: expected an object with a 'matrices' list"),
+        ([1, 2], "manifest.json: expected an object with a 'matrices' list"),
+        (
+            {"matrices": [{"n": 4}]},
+            "manifest.json, matrices entry 0: expected an object with a string 'path', got {'n': 4}",
+        ),
+        ("{", "manifest.json: Expecting property name"),
+    ],
+    ids=["no-matrices", "not-an-object", "entry-without-path", "not-json"],
+)
+def test_bad_manifest_prints_one_line(tmp_path, capsys, manifest, message):
+    path = tmp_path / "manifest.json"
+    path.write_text(manifest if isinstance(manifest, str) else json.dumps(manifest))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"epsilon": 0.5}))
+    results = tmp_path / "results.jsonl"
+    code, out, err = run_cli(capsys, "trials", str(path), str(config), "--out", str(results))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("permlab: error: manifest ")
+    assert message in err
+    assert err.count("\n") == 1
+    assert not results.exists()
+
+
 def test_bad_relax_argument(tmp_path, capsys):
     path = tmp_path / "zero.pmat"
     save_matrix(Matrix.from_rows([[0] * 4] * 4), path)

@@ -3,16 +3,9 @@ import random
 
 import pytest
 
-from permlab import (
-    Matrix,
-    generate_random,
-    gray_code_subsets,
-    parse_matrix,
-    permanent_naive,
-    permanent_ryser,
-)
+from permlab import Matrix, generate_random, parse_matrix, permanent_naive, permanent_ryser
 from permlab import exact
-from permlab.exact import KERNEL_LIMIT
+from permlab.exact import KERNEL_LIMIT, gray_code_subsets
 
 FIG = parse_matrix("3\n101\n110\n101\n")
 

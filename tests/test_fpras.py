@@ -4,31 +4,27 @@ import math
 import pytest
 
 from permlab import (
-    ChainSampler,
-    Matching,
     Matrix,
-    PhaseStats,
     RelaxationFactors,
-    WeightTable,
-    apply_relaxation,
     compute_params,
     estimate_permanent,
-    exact_stationary,
-    final_refinement,
-    find_perfect_matching,
     generate_random,
     parse_matrix,
     permanent_ryser,
-    phase_ratio,
-    phase_schedule,
-    run_phase,
-    update_weights,
 )
+from permlab.chain import ChainSampler, WeightTable, exact_stationary
 from permlab.fpras import (
     PhaseFailure,
+    PhaseStats,
     estimate_from_exact_distribution,
+    final_refinement,
+    phase_ratio,
+    run_phase,
     run_schedule,
+    update_weights,
 )
+from permlab.matrix import Matching, find_perfect_matching
+from permlab.params import apply_relaxation, phase_schedule
 from permlab.rng import BufferedDraws
 
 FIG = parse_matrix("3\n101\n110\n101\n")

@@ -9,6 +9,7 @@ from permlab import (
     TrialConfig,
     TrialResult,
     aggregate,
+    estimate_permanent,
     generate_suite,
     load_matrix,
     permanent_naive,
@@ -180,6 +181,10 @@ def test_run_trial_failure_records(tmp_path):
     assert result.estimate == -1.0
     assert result.rel_error is None
     assert result.within_bound is None
+    # Every failed trial says why: here the phase the estimator stopped in.
+    estimate = estimate_permanent(m, 0.5, RELAX_FAST_FAIL, 1)
+    assert result.error == f"phase {estimate.failed_phase}: {estimate.failure_reason}"
+    assert result.error.startswith("phase ")
 
 
 def test_run_trial_unreadable_file():
@@ -204,7 +209,9 @@ def test_undersized_instance_fails_without_losing_the_batch(tmp_path):
     assert small.estimate == -1.0
     assert small.exact == permanent_naive(load_matrix(configs[0].matrix_path))
     assert small.error == "parameter formulas require n >= 4, got 3"
-    assert large.error is None
+    # The n = 4 trial ran; at these settings its run ends in a phase failure.
+    assert large.steps_taken > 0
+    assert large.error.startswith("phase ")
 
 
 def test_zero_permanent_trial_is_benign(tmp_path):

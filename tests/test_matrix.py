@@ -1,15 +1,14 @@
 import pytest
 
 from permlab import (
-    Matching,
     Matrix,
     MatrixParseError,
-    find_perfect_matching,
     generate_random,
     parse_matrix,
     permanent_naive,
     serialize_matrix,
 )
+from permlab.matrix import Matching, find_perfect_matching
 
 FIG_TEXT = "3\n101\n110\n101\n"
 

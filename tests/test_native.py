@@ -35,3 +35,24 @@ def test_kernels_are_none_when_the_cache_cannot_be_written(tmp_path, monkeypatch
     monkeypatch.setenv("HOME", str(home))
     monkeypatch.setattr(_native, "library", _native.load_library)
     assert [lookup() for lookup in kernel_lookups()] == [None, None, None]
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc) on PATH")
+def test_a_library_deleted_before_its_load_is_built_again(tmp_path, monkeypatch):
+    # Another checkout's build deletes the libraries of other sources, and
+    # may do so between library_path finding this one and the load.
+    monkeypatch.setenv("HOME", str(tmp_path))
+    library_path = _native.library_path
+    found = []
+
+    def deleted_once_found():
+        path = library_path()
+        if not found:
+            path.unlink()
+        found.append(path)
+        return path
+
+    monkeypatch.setattr(_native, "library_path", deleted_once_found)
+    assert _native.load_library() is not None
+    assert len(found) == 2
+    assert found[1].exists()

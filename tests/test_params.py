@@ -3,15 +3,15 @@ import math
 
 import pytest
 
-from permlab import (
-    RelaxationFactors,
+from permlab import RelaxationFactors, compute_params
+from permlab.params import (
+    LN2,
     apply_relaxation,
-    compute_params,
+    log_factorial,
     phase_count_closed_form,
     phase_schedule,
     state_space_size,
 )
-from permlab.params import LN2, log_factorial
 
 # Per-phase sample counts at epsilon = 0.5, pinned regression values.
 SAMPLES_PHASE = {4: 259_304, 6: 626_657, 8: 1_134_468, 10: 1_739_520}
