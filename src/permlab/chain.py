@@ -46,10 +46,6 @@ from .matrix import Matching, Matrix
 from .rng import BufferedDraws
 
 
-class StationaryConvergenceError(RuntimeError):
-    """Power iteration failed to reach the requested residual."""
-
-
 @dataclass(frozen=True)
 class WeightTable:
     """Activity and hole weights for one annealing stage, in log space.
@@ -138,12 +134,14 @@ def step(state: Matching, wt: WeightTable, draws: BufferedDraws) -> Matching:
     return state
 
 
-def enumerate_states(n: int) -> list[Matching]:
+@functools.cache
+def enumerate_states(n: int) -> tuple[Matching, ...]:
     """Every perfect and near-perfect matching of K_{n,n}, in canonical order.
 
     There are n! perfect matchings and n^2 * (n-1)! near-perfect ones, or
     (n+1)! states in total. States are keyed by their row-assignment tuple
-    (-1 marking the hole row) and returned in sorted key order.
+    (-1 marking the hole row) and returned in sorted key order. The tuple is
+    cached per n: the exact pipeline asks for it once per stage.
     """
     if not 1 <= n <= 6:
         raise ValueError(f"state enumeration is practical only for 1 <= n <= 6, got {n}")
@@ -160,7 +158,7 @@ def enumerate_states(n: int) -> list[Matching]:
                     assignment[u] = v
                 assignments.append(tuple(assignment))
     assignments.sort()
-    return [Matching.from_row_to_col(a) for a in assignments]
+    return tuple(Matching.from_row_to_col(a) for a in assignments)
 
 
 def state_key(state: Matching) -> tuple[int, ...]:
@@ -180,7 +178,7 @@ class _FixedDraw:
         return self.index
 
 
-def build_transition_matrix(n: int, wt: WeightTable) -> tuple[list[Matching], np.ndarray]:
+def build_transition_matrix(n: int, wt: WeightTable) -> tuple[tuple[Matching, ...], np.ndarray]:
     """Explicit transition matrix of ``propose`` plus the acceptance filter.
 
     Each state's proposals come from feeding ``propose`` every equally
@@ -203,29 +201,20 @@ def build_transition_matrix(n: int, wt: WeightTable) -> tuple[list[Matching], np
     return states, matrix
 
 
-def exact_stationary(
-    n: int,
-    wt: WeightTable,
-    residual: float = 1e-12,
-    max_iterations: int = 500_000,
-) -> tuple[list[Matching], np.ndarray]:
-    """Stationary distribution of the enumerated chain by power iteration.
+def exact_stationary(n: int, wt: WeightTable) -> tuple[tuple[Matching, ...], np.ndarray]:
+    """Stationary distribution of the chain: pi(M) = w(M) / Z over the enumerated states.
 
-    Iterates pi <- pi P until the L1 residual drops below ``residual``.
-    Returns the states (in enumeration order) with their probabilities.
+    Every proposal is as likely as its reverse (1/n for a drop and its
+    completion, 1/(2n) for a row or column move and its reverse), so the
+    Metropolis filter makes the chain reversible with respect to w, and
+    irreducibility makes that distribution its only stationary one. The
+    weights are normalised in log space. Returns the states (in enumeration
+    order) with their probabilities.
     """
-    if n > 5:
-        raise ValueError(f"exact stationary distribution is limited to n <= 5, got {n}")
-    states, matrix = build_transition_matrix(n, wt)
-    pi = np.full(len(states), 1.0 / len(states))
-    for _ in range(max_iterations):
-        nxt = pi @ matrix
-        if np.abs(nxt - pi).sum() < residual:
-            return states, nxt
-        pi = nxt
-    raise StationaryConvergenceError(
-        f"no convergence to L1 residual {residual} within {max_iterations} iterations"
-    )
+    states = enumerate_states(n)
+    log_weights = np.array([log_weight(s, wt) for s in states])
+    weights = np.exp(log_weights - log_weights.max())
+    return states, weights / weights.sum()
 
 
 # The acceptance_table entry of a move whose weight ratio is at least 1: it

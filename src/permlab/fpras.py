@@ -318,23 +318,16 @@ def exact_distribution_stats(n: int, wt: WeightTable) -> PhaseStats:
     return stats
 
 
-def exact_distribution_perfect_fraction(n: int, wt: WeightTable) -> float:
-    """Exact stationary mass of instance-perfect matchings."""
-    states, probabilities = exact_stationary(n, wt)
-    mass = 0.0
-    for state, probability in zip(states, probabilities):
-        if state.is_perfect and lambda_edges(state, wt) == 0:
-            mass += float(probability)
-    return mass
-
-
 def estimate_from_exact_distribution(m: Matrix) -> float:
     """Run the full telescoping pipeline on exact distributions.
 
-    For n <= 3 this returns the permanent up to floating-point rounding,
-    exercising the weight-update, ratio, and assembly code with zero
-    sampling noise. An instance with no perfect matching returns 0.0
-    without running the pipeline, as ``estimate_permanent`` does.
+    For n <= 6 (the sizes ``enumerate_states`` lists) this returns the
+    permanent up to floating-point rounding, exercising the weight-update,
+    ratio, and assembly code with zero sampling noise. Y is the exact mass
+    of instance-perfect matchings in the final stage's stats, as
+    ``final_refinement`` reads it from the sampled ones. An instance with
+    no perfect matching returns 0.0 without running the pipeline, as
+    ``estimate_permanent`` does.
     """
     if find_perfect_matching(m) is None:
         return 0.0
@@ -345,7 +338,8 @@ def estimate_from_exact_distribution(m: Matrix) -> float:
         return exact_distribution_stats(n, stage_wt)
 
     def sample_final(stage_wt: WeightTable) -> float:
-        return exact_distribution_perfect_fraction(n, stage_wt)
+        stats = exact_distribution_stats(n, stage_wt)
+        return stats.perfect.get(0, 0.0) / stats.total
 
     log_value, _, _ = run_schedule(wt, phase_schedule(n).lambdas, sample_stage, sample_final)
     return math.exp(log_value)

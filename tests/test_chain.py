@@ -206,13 +206,15 @@ def test_irreducibility():
         assert reach.all()
 
 
-def test_exact_stationary_proportional_to_weights():
-    for n in (2, 3):
+def test_exact_stationary_is_fixed_by_the_transition_matrix():
+    # pi is w / Z in closed form; the explicit matrix of propose and the
+    # acceptance filter must leave it where it is.
+    for n in (2, 3, 4):
         for wt in weight_settings(n):
             states, pi = exact_stationary(n, wt)
-            weights = np.array([math.exp(log_weight(s, wt)) for s in states])
-            expected = weights / weights.sum()
-            assert np.abs(pi - expected).max() < 1e-9
+            matrix_states, matrix = build_transition_matrix(n, wt)
+            assert states == matrix_states
+            assert np.abs(pi @ matrix - pi).sum() < 1e-12
 
 
 def test_exact_stationary_uniform_case():
@@ -220,13 +222,6 @@ def test_exact_stationary_uniform_case():
     states, pi = exact_stationary(2, uniform_table(2))
     assert len(states) == 6
     assert np.abs(pi - 1 / 6).max() < 1e-12
-
-
-def test_exact_stationary_iteration_cap():
-    from permlab.chain import StationaryConvergenceError
-
-    with pytest.raises(StationaryConvergenceError):
-        exact_stationary(2, uniform_table(2), residual=1e-12, max_iterations=0)
 
 
 def test_sampler_matches_reference_step_replay():

@@ -371,6 +371,8 @@ def test_exact_distribution_pipeline_recovers_permanent():
         Matrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
         Matrix.from_rows([[1, 1], [1, 0]]),
         Matrix.from_rows([[1, 1], [0, 0]]),
+        *(generate_random(n, 3 * n * n // 4, seed=n) for n in (4, 5, 6)),
+        Matrix.from_rows([[int(u == v) for v in range(6)] for u in range(6)]),
     ]
     for m in cases:
         expected = permanent_ryser(m)
