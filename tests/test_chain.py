@@ -291,15 +291,10 @@ def golden_trajectory_digest(n):
 
 
 @GOLDEN_TRAJECTORIES
-def test_sampler_state_golden_pin(n, digest):
+def test_sampler_state_golden_pin(n, digest, walk_kernel):
     # Fixes the seed-to-trajectory mapping across refactors and numpy
     # upgrades: a drift in the PCG64 streams or in the move rules changes
     # the hash of the first 10^5 states.
-    assert golden_trajectory_digest(n) == digest
-
-
-@GOLDEN_TRAJECTORIES
-def test_sampler_state_golden_pin_on_python_walk(n, digest, python_walk):
     assert golden_trajectory_digest(n) == digest
 
 

@@ -30,7 +30,7 @@ def test_ryser_known_values():
     assert permanent_ryser(Matrix.from_rows([[0]])) == 0
 
 
-def check_ryser_matches_naive_randomized():
+def test_ryser_matches_naive_randomized(ryser_kernel):
     rng = random.Random(20240817)
     for trial in range(200):
         n = 1 + trial % 8
@@ -39,15 +39,7 @@ def check_ryser_matches_naive_randomized():
         assert permanent_ryser(m) == permanent_naive(m)
 
 
-def test_ryser_matches_naive_randomized():
-    check_ryser_matches_naive_randomized()
-
-
-def test_ryser_matches_naive_randomized_on_python_ryser(python_ryser):
-    check_ryser_matches_naive_randomized()
-
-
-def check_ryser_matches_naive_exhaustive_tiny():
+def test_ryser_matches_naive_exhaustive_tiny(ryser_kernel):
     for n in (1, 2):
         for bits in range(1 << (n * n)):
             rows = tuple(
@@ -57,15 +49,7 @@ def check_ryser_matches_naive_exhaustive_tiny():
             assert permanent_ryser(m) == permanent_naive(m)
 
 
-def test_ryser_matches_naive_exhaustive_tiny():
-    check_ryser_matches_naive_exhaustive_tiny()
-
-
-def test_ryser_matches_naive_exhaustive_tiny_on_python_ryser(python_ryser):
-    check_ryser_matches_naive_exhaustive_tiny()
-
-
-def check_permanent_in_factorial_range():
+def test_permanent_in_factorial_range(ryser_kernel):
     for seed in range(40):
         n = 1 + seed % 7
         m = generate_random(n, (seed * 3) % (n * n + 1), seed=seed)
@@ -73,15 +57,7 @@ def check_permanent_in_factorial_range():
         assert 0 <= value <= math.factorial(n)
 
 
-def test_permanent_in_factorial_range():
-    check_permanent_in_factorial_range()
-
-
-def test_permanent_in_factorial_range_on_python_ryser(python_ryser):
-    check_permanent_in_factorial_range()
-
-
-def check_permanent_invariant_under_permutations():
+def test_permanent_invariant_under_permutations(ryser_kernel):
     rng = random.Random(7)
     for _ in range(30):
         n = rng.randint(2, 6)
@@ -94,14 +70,6 @@ def check_permanent_invariant_under_permutations():
         rng.shuffle(cols)
         permuted = [[row[c] for c in cols] for row in m.rows]
         assert permanent_ryser(Matrix.from_rows(permuted)) == reference
-
-
-def test_permanent_invariant_under_permutations():
-    check_permanent_invariant_under_permutations()
-
-
-def test_permanent_invariant_under_permutations_on_python_ryser(python_ryser):
-    check_permanent_invariant_under_permutations()
 
 
 def compiled_ryser():

@@ -91,7 +91,9 @@ TALLY_TAU = pytest.mark.parametrize("tau_resample", [1, 2, 7])
 TALLY_N = pytest.mark.parametrize("n", [4, 8])
 
 
-def check_tally_matches_per_sample_replay(n, tau_resample):
+@TALLY_TAU
+@TALLY_N
+def test_run_phase_tally_matches_per_sample_replay(n, tau_resample, walk_kernel):
     wt, sampler = make_sampler(banded(n), seed=n + tau_resample, log_lambda=-0.7)
     _, twin = make_sampler(banded(n), seed=n + tau_resample, log_lambda=-0.7)
     stats = run_phase(sampler, 300, tau_resample, 3_000)
@@ -119,18 +121,6 @@ def check_tally_matches_per_sample_replay(n, tau_resample):
     assert 0 < hits < 2_000
     assert final == hits / 2_000
     assert_same_walker(sampler, twin)
-
-
-@TALLY_TAU
-@TALLY_N
-def test_run_phase_tally_matches_per_sample_replay(n, tau_resample):
-    check_tally_matches_per_sample_replay(n, tau_resample)
-
-
-@TALLY_TAU
-@TALLY_N
-def test_run_phase_tally_matches_per_sample_replay_on_python_walk(n, tau_resample, python_walk):
-    check_tally_matches_per_sample_replay(n, tau_resample)
 
 
 def test_walk_makes_every_step_whatever_the_spacing():
