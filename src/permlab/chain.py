@@ -202,7 +202,7 @@ def build_transition_matrix(n: int, wt: WeightTable) -> tuple[tuple[Matching, ..
 
 
 def exact_stationary(n: int, wt: WeightTable) -> tuple[tuple[Matching, ...], np.ndarray]:
-    """Stationary distribution of the chain: pi(M) = w(M) / Z over the enumerated states.
+    """Stationary distribution pi(M) = w(M) / Z of the enumerated chain.
 
     Every proposal is as likely as its reverse (1/n for a drop and its
     completion, 1/(2n) for a row or column move and its reverse), so the

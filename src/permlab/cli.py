@@ -174,7 +174,10 @@ def cmd_crossover(args) -> int:
 
 def cmd_trials(args) -> int:
     with open(args.config, "r", encoding="ascii") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"trials config {args.config}: {exc}") from None
     entries = raw if isinstance(raw, list) else [raw]
     configs = []
     for index, entry in enumerate(entries):

@@ -199,6 +199,8 @@ def test_domain_errors_print_one_line(tmp_path, capsys, command, text, message):
         ({"epsilon": 2}, "entry 0, key 'epsilon': must be in (0, 1], got 2"),
         ([{"epsilon": 0.5}, {"epsilon": 0.5, "seed": 1.5}], "entry 1, key 'seed': must be an int"),
         ({"epsilon": 0.5, "label": 3}, "entry 0, key 'label': must be a string"),
+        ("nope", "config.json: Expecting value"),
+        ('{"epsilon": 0.5, "label": "\u00e9"}', "config.json: 'ascii' codec can't decode"),
     ],
     ids=[
         "missing-epsilon",
@@ -211,6 +213,8 @@ def test_domain_errors_print_one_line(tmp_path, capsys, command, text, message):
         "epsilon-out-of-range",
         "seed-float",
         "label-int",
+        "not-json",
+        "not-ascii",
     ],
 )
 def test_bad_trials_config_prints_one_line(tmp_path, capsys, config, message):
@@ -221,7 +225,7 @@ def test_bad_trials_config_prints_one_line(tmp_path, capsys, config, message):
         "--seed", "17", "--out", str(suite),
     )
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
+    path.write_text(config if isinstance(config, str) else json.dumps(config), encoding="utf-8")
     results = tmp_path / "results.jsonl"
     code, out, err = run_cli(
         capsys, "trials", str(suite / "manifest.json"), str(path), "--out", str(results)
