@@ -10,13 +10,17 @@
  * below it. Both kernels compare the same doubles, so every acceptance
  * decision is the same on both.
  *
- * A kernel takes `left` steps, and never refills a draw buffer. When the
- * next draw it needs is in an empty buffer it stops before that step, sets
- * `need`, and stores the state back with the steps still to take in
- * `left`; ChainSampler.walk, the one caller of both kernels, refills that
- * buffer and calls again. A step whose proposal draw has been read but
- * whose acceptance draw is missing is abandoned whole: the proposal draw is
- * read again on the next call.
+ * The struct points at the three draw blocks of a BufferedDraws, each of
+ * `size` draws, and at its `positions`: the read positions in the edge,
+ * vertex and unit blocks, which have no other store. The blocks are refilled
+ * in place, so these pointers never change. A kernel takes `left` steps,
+ * and never refills a block. When the next draw it needs is in a used-up
+ * block it stops before that step, sets `need`, and stores the state and
+ * the positions back with the steps still to take in `left`;
+ * ChainSampler.walk, the one caller of both kernels, refills that block and
+ * calls again. A step whose proposal draw has been read but whose
+ * acceptance draw is missing is abandoned whole: the proposal draw is read
+ * again on the next call.
  */
 #include <stdint.h>
 
@@ -27,13 +31,13 @@ typedef struct {
     const int64_t *edge;  /* n * n instance matrix, row-major, 0 or 1 */
     const double *accept; /* 2 n^2 + 6 n^3 acceptance entries */
     int64_t *r2c, *c2r;   /* assignments, -1 at the hole row and column */
-    const int64_t *ebuf, *vbuf;
+    const int64_t *ebuf, *vbuf; /* the draw blocks */
     const double *ubuf;
-    int64_t elen, vlen, ulen;
+    int64_t size;         /* draws per block */
+    int64_t *pos;         /* read positions in ebuf, vbuf and ubuf */
     /* The fields from left to countdown move on every call; they are
      * adjacent so that the Python kernel moves them in one struct call. */
     int64_t left;         /* steps still to take */
-    int64_t epos, vpos, upos;
     int64_t hu, hv, k;    /* hole (hu < 0 when perfect), non-instance pairs */
     /* Steps to the next tallied sample, then `spacing` again; negative
      * while nothing is tallied. */
@@ -57,8 +61,8 @@ void walk(walk_state *s)
     int64_t hu = s->hu, hv = s->hv, k = s->k;
     const int64_t *ebuf = s->ebuf, *vbuf = s->vbuf;
     const double *ubuf = s->ubuf;
-    const int64_t elen = s->elen, vlen = s->vlen, ulen = s->ulen;
-    int64_t epos = s->epos, vpos = s->vpos, upos = s->upos;
+    const int64_t size = s->size;
+    int64_t epos = s->pos[0], vpos = s->pos[1], upos = s->pos[2];
     const int64_t spacing = s->spacing;
     int64_t countdown = s->countdown;
     int64_t *counts = s->counts, *seen = s->seen;
@@ -70,7 +74,7 @@ void walk(walk_state *s)
         double ratio;
         if (hu < 0) {
             /* Perfect: drop a uniformly chosen matched pair (x, z). */
-            if (epos >= elen) {
+            if (epos >= size) {
                 s->need = NEED_EDGE;
                 break;
             }
@@ -80,7 +84,7 @@ void walk(walk_state *s)
             dk = edge[x * n + z] - 1;
             ratio = drops[x * n + z];
         } else {
-            if (vpos >= vlen) {
+            if (vpos >= size) {
                 s->need = NEED_VERT;
                 break;
             }
@@ -110,7 +114,7 @@ void walk(walk_state *s)
         if (ratio < 0.0) {
             accept = 1;
         } else {
-            if (upos >= ulen) {
+            if (upos >= size) {
                 s->need = NEED_UNIT;
                 break;
             }
@@ -158,9 +162,9 @@ void walk(walk_state *s)
     s->hu = hu;
     s->hv = hv;
     s->k = k;
-    s->epos = epos;
-    s->vpos = vpos;
-    s->upos = upos;
+    s->pos[0] = epos;
+    s->pos[1] = vpos;
+    s->pos[2] = upos;
     s->countdown = countdown;
     s->nseen = nseen;
     s->left = steps;

@@ -35,6 +35,7 @@ import ctypes
 import functools
 import itertools
 import math
+import operator
 import struct
 from array import array
 from dataclasses import dataclass
@@ -271,7 +272,8 @@ class _WalkState(ctypes.Structure):
     """The ``walk_state`` struct of _walk.c, which both walk kernels read and
     write; with the arrays it points into, ChainSampler's only store of the
     acceptance table, the matching, the hole, the non-instance pair count and
-    the tally."""
+    the tally. It points at the three draw blocks of a ``BufferedDraws`` and
+    at its ``positions``, which never move."""
 
     _fields_ = [
         ("n", ctypes.c_int64),
@@ -282,13 +284,9 @@ class _WalkState(ctypes.Structure):
         ("ebuf", ctypes.c_void_p),
         ("vbuf", ctypes.c_void_p),
         ("ubuf", ctypes.c_void_p),
-        ("elen", ctypes.c_int64),
-        ("vlen", ctypes.c_int64),
-        ("ulen", ctypes.c_int64),
+        ("size", ctypes.c_int64),
+        ("pos", ctypes.c_void_p),
         ("left", ctypes.c_int64),
-        ("epos", ctypes.c_int64),
-        ("vpos", ctypes.c_int64),
-        ("upos", ctypes.c_int64),
         ("hu", ctypes.c_int64),
         ("hv", ctypes.c_int64),
         ("k", ctypes.c_int64),
@@ -303,13 +301,11 @@ class _WalkState(ctypes.Structure):
 
 # The fields from left to countdown, which every kernel call moves: adjacent
 # int64s, so that one struct call reads or writes them all (ctypes takes a
-# call per field). The three after left are the draw positions.
-_MOVED = struct.Struct("8q")
+# call per field).
+_MOVED = struct.Struct("5q")
 _MOVED_AT = _WalkState.left.offset
-_POSITIONS = struct.Struct("3q")
-_POSITIONS_AT = _WalkState.epos.offset
 
-# The NEED_* values of _walk.c: the buffer a stopped kernel needs refilled.
+# The NEED_* values of _walk.c: the block a stopped kernel needs refilled.
 _NEED_EDGE, _NEED_VERT, _NEED_UNIT = 0, 1, 2
 
 
@@ -343,20 +339,22 @@ class ChainSampler:
     ``walk`` is one loop over two kernels with one contract: the compiled
     ``walk`` of _walk.c when it can be built and loaded, and otherwise
     ``_python_walk``, which takes the same steps on the same draws, bit for
-    bit. A kernel takes the struct, with the steps left in it, reads the draw
-    buffers bound into the struct and never refills one: before a step whose
-    next draw is in an empty buffer, it sets ``need`` and stores the state
-    and the steps still to take back into the struct (an already-read
-    proposal draw stays unconsumed). ``walk`` then calls the
-    ``BufferedDraws`` refill itself and resumes the kernel, so refills happen
-    lazily, in consumption order, from ``walk``'s own frame, and control
-    comes back to the interpreter (signals, Ctrl-C) at least once per buffer.
+    bit. The struct points, once, at the draw blocks of the ``BufferedDraws``
+    and at its ``positions``: the blocks are refilled in place and never
+    move. A kernel takes the struct, with the steps left in it, and never
+    refills a block: before a step whose next draw is in a used-up block, it
+    sets ``need`` and stores the state, the positions and the steps still to
+    take (an already-read proposal draw stays unconsumed). ``walk`` then
+    calls the ``BufferedDraws`` refill itself and resumes the kernel, so
+    refills happen lazily, in consumption order, from ``walk``'s own frame,
+    and control comes back to the interpreter (signals, Ctrl-C) at least
+    once per block.
 
-    An exception raised while ``walk`` runs leaves the sampler at the steps
-    and samples its kernels have stored: ``walk`` takes ``steps_taken`` and
-    the draw positions from the struct as it unwinds. The Python kernel
-    stores its work once, after its step loop, so an exception inside that
-    loop leaves the sampler as the call found it; only one during that final
+    An exception raised while ``walk`` runs leaves the sampler at the steps,
+    draws and samples its kernels have stored: ``walk`` takes
+    ``steps_taken`` from the struct as it unwinds. The Python kernel stores
+    its work once, after its step loop, so an exception inside that loop
+    leaves the sampler as the call found it; only one during that final
     store can leave it part-written.
     """
 
@@ -383,13 +381,16 @@ class ChainSampler:
         self._tallies = array("q", bytes(8 * (n * n + 1) * (n + 1)))
         self._seen = array("q", self._tallies)
         # The arrays the struct points into stay exported through _pinned, so
-        # none can be resized or freed under it.
-        arrays = (self._edges, self._accept, self.row_to_col, self.col_to_row, self._tallies, self._seen)
-        self._pinned = [_native.pin(a) for a in arrays]
-        st.edge, st.accept, st.r2c, st.c2r, st.counts, st.seen = map(ctypes.addressof, self._pinned)
-        # The draw buffers bound into the struct, and the Python kernel's list
-        # copies of them with the buffers they were made from.
-        self._buffers = self._listed = (None, None, None)
+        # none can be resized or freed under it; the draw blocks stay
+        # exported through their views in draws.
+        arrays = self._edges, self._accept, self.row_to_col, self.col_to_row, self._tallies, self._seen
+        self._pinned = [_native.pin(a) for a in (*arrays, draws.positions)]
+        st.edge, st.accept, st.r2c, st.c2r, st.counts, st.seen, st.pos = map(ctypes.addressof, self._pinned)
+        st.ebuf, st.vbuf, st.ubuf = map(_native.address, (draws.edge_buf, draws.vert_buf, draws.unit_buf))
+        st.size = draws.size
+        # The Python kernel's list copies of the draw blocks, with the views
+        # they were made from.
+        self._listed = (None, None, None)
         self._lists = ([], [], [])
 
     @property
@@ -468,40 +469,16 @@ class ChainSampler:
         st = self._state
         kernel = _walk_kernel() or self._python_walk
         st.left = steps
-        self._bind_draws()
         try:
-            while True:
-                kernel(st)
-                if st.left <= 0:
-                    return
-                draws.edge_pos, draws.vert_pos, draws.unit_pos = _POSITIONS.unpack_from(st, _POSITIONS_AT)
+            kernel(st)
+            while st.left > 0:
                 (draws.refill_edge, draws.refill_vert, draws.refill_unit)[st.need]()
-                self._bind_draws()
+                kernel(st)
         finally:
-            # The struct holds the steps and draws that the kernels have
-            # taken, also when an exception cut this loop short (a signal
-            # handler run as a kernel call returns, a refill that raises).
-            # Its draw positions hold for the buffers it points at.
+            # The struct holds the steps that the kernels have taken, also
+            # when an exception cut this loop short (a signal handler run as
+            # a kernel call returns, a refill that raises).
             self.steps_taken += steps - st.left
-            if self._bound():
-                draws.edge_pos, draws.vert_pos, draws.unit_pos = _POSITIONS.unpack_from(st, _POSITIONS_AT)
-
-    def _bound(self) -> bool:
-        """Whether the struct points at every draw buffer of ``draws``."""
-        draws, (edge, vert, unit) = self.draws, self._buffers
-        return draws.edge_buf is edge and draws.vert_buf is vert and draws.unit_buf is unit
-
-    def _bind_draws(self) -> None:
-        """Point the struct at the draw buffers and positions of ``draws``."""
-        draws, st = self.draws, self._state
-        _POSITIONS.pack_into(st, _POSITIONS_AT, draws.edge_pos, draws.vert_pos, draws.unit_pos)
-        if not self._bound():
-            buffers = draws.edge_buf, draws.vert_buf, draws.unit_buf
-            st.ebuf, st.vbuf, st.ubuf = map(_native.address, buffers)
-            st.elen, st.vlen, st.ulen = map(len, buffers)
-            # Last: until the struct points at the new buffers, this keeps
-            # the old ones alive.
-            self._buffers = buffers
 
     def _python_walk(self, st: _WalkState) -> None:
         """The ``walk`` of _walk.c in Python: the same contract, step for step.
@@ -511,15 +488,21 @@ class ChainSampler:
         after it. So an exception raised inside the loop leaves the sampler
         as the call found it.
         """
-        left, ei, vi, ui, hu, hv, k, countdown = _MOVED.unpack_from(st, _MOVED_AT)
+        left, hu, hv, k, countdown = _MOVED.unpack_from(st, _MOVED_AT)
         if left <= 0:
             return
-        buffers = self._buffers
-        if buffers is not self._listed:
-            # Each draw buffer is copied once.
+        draws = self.draws
+        size = draws.size
+        positions = draws.positions
+        ei, vi, ui = positions
+        buffers = draws.edge_buf, draws.vert_buf, draws.unit_buf
+        if any(map(operator.is_not, buffers, self._listed)):
+            # Each refill makes a new view of its block, which is listed
+            # once. A used-up block is read no more until a refill, which
+            # makes a new view, so it is not listed.
             self._lists = tuple(
-                copy if buffer is listed else buffer.tolist()
-                for buffer, listed, copy in zip(buffers, self._listed, self._lists)
+                copy if buffer is listed else buffer.tolist() if position < size else []
+                for buffer, listed, copy, position in zip(buffers, self._listed, self._lists, positions)
             )
             self._listed = buffers
         ebuf, vbuf, ubuf = self._lists
@@ -617,13 +600,13 @@ class ChainSampler:
                     samples[key] = count(key, 0) + 1
                     mark += spacing
         except IndexError:
-            # A draw buffer ran dry: stop before this step, which has
+            # A draw block is used up: stop before this step, which has
             # consumed no draw yet.
-            if hu < 0 and ei == len(ebuf):
+            if hu < 0 and ei == size:
                 st.need = _NEED_EDGE
-            elif hu >= 0 and vi == len(vbuf):
+            elif hu >= 0 and vi == size:
                 st.need = _NEED_VERT
-            elif ui == len(ubuf):
+            elif ui == size:
                 st.need = _NEED_UNIT
             else:
                 raise
@@ -632,7 +615,8 @@ class ChainSampler:
 
         self.row_to_col[:] = array("q", r2c)
         self.col_to_row[:] = array("q", c2r)
-        _MOVED.pack_into(st, _MOVED_AT, left - taken, ei, vi, ui, hu, hv, k, mark + 1 - taken)
+        positions[0], positions[1], positions[2] = ei, vi, ui
+        _MOVED.pack_into(st, _MOVED_AT, left - taken, hu, hv, k, mark + 1 - taken)
         tallies, seen, nseen = self._tallies, self._seen, st.nseen
         for key, added in samples.items():
             if tallies[key] == 0:

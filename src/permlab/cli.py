@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="JSON object or list: epsilon, relax, seed, label")
     p.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=None,
         help="worker processes; default from PERMLAB_WORKERS, else 1",
     )

@@ -34,10 +34,11 @@ from __future__ import annotations
 import math
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .chain import ChainSampler, WeightTable, exact_stationary, lambda_edges
+from .chain import ChainSampler, WeightTable, enumerate_states, lambda_edges
 from .matrix import Matrix, find_perfect_matching
 from .params import (
     RelaxationFactors,
@@ -305,16 +306,35 @@ def estimate_permanent(
     )
 
 
-def exact_distribution_stats(n: int, wt: WeightTable) -> PhaseStats:
+def state_classes(wt: WeightTable) -> Counter[tuple[tuple[int, int] | None, int]]:
+    """The number of enumerated states in each (hole or None, k) class.
+
+    k, the count of non-instance pairs, depends only on the instance, so the
+    exact pipeline counts the classes once and reuses them at every stage.
+    """
+    return Counter((state.hole, lambda_edges(state, wt)) for state in enumerate_states(wt.n))
+
+
+def exact_distribution_stats(wt: WeightTable, classes: Counter) -> PhaseStats:
     """PhaseStats holding the exact stationary distribution as weights.
 
-    Substituting this for sampled statistics makes the telescoping product
-    exact, which checks the estimator's plumbing without stochastics.
+    Every state of a (hole, k) class has the weight lambda^k * w(hole), so a
+    class's mass is its ``state_classes`` count times that weight; the
+    masses are normalised in log space, as ``exact_stationary`` normalises
+    the states'. Substituting this for sampled statistics makes the
+    telescoping product exact, which checks the estimator's plumbing
+    without stochastics.
     """
-    states, probabilities = exact_stationary(n, wt)
-    stats = PhaseStats(n)
-    for state, probability in zip(states, probabilities):
-        stats.record(state.hole, lambda_edges(state, wt), float(probability))
+    log_masses = [
+        math.log(count) + k * wt.log_lambda + (0.0 if hole is None else wt.hole_log_w(*hole))
+        for (hole, k), count in classes.items()
+    ]
+    top = max(log_masses)
+    masses = [math.exp(log_mass - top) for log_mass in log_masses]
+    total = sum(masses)
+    stats = PhaseStats(wt.n)
+    for (hole, k), mass in zip(classes, masses):
+        stats.record(hole, k, mass / total)
     return stats
 
 
@@ -331,15 +351,15 @@ def estimate_from_exact_distribution(m: Matrix) -> float:
     """
     if find_perfect_matching(m) is None:
         return 0.0
-    n = m.n
     wt = WeightTable.initial(m)
+    classes = state_classes(wt)
 
     def sample_stage(stage_wt: WeightTable) -> PhaseStats:
-        return exact_distribution_stats(n, stage_wt)
+        return exact_distribution_stats(stage_wt, classes)
 
     def sample_final(stage_wt: WeightTable) -> float:
-        stats = exact_distribution_stats(n, stage_wt)
+        stats = exact_distribution_stats(stage_wt, classes)
         return stats.perfect.get(0, 0.0) / stats.total
 
-    log_value, _, _ = run_schedule(wt, phase_schedule(n).lambdas, sample_stage, sample_final)
+    log_value, _, _ = run_schedule(wt, phase_schedule(m.n).lambdas, sample_stage, sample_final)
     return math.exp(log_value)

@@ -231,15 +231,19 @@ def write_results(results: Iterable[TrialResult], path) -> int:
 
 
 def read_results(path) -> list[TrialResult]:
-    out = []
     with open(path, "r", encoding="ascii") as fh:
-        for number, line in enumerate(fh, 1):
-            line = line.strip()
-            if line:
-                try:
-                    out.append(TrialResult.from_json(line))
-                except ValueError as exc:
-                    raise ValueError(f"{path}, line {number}: {exc}") from None
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    out = []
+    for number, line in enumerate(text.split("\n"), 1):
+        line = line.strip()
+        if line:
+            try:
+                out.append(TrialResult.from_json(line))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {number}: {exc}") from None
     return out
 
 

@@ -144,7 +144,11 @@ def serialize_matrix(m: Matrix) -> str:
 
 def load_matrix(path) -> Matrix:
     with open(path, "r", encoding="ascii") as fh:
-        return parse_matrix(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    return parse_matrix(text)
 
 
 def save_matrix(m: Matrix, path) -> None:

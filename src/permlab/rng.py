@@ -9,8 +9,10 @@ the current matching is perfect, a vertex index uniform on [0, 2n) when it is
 near-perfect, and a unit float for the acceptance filter (drawn only when the
 proposal ratio is below 1). ``BufferedDraws`` pre-generates each kind in
 blocks, which makes per-step cost small while keeping the consumed stream a
-pure function of the seed. The blocks are fresh int64 and float64 arrays,
-kept as memoryviews, which the sampler's compiled kernel reads in place.
+pure function of the seed. Each kind has one int64 or float64 block,
+allocated once and refilled in place, so it never moves: the sampler points
+its compiled kernel at the blocks, and at the three read positions in
+``BufferedDraws.positions``, once.
 
 The blocks come from one of two sources that give the same values, bit for
 bit. Where the compiled kernels load (see _native.py), ``fill_bounded`` and
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+from array import array
 
 import numpy as np
 
@@ -68,10 +71,14 @@ def _words(value: int) -> tuple[int, int]:
 class BufferedDraws:
     """Three block-buffered draw streams over one seeded PCG64 generator.
 
-    Each buffer is a memoryview of a fresh int64 or float64 array, with a
-    read position; indexing it yields a Python ``int`` or ``float`` without
-    copying the block. Refills happen lazily in consumption order, so a
-    trajectory is a deterministic function of (seed, n, start state).
+    Each stream reads one block of ``size`` int64 or float64 draws, which
+    never moves: a refill rewrites it in place. The read positions in the
+    edge, vertex and unit blocks are the three slots of ``positions``, their
+    only store. A refill returns a new memoryview of its block, also kept as
+    ``edge_buf``, ``vert_buf`` or ``unit_buf``; indexing it yields a Python
+    ``int`` or ``float`` without copying the block. Refills happen lazily in
+    consumption order, so a trajectory is a deterministic function of
+    (seed, n, start state).
     """
 
     def __init__(self, seed: int, n: int, buffer_size: int = _BUFFER_SIZE):
@@ -97,65 +104,63 @@ class BufferedDraws:
                 state["has_uint32"],
                 state["uinteger"],
             )
-        # Empty buffers with pos 0 trigger a lazy refill on first use.
-        self.edge_buf = memoryview(np.empty(0, dtype=np.int64))
-        self.edge_pos = 0
-        self.vert_buf = memoryview(np.empty(0, dtype=np.int64))
-        self.vert_pos = 0
-        self.unit_buf = memoryview(np.empty(0, dtype=np.float64))
-        self.unit_pos = 0
+        self.edge_buf = memoryview(np.empty(buffer_size, dtype=np.int64))
+        self.vert_buf = memoryview(np.empty(buffer_size, dtype=np.int64))
+        self.unit_buf = memoryview(np.empty(buffer_size, dtype=np.float64))
+        # Every block starts used up, which triggers a lazy refill on first use.
+        self.positions = array("q", [buffer_size] * 3)
 
-    def _bounded(self, high: int) -> memoryview:
-        """A fresh block of ``integers(0, high)``."""
+    edge_pos = property(lambda self: self.positions[0])
+    vert_pos = property(lambda self: self.positions[1])
+    unit_pos = property(lambda self: self.positions[2])
+
+    def _bounded(self, block: np.ndarray, high: int) -> memoryview:
+        """Refill ``block`` with ``integers(0, high)``; a new view of it."""
         if self._kernels is None:
-            return memoryview(self._gen.integers(0, high, size=self.size))
-        block = np.empty(self.size, dtype=np.int64)
-        self._kernels[0](self._pcg, high, block.ctypes.data, self.size)
+            block[:] = self._gen.integers(0, high, size=self.size)
+        else:
+            self._kernels[0](self._pcg, high, block.ctypes.data, self.size)
         return memoryview(block)
 
     def refill_edge(self) -> memoryview:
-        self.edge_buf = self._bounded(self.n)
-        self.edge_pos = 0
+        self.edge_buf = self._bounded(self.edge_buf.obj, self.n)
+        self.positions[0] = 0
         return self.edge_buf
 
     def refill_vert(self) -> memoryview:
-        self.vert_buf = self._bounded(2 * self.n)
-        self.vert_pos = 0
+        self.vert_buf = self._bounded(self.vert_buf.obj, 2 * self.n)
+        self.positions[1] = 0
         return self.vert_buf
 
     def refill_unit(self) -> memoryview:
+        block = self.unit_buf.obj
         if self._kernels is None:
-            block = self._gen.random(size=self.size)
+            self._gen.random(out=block)
         else:
-            block = np.empty(self.size, dtype=np.float64)
             self._kernels[1](self._pcg, block.ctypes.data, self.size)
         self.unit_buf = memoryview(block)
-        self.unit_pos = 0
+        self.positions[2] = 0
         return self.unit_buf
+
+    def _next(self, slot: int, buffer: memoryview, refill):
+        """The draw at ``positions[slot]`` of ``buffer``, refilled first when used up."""
+        position = self.positions[slot]
+        if position >= self.size:
+            buffer, position = refill(), 0
+        self.positions[slot] = position + 1
+        return buffer[position]
 
     def edge_index(self) -> int:
         """Uniform index over the n matched edges of a perfect matching."""
-        if self.edge_pos >= len(self.edge_buf):
-            self.refill_edge()
-        value = self.edge_buf[self.edge_pos]
-        self.edge_pos += 1
-        return value
+        return self._next(0, self.edge_buf, self.refill_edge)
 
     def vertex_index(self) -> int:
         """Uniform index over the 2n vertices; values < n are rows."""
-        if self.vert_pos >= len(self.vert_buf):
-            self.refill_vert()
-        value = self.vert_buf[self.vert_pos]
-        self.vert_pos += 1
-        return value
+        return self._next(1, self.vert_buf, self.refill_vert)
 
     def unit(self) -> float:
         """Uniform float in [0, 1) for the acceptance filter."""
-        if self.unit_pos >= len(self.unit_buf):
-            self.refill_unit()
-        value = self.unit_buf[self.unit_pos]
-        self.unit_pos += 1
-        return value
+        return self._next(2, self.unit_buf, self.refill_unit)
 
 
 def generator(seed: int) -> np.random.Generator:

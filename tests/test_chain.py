@@ -370,6 +370,9 @@ def test_compiled_walk_matches_python_walk(n, monkeypatch):
     compiled = [walk_fingerprint(n, *setting) for setting in settings]
     monkeypatch.setattr(chain, "_walk_kernel", lambda: None)
     assert [walk_fingerprint(n, *setting) for setting in settings] == compiled
+    # A host without cc runs the Python kernel on draws that numpy fills.
+    monkeypatch.setattr("permlab.rng._refill_kernels", lambda: None)
+    assert [walk_fingerprint(n, *setting) for setting in settings] == compiled
 
 
 def interrupt_the_fourth_refill(sampler, monkeypatch, refilled=False):

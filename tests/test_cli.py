@@ -157,6 +157,8 @@ def test_trials_and_report_subcommands(tmp_path, capsys):
             "line 2: n must be int, got 'x'; seed must be int, got True; "
             "estimate must be float, got '9'",
         ),
+        (["report"], '{"n": 4}\n{"label": "\u00e9"}\n', "input.pmat: 'ascii' codec can't decode"),
+        (["exact"], "3\n101\n1\u00e90\n101\n", "input.pmat: 'ascii' codec can't decode"),
     ],
     ids=[
         "malformed",
@@ -166,12 +168,14 @@ def test_trials_and_report_subcommands(tmp_path, capsys):
         "report-not-object",
         "report-unknown-key",
         "report-wrong-types",
+        "report-not-ascii",
+        "exact-not-ascii",
     ],
 )
 def test_domain_errors_print_one_line(tmp_path, capsys, command, text, message):
     path = tmp_path / "input.pmat"
     if text is not None:
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
     code, out, err = run_cli(capsys, command[0], str(path), *command[1:])
     assert code == 1
     assert out == ""
@@ -308,3 +312,14 @@ def test_bad_gen_count_or_size(tmp_path, capsys, option, value, message):
     assert info.value.code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "suite").exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_bad_trials_workers_argument(tmp_path, capsys, workers):
+    results = tmp_path / "results.jsonl"
+    with pytest.raises(SystemExit) as info:
+        main(["trials", "manifest.json", "config.json", "--workers", workers, "--out", str(results)])
+    assert info.value.code == 2
+    message = f"argument --workers: value must be a positive integer, got '{workers}'"
+    assert message in capsys.readouterr().err
+    assert not results.exists()

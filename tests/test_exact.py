@@ -49,21 +49,12 @@ def test_ryser_matches_naive_exhaustive_tiny(ryser_kernel):
             assert permanent_ryser(m) == permanent_naive(m)
 
 
-def check_permanent_in_factorial_range():
+def test_permanent_in_factorial_range(ryser_kernel):
     for seed in range(40):
         n = 1 + seed % 7
         m = generate_random(n, (seed * 3) % (n * n + 1), seed=seed)
         value = permanent_ryser(m)
         assert 0 <= value <= math.factorial(n)
-
-
-def test_permanent_in_factorial_range():
-    check_permanent_in_factorial_range()
-
-
-def test_permanent_in_factorial_range_on_python_ryser(monkeypatch):
-    monkeypatch.setattr(exact, "_ryser_kernel", lambda: None)
-    check_permanent_in_factorial_range()
 
 
 def test_permanent_invariant_under_permutations(ryser_kernel):

@@ -12,19 +12,21 @@ from permlab import (
     parse_matrix,
     permanent_ryser,
 )
-from permlab.chain import ChainSampler, WeightTable, exact_stationary
+from permlab.chain import ChainSampler, WeightTable, exact_stationary, lambda_edges
 from permlab.fpras import (
     PhaseFailure,
     PhaseStats,
     estimate_from_exact_distribution,
+    exact_distribution_stats,
     final_refinement,
     phase_ratio,
     run_phase,
     run_schedule,
+    state_classes,
     update_weights,
 )
 from permlab.matrix import Matching, find_perfect_matching
-from permlab.params import apply_relaxation, phase_schedule
+from permlab.params import apply_relaxation, log_factorial, phase_schedule
 from permlab.rng import BufferedDraws
 
 FIG = parse_matrix("3\n101\n110\n101\n")
@@ -367,3 +369,22 @@ def test_exact_distribution_pipeline_recovers_permanent():
     for m in cases:
         expected = permanent_ryser(m)
         assert estimate_from_exact_distribution(m) == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_class_stats_match_the_stationary_state_sums(n):
+    # The (hole, k) class masses equal the sums of exact_stationary over the
+    # states of each class, with non-instance pairs and unequal hole weights.
+    m = generate_random(n, 3 * n * n // 4, seed=n)
+    wt = WeightTable.initial(m).with_updates(
+        log_lambda=-log_factorial(n) / 2, log_w=[2 * math.sin(3 * i) for i in range(n * n)]
+    )
+    expected = PhaseStats(n)
+    for state, probability in zip(*exact_stationary(n, wt)):
+        expected.record(state.hole, lambda_edges(state, wt), float(probability))
+    stats = exact_distribution_stats(wt, state_classes(wt))
+    assert stats.perfect == pytest.approx(expected.perfect, rel=1e-12, abs=0.0)
+    assert stats.holes.keys() == expected.holes.keys()
+    for hole, table in stats.holes.items():
+        assert table == pytest.approx(expected.holes[hole], rel=1e-12, abs=0.0)
+    assert stats.total == pytest.approx(1.0, rel=1e-12)

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from permlab import rng
+from permlab import _native, rng
 from permlab.rng import BufferedDraws
 
 # Every ordered pair of refill kinds (edge, vertex, unit) appears in this
@@ -33,10 +33,24 @@ def test_compiled_refills_match_the_numpy_generator(n, buffer_size, monkeypatch)
 
 
 def test_every_refill_returns_a_new_buffer():
-    # walk rebinds its kernel's buffers when a buffer object changes.
+    # The Python walk kernel lists a block again when its view changes.
     draws = BufferedDraws(0, 3, buffer_size=4)
     for refill in (draws.refill_edge, draws.refill_vert, draws.refill_unit):
         assert refill() is not refill()
+
+
+@pytest.mark.parametrize("fills", ["compiled", "numpy"])
+def test_refills_rewrite_their_blocks_in_place(fills, monkeypatch):
+    # A sampler points its kernel at each block once, when it is made.
+    if fills == "numpy":
+        monkeypatch.setattr(rng, "_refill_kernels", lambda: None)
+    elif rng._refill_kernels() is None:
+        pytest.skip("the compiled refill kernels cannot be built or loaded here")
+    draws = BufferedDraws(0, 3, buffer_size=4)
+    for kind in ("edge", "vert", "unit"):
+        address = _native.address(getattr(draws, f"{kind}_buf"))
+        for _ in range(3):
+            assert _native.address(getattr(draws, f"refill_{kind}")()) == address
 
 
 def test_buffered_draws_refuse_an_n_out_of_range():
