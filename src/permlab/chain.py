@@ -39,12 +39,14 @@ import operator
 import struct
 from array import array
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import _native
 from .matrix import Matching, Matrix
 from .rng import BufferedDraws
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -186,6 +188,8 @@ def build_transition_matrix(n: int, wt: WeightTable) -> tuple[tuple[Matching, ..
     likely draw: the n edge indices from a perfect matching, the 2n vertex
     indices from a near-perfect one.
     """
+    import numpy as np
+
     states = enumerate_states(n)
     index = {state_key(s): i for i, s in enumerate(states)}
     size = len(states)
@@ -212,6 +216,8 @@ def exact_stationary(n: int, wt: WeightTable) -> tuple[tuple[Matching, ...], np.
     weights are normalised in log space. Returns the states (in enumeration
     order) with their probabilities.
     """
+    import numpy as np
+
     states = enumerate_states(n)
     log_weights = np.array([log_weight(s, wt) for s in states])
     weights = np.exp(log_weights - log_weights.max())
@@ -246,6 +252,8 @@ def acceptance_table(wt: WeightTable) -> array:
     ones do. exp is libm's, through ``math.exp``, and is never evaluated at
     delta >= 0, where it could overflow.
     """
+    import numpy as np
+
     n = wt.n
     log_lambda = wt.log_lambda
     log_w = np.array(wt.log_w, dtype=np.float64).reshape(n, n)

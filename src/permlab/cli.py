@@ -90,6 +90,16 @@ def _positive_int(text: str, what: str = "value") -> int:
     return value
 
 
+def _parse_seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a nonnegative integer, got {text!r}")
+    return value
+
+
 def _parse_sizes(text: str) -> list[int]:
     return [_positive_int(part, "size") for part in text.split(",")]
 
@@ -173,6 +183,9 @@ def cmd_crossover(args) -> int:
 
 
 def cmd_trials(args) -> int:
+    # Resolved here, not in run_trials, so that a bad PERMLAB_WORKERS stops
+    # the command before write_results creates --out.
+    workers = args.workers or default_workers()
     with open(args.config, "r", encoding="ascii") as fh:
         try:
             raw = json.load(fh)
@@ -193,6 +206,10 @@ def cmd_trials(args) -> int:
             value = entry.get(key)
             if key in entry and (isinstance(value, bool) or not isinstance(value, kind)):
                 raise ValueError(f"{where}, key {key!r}: must be {what}, got {value!r}")
+        if entry.get("seed", 0) < 0:
+            raise ValueError(
+                f"{where}, key 'seed': must be a nonnegative integer, got {entry['seed']!r}"
+            )
         if not 0 < entry["epsilon"] <= 1:
             raise ValueError(f"{where}, key 'epsilon': must be in (0, 1], got {entry['epsilon']!r}")
         try:
@@ -208,7 +225,7 @@ def cmd_trials(args) -> int:
                 label=entry.get("label", ""),
             )
         )
-    count = write_results(run_trials(configs, workers=args.workers), args.out)
+    count = write_results(run_trials(configs, workers=workers), args.out)
     _emit({"trials": count, "out": args.out})
     return 0
 
@@ -242,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--count", type=_positive_int, default=10, help="instances per (size, density) cell"
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_parse_seed, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_gen)
 
@@ -259,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=RelaxationFactors.identity(),
         help="four divisors: s_phase,t_phase,s_final,t_final",
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_parse_seed, default=0)
     p.add_argument("--quiet", action="store_true", help="suppress stage progress on stderr")
     p.set_defaults(func=cmd_estimate)
 

@@ -10,6 +10,8 @@ reference totals confirm the refinement stage is included.
 
 from __future__ import annotations
 
+import math
+
 from .params import compute_params
 
 CROSSOVER_SCAN_LIMIT = 10_000
@@ -51,6 +53,7 @@ def crossover(epsilon: float) -> int:
 
 def projected_time(steps: int, steps_per_second: float) -> float:
     """Runtime in Julian years (365.25 days) at the given stepping rate."""
-    if steps_per_second <= 0:
-        raise ValueError("steps_per_second must be positive")
+    # NaN fails both comparisons; neither NaN nor inf has a JSON spelling.
+    if not 0 < steps_per_second < math.inf:
+        raise ValueError(f"steps_per_second must be positive and finite, got {steps_per_second!r}")
     return steps / steps_per_second / SECONDS_PER_JULIAN_YEAR

@@ -43,13 +43,17 @@ WORKERS_ENV_VAR = "PERMLAB_WORKERS"
 
 
 def default_workers() -> int:
+    """The worker count in ``PERMLAB_WORKERS``: 1 when it is unset or empty."""
     value = os.environ.get(WORKERS_ENV_VAR)
-    if value:
-        try:
-            return max(1, int(value))
-        except ValueError:
-            pass
-    return 1
+    if not value:
+        return 1
+    try:
+        workers = int(value)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"{WORKERS_ENV_VAR} must be a positive integer, got {value!r}")
+    return workers
 
 
 @dataclass(frozen=True)

@@ -20,18 +20,23 @@ bit. Where the compiled kernels load (see _native.py), ``fill_bounded`` and
 ``Generator.integers(0, high)`` and ``Generator.random()`` algorithms,
 working on a copy of the seeded ``np.random.PCG64``'s state. Otherwise the
 numpy ``Generator`` itself fills them; it is also the oracle the C port is
-tested against.
+tested against. numpy is imported when the first ``BufferedDraws`` or
+``generator`` is made, not with this module, so commands that draw nothing
+never load it.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import numbers
 from array import array
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import _native
+
+if TYPE_CHECKING:
+    import numpy as np
 
 RNG_ALGORITHM = "pcg64"
 
@@ -64,6 +69,16 @@ def _refill_kernels():
     return bounded, _native.kernel("fill_unit", None, state, ctypes.c_void_p, ctypes.c_int64)
 
 
+def _check_seed(seed: int) -> None:
+    """Refuse a seed that is not a nonnegative integer, naming it.
+
+    numpy's ``PCG64`` refuses a negative seed without naming it, and takes
+    None for fresh entropy, which would make a run irreproducible.
+    """
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+
+
 def _words(value: int) -> tuple[int, int]:
     return value & (1 << 64) - 1, value >> 64
 
@@ -88,6 +103,9 @@ class BufferedDraws:
         if buffer_size < 1:
             # An empty refill would leave walk resuming forever.
             raise ValueError(f"buffer_size must be >= 1, got {buffer_size}")
+        _check_seed(seed)
+        import numpy as np
+
         self.n = n
         self.size = buffer_size
         bit_generator = np.random.PCG64(seed)
@@ -165,4 +183,7 @@ class BufferedDraws:
 
 def generator(seed: int) -> np.random.Generator:
     """A plain seeded generator for non-chain uses (matrix generation)."""
+    _check_seed(seed)
+    import numpy as np
+
     return np.random.Generator(np.random.PCG64(seed))

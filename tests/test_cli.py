@@ -203,6 +203,10 @@ def test_domain_errors_print_one_line(tmp_path, capsys, command, text, message):
         ({"epsilon": 2}, "entry 0, key 'epsilon': must be in (0, 1], got 2"),
         ([{"epsilon": 0.5}, {"epsilon": 0.5, "seed": 1.5}], "entry 1, key 'seed': must be an int"),
         ({"epsilon": 0.5, "label": 3}, "entry 0, key 'label': must be a string"),
+        (
+            {"epsilon": 0.5, "seed": -2},
+            "entry 0, key 'seed': must be a nonnegative integer, got -2",
+        ),
         ("nope", "config.json: Expecting value"),
         ('{"epsilon": 0.5, "label": "\u00e9"}', "config.json: 'ascii' codec can't decode"),
     ],
@@ -217,6 +221,7 @@ def test_domain_errors_print_one_line(tmp_path, capsys, command, text, message):
         "epsilon-out-of-range",
         "seed-float",
         "label-int",
+        "seed-negative",
         "not-json",
         "not-ascii",
     ],
@@ -323,3 +328,51 @@ def test_bad_trials_workers_argument(tmp_path, capsys, workers):
     message = f"argument --workers: value must be a positive integer, got '{workers}'"
     assert message in capsys.readouterr().err
     assert not results.exists()
+
+
+@pytest.mark.parametrize("workers", ["abc", "0", "-2"])
+def test_bad_workers_variable_prints_one_line(tmp_path, capsys, monkeypatch, workers):
+    suite = tmp_path / "suite"
+    run_cli(
+        capsys,
+        "gen", "--sizes", "4", "--densities", "3/4", "--count", "1",
+        "--seed", "17", "--out", str(suite),
+    )
+    config = tmp_path / "config.json"
+    # A relax whose trial fails in its first phase, so a run that ignored the
+    # variable would end soon, with a results file.
+    config.write_text(json.dumps({"epsilon": 0.5, "relax": [300000, 1, 300000, 1]}))
+    results = tmp_path / "results.jsonl"
+    monkeypatch.setenv("PERMLAB_WORKERS", workers)
+    code, out, err = run_cli(
+        capsys, "trials", str(suite / "manifest.json"), str(config), "--out", str(results)
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"permlab: error: PERMLAB_WORKERS must be a positive integer, got '{workers}'\n"
+    assert not results.exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "gen"])
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_bad_seed_argument(tmp_path, capsys, command, seed):
+    path = tmp_path / "zero.pmat"
+    save_matrix(Matrix.from_rows([[0] * 4] * 4), path)
+    argv = {
+        "estimate": ["estimate", str(path), "--quiet"],
+        "gen": ["gen", "--sizes", "4", "--out", str(tmp_path / "suite")],
+    }[command]
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--seed", seed])
+    assert info.value.code == 2
+    message = f"argument --seed: seed must be a nonnegative integer, got '{seed}'"
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "suite").exists()
+
+
+@pytest.mark.parametrize("rate", ["nan", "inf", "-inf"])
+def test_feasibility_refuses_a_rate_that_is_not_finite(capsys, rate):
+    code, out, err = run_cli(capsys, "feasibility", "--n", "68", f"--rate={rate}")
+    assert code == 1
+    assert out == ""
+    assert err == f"permlab: error: steps_per_second must be positive and finite, got {rate}\n"

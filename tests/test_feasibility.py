@@ -54,6 +54,12 @@ def test_projected_time_unit():
         projected_time(100, 0)
 
 
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"), float("-inf")])
+def test_projected_time_refuses_a_rate_that_is_not_finite(rate):
+    with pytest.raises(ValueError, match=f"must be positive and finite, got {rate}"):
+        projected_time(100, rate)
+
+
 def test_ryser_ops():
     assert ryser_ops(4) == 64
     assert ryser_ops(1) == 2

@@ -17,7 +17,9 @@ from permlab import (
     save_matrix,
 )
 from permlab.harness import (
+    WORKERS_ENV_VAR,
     configs_from_manifest,
+    default_workers,
     ones_for_density,
     read_results,
     relative_error,
@@ -251,6 +253,23 @@ def test_parallel_matches_serial(tmp_path):
     serial = [_strip_wall(r) for r in run_trials(configs, workers=1)]
     parallel = [_strip_wall(r) for r in run_trials(configs, workers=3)]
     assert serial == parallel
+
+
+@pytest.mark.parametrize("value, workers", [(None, 1), ("", 1), ("3", 3)])
+def test_default_workers_reads_the_environment(monkeypatch, value, workers):
+    if value is None:
+        monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
+    else:
+        monkeypatch.setenv(WORKERS_ENV_VAR, value)
+    assert default_workers() == workers
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_default_workers_refuses_a_bad_value(monkeypatch, value):
+    monkeypatch.setenv(WORKERS_ENV_VAR, value)
+    message = f"PERMLAB_WORKERS must be a positive integer, got '{value}'"
+    with pytest.raises(ValueError, match=message):
+        default_workers()
 
 
 def test_results_jsonl_round_trip(tmp_path):
