@@ -79,12 +79,11 @@ def library_path() -> Path:
     finally:
         if os.path.exists(partial):
             os.unlink(partial)
-    # Delete the libraries of other sources, walk-*.so among them (the walk
-    # kernel's library before the kernels shared one): this checkout never
-    # loads them again. A process that loaded one keeps its mapping, and a
-    # checkout with those sources rebuilds once. A *.partial file may belong
-    # to a build still running, so it stays.
-    for stale in [*cache.glob("permlab-*.so"), *cache.glob("walk-*.so")]:
+    # Delete the libraries of other sources: this checkout never loads them
+    # again. A process that loaded one keeps its mapping, and a checkout with
+    # those sources rebuilds once. A *.partial file may belong to a build
+    # still running, so it stays.
+    for stale in cache.glob("permlab-*.so"):
         if stale != library:
             stale.unlink(missing_ok=True)
     return library

@@ -63,11 +63,11 @@ class WeightTable:
     edge_present: tuple[int, ...]
 
     @classmethod
-    def initial(cls, m: Matrix, log_lambda: float = 0.0) -> "WeightTable":
+    def initial(cls, m: Matrix) -> "WeightTable":
         """Starting table: every hole weight n, activity 1."""
         n = m.n
         flat_edges = tuple(cell for row in m.rows for cell in row)
-        return cls(n, log_lambda, tuple([math.log(n)] * (n * n)), flat_edges)
+        return cls(n, 0.0, tuple([math.log(n)] * (n * n)), flat_edges)
 
     def with_updates(self, log_lambda: float | None = None, log_w=None) -> "WeightTable":
         return WeightTable(
@@ -377,7 +377,9 @@ class ChainSampler:
         hu, hv = (-1, -1) if start.hole is None else start.hole
         st = self._state = _WalkState(n=n, hu=hu, hv=hv, countdown=-1)
         self._edges = array("q", wt.edge_present)
-        self._accept = array("d", bytes(8 * (2 * n * n + 6 * n**3)))
+        # The first set_weights sizes the acceptance table before it is
+        # pinned below; later stages rewrite it in place.
+        self._accept = array("d")
         self.set_weights(wt)
         st.k = lambda_edges(start, wt)
         self.row_to_col = array("q", start.row_to_col())

@@ -28,6 +28,7 @@ from .exact import permanent_ryser
 from .fpras import estimate_permanent
 from .harness import (
     SCHEMA_VERSION,
+    _json_value_fits,
     aggregate,
     configs_from_manifest,
     default_workers,
@@ -42,12 +43,13 @@ from .params import RelaxationFactors, compute_params
 from .rng import RNG_ALGORITHM
 
 # Keys of one trials config entry; only epsilon is required. The scalar keys
-# have the types below; relax is checked by RelaxationFactors.from_sequence.
+# have the JSON types below, checked as TrialResult's fields are; relax is
+# checked by RelaxationFactors.from_sequence.
 TRIAL_KEYS = ("epsilon", "relax", "seed", "label")
 TRIAL_TYPES = (
-    ("epsilon", (int, float), "a number"),
-    ("seed", int, "an int"),
-    ("label", str, "a string"),
+    ("epsilon", "float", "a number"),
+    ("seed", "int", "an int"),
+    ("label", "str", "a string"),
 )
 
 
@@ -202,10 +204,9 @@ def cmd_trials(args) -> int:
                 raise ValueError(f"{where}, key {key!r}: unknown; keys are {', '.join(TRIAL_KEYS)}")
         if "epsilon" not in entry:
             raise ValueError(f"{where}, key 'epsilon': required")
-        for key, kind, what in TRIAL_TYPES:
-            value = entry.get(key)
-            if key in entry and (isinstance(value, bool) or not isinstance(value, kind)):
-                raise ValueError(f"{where}, key {key!r}: must be {what}, got {value!r}")
+        for key, annotation, what in TRIAL_TYPES:
+            if key in entry and not _json_value_fits(entry[key], annotation):
+                raise ValueError(f"{where}, key {key!r}: must be {what}, got {entry[key]!r}")
         if entry.get("seed", 0) < 0:
             raise ValueError(
                 f"{where}, key 'seed': must be a nonnegative integer, got {entry['seed']!r}"
@@ -233,7 +234,7 @@ def cmd_trials(args) -> int:
 def cmd_report(args) -> int:
     rows = aggregate(read_results(args.results))
     for row in rows:
-        _emit(row.to_dict())
+        _emit(dataclasses.asdict(row))
     if args.csv:
         write_summary_csv(rows, args.csv)
     return 0

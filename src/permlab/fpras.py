@@ -70,7 +70,6 @@ class PhaseStats:
     exact distribution can stand in for sampled frequencies.
     """
 
-    n: int
     perfect: dict[int, float] = field(default_factory=dict)
     holes: dict[tuple[int, int], dict[int, float]] = field(default_factory=dict)
     total: float = 0.0
@@ -127,7 +126,7 @@ def run_phase(
     returns the compressed sample table. The sampler is left standing on
     the final state, which seeds the next stage.
     """
-    stats = PhaseStats(sampler.n)
+    stats = PhaseStats()
     sampler.walk(tau_init)
     for hole, k, count in sampler.tally(tau_resample, num_samples):
         stats.record(hole, k, float(count))
@@ -332,7 +331,7 @@ def exact_distribution_stats(wt: WeightTable, classes: Counter) -> PhaseStats:
     top = max(log_masses)
     masses = [math.exp(log_mass - top) for log_mass in log_masses]
     total = sum(masses)
-    stats = PhaseStats(wt.n)
+    stats = PhaseStats()
     for (hole, k), mass in zip(classes, masses):
         stats.record(hole, k, mass / total)
     return stats

@@ -3,12 +3,15 @@
 A suite is a directory of .pmat files plus a JSON manifest recording each
 instance's seed, ones count, and exact permanent. Trials pair a matrix with
 an error bound, relaxation factors, and a seed; each trial computes the
-exact permanent (Ryser), runs the estimator, and emits one TrialResult. A
-trial whose matrix cannot be read, whose instance the estimator rejects, or
-whose run ends in a PhaseFailure yields a failed TrialResult with ``error``
-set, and the batch goes on.
+exact permanent (Ryser), runs the estimator, and emits one TrialResult,
+built in one place for every outcome. A trial whose matrix cannot be read,
+whose instance or epsilon the estimator rejects, or whose run ends in a
+PhaseFailure has no estimate: its record has ``failed`` set, estimate -1.0,
+``rel_error`` and ``within_bound`` None and ``error`` saying why, and the
+batch goes on.
 Results persist as JSON Lines, one record per line, written afresh on each
-run; a CSV export serves table-building.
+run; a CSV export, whose columns are SummaryRow's fields, serves
+table-building.
 
 Error accounting: a trial's relative error is max(estimate/exact,
 exact/estimate) - 1, the multiplicative form matching the estimator's
@@ -33,7 +36,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .exact import permanent_ryser
 from .fpras import estimate_permanent
-from .matrix import Matrix, generate_random, load_matrix, save_matrix
+from .matrix import generate_random, load_matrix, save_matrix
 from .params import RelaxationFactors
 from .rng import RNG_ALGORITHM
 
@@ -149,60 +152,44 @@ def within_multiplicative_bound(estimate: float, exact: int, epsilon: float) -> 
     return exact / bound <= est <= exact * bound
 
 
-def _failed_trial(
-    config: TrialConfig, error: str, m: Matrix | None = None, exact: int = 0
-) -> TrialResult:
-    """Record for a trial that produced no estimate."""
+def run_single_trial(config: TrialConfig) -> TrialResult:
+    """One matrix: exact permanent, then a timed estimator run.
+
+    Every outcome is one record. A trial without an estimate has estimate
+    -1.0, ``failed`` set and ``error`` saying why; its steps and wall time
+    stay 0 where the estimator was never run or rejected the instance.
+    """
+    m, exact, value, steps, wall, error = None, 0, -1.0, 0, 0.0, None
+    try:
+        m = load_matrix(config.matrix_path)
+    except (OSError, ValueError) as exc:
+        error = f"unreadable matrix: {exc}"
+    else:
+        exact = permanent_ryser(m)
+        started = time.perf_counter()
+        try:
+            estimate = estimate_permanent(m, config.epsilon, config.relax, config.seed)
+        except ValueError as exc:
+            error = str(exc)
+        else:
+            wall = time.perf_counter() - started
+            value, steps = estimate.value, estimate.steps_taken
+            if estimate.failed:
+                error = f"phase {estimate.failed_phase}: {estimate.failure_reason}"
     return TrialResult(
         n=0 if m is None else m.n,
         ones_count=0 if m is None else m.ones_count(),
         seed=config.seed,
         exact=exact,
-        estimate=-1.0,
-        rel_error=None,
-        failed=True,
-        within_bound=None,
-        steps_taken=0,
-        wall_seconds=0.0,
-        label=config.label,
-        matrix_path=config.matrix_path,
-        error=error,
-    )
-
-
-def run_single_trial(config: TrialConfig) -> TrialResult:
-    """One matrix: exact permanent, then a timed estimator run."""
-    try:
-        m = load_matrix(config.matrix_path)
-    except (OSError, ValueError) as exc:
-        return _failed_trial(config, f"unreadable matrix: {exc}")
-    exact = permanent_ryser(m)
-    started = time.perf_counter()
-    try:
-        estimate = estimate_permanent(m, config.epsilon, config.relax, config.seed)
-    except ValueError as exc:
-        return _failed_trial(config, str(exc), m, exact)
-    wall = time.perf_counter() - started
-    return TrialResult(
-        n=m.n,
-        ones_count=m.ones_count(),
-        seed=config.seed,
-        exact=exact,
-        estimate=estimate.value,
-        rel_error=None if estimate.failed else relative_error(estimate.value, exact),
-        failed=estimate.failed,
-        within_bound=(
-            None
-            if estimate.failed
-            else within_multiplicative_bound(estimate.value, exact, config.epsilon)
-        ),
-        steps_taken=estimate.steps_taken,
+        estimate=value,
+        rel_error=relative_error(value, exact),
+        failed=error is not None,
+        within_bound=within_multiplicative_bound(value, exact, config.epsilon),
+        steps_taken=steps,
         wall_seconds=wall,
         label=config.label,
         matrix_path=config.matrix_path,
-        error=(
-            f"phase {estimate.failed_phase}: {estimate.failure_reason}" if estimate.failed else None
-        ),
+        error=error,
     )
 
 
@@ -260,11 +247,6 @@ class SummaryRow:
     failures: int
     mean_wall_seconds: float
 
-    def to_dict(self) -> dict:
-        record = asdict(self)
-        record["schema_version"] = SCHEMA_VERSION
-        return record
-
 
 def aggregate(results: Sequence[TrialResult]) -> list[SummaryRow]:
     """Per-size summary rows in ascending n order.
@@ -298,22 +280,22 @@ def aggregate(results: Sequence[TrialResult]) -> list[SummaryRow]:
 
 
 def write_summary_csv(rows: Sequence[SummaryRow], path) -> None:
+    """One CSV line per row, under a header of SummaryRow's field names.
+
+    None is written as an empty cell and a float with six decimals.
+    """
+    names = [f.name for f in fields(SummaryRow)]
     with open(path, "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["group", "trials", "mean_rel_error", "misestimates", "failures", "mean_wall_seconds"]
-        )
+        writer.writerow(names)
         for row in rows:
-            writer.writerow(
-                [
-                    row.group,
-                    row.trials,
-                    "" if row.mean_rel_error is None else f"{row.mean_rel_error:.6f}",
-                    row.misestimates,
-                    row.failures,
-                    f"{row.mean_wall_seconds:.6f}",
-                ]
-            )
+            writer.writerow([_csv_cell(getattr(row, name)) for name in names])
+
+
+def _csv_cell(value):
+    if value is None:
+        return ""
+    return f"{value:.6f}" if isinstance(value, float) else value
 
 
 def ones_for_density(n: int, numerator: int, denominator: int) -> int:

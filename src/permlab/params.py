@@ -15,6 +15,10 @@ both with epsilon = 0.5):
   and the counting bound. The counting bound uses the exact expression
   9 / ((1 + eps^2/300)^(1/l) - 1), not its large-n simplification; the
   simplified form roughly doubles the requirement and fails the regression.
+  The expression is evaluated as written, not as 9 / expm1(log1p(...)/l),
+  which moves samples_phase in 105 of 464 (n, eps) cells at n = 4..119 and
+  eps in {1, 0.5, 0.25, 0.1}. Where the power rounds to 1 (eps = 1e-5 at
+  n = 68) the bound has no finite value and the epsilon is refused.
 * Inside the weight-estimation bound the failure budget 1/(12*l*(n^2+1))
   enters the logarithm directly, giving 475*(n^2+1)*ln(12*l*(n^2+1)). The
   doubled-budget variant ln(24*l*(n^2+1)) overshoots the pinned totals by a
@@ -215,7 +219,13 @@ def compute_params(n: int, epsilon: float) -> SamplingParams:
     tau_resample_final = math.ceil(poly * math.log(1 / delta_final))
 
     weight_bound = math.ceil(WEIGHT_SAMPLE_CONSTANT * n2p1 * math.log(12 * l * n2p1))
-    counting_bound = math.ceil(9.0 / ((epsilon * epsilon / 300.0 + 1.0) ** (1.0 / l) - 1.0))
+    counting_denominator = (epsilon * epsilon / 300.0 + 1.0) ** (1.0 / l) - 1.0
+    if counting_denominator <= 0:
+        raise ValueError(
+            f"epsilon {epsilon} is too small for n = {n}: (1 + epsilon^2/300)^(1/{l}) "
+            "rounds to 1, so the per-phase counting bound has no finite value"
+        )
+    counting_bound = math.ceil(9.0 / counting_denominator)
     samples_phase = max(weight_bound, counting_bound)
     samples_final = math.ceil((1200 * n * n + 900) / (epsilon * epsilon))
 

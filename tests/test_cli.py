@@ -126,6 +126,7 @@ def test_trials_and_report_subcommands(tmp_path, capsys):
     assert len(rows) == 1
     assert rows[0]["group"] == 4
     assert rows[0]["trials"] == 2
+    assert all(row["schema_version"] == "1" for row in rows)
     assert csv_path.exists()
 
 
@@ -245,6 +246,46 @@ def test_bad_trials_config_prints_one_line(tmp_path, capsys, config, message):
     assert message in err
     assert err.count("\n") == 1
     assert not results.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["feasibility", "--n", "68", "--epsilon", "1e-5"], "epsilon 1e-05 is too small for n = 68"),
+        (["params", "--n", "4", "--epsilon", "1e-7"], "epsilon 1e-07 is too small for n = 4"),
+    ],
+    ids=["feasibility", "params"],
+)
+def test_too_small_epsilon_prints_one_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"permlab: error: {message}: ")
+    assert err.count("\n") == 1
+
+
+def test_too_small_epsilon_fails_each_trial_and_keeps_the_batch(tmp_path, capsys):
+    suite = tmp_path / "suite"
+    run_cli(
+        capsys,
+        "gen", "--sizes", "4", "--densities", "3/4", "--count", "2",
+        "--seed", "17", "--out", str(suite),
+    )
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"epsilon": 1e-9}))
+    results = tmp_path / "results.jsonl"
+    code, out, _ = run_cli(
+        capsys, "trials", str(suite / "manifest.json"), str(config), "--out", str(results)
+    )
+    assert code == 0
+    assert json.loads(out)["trials"] == 2
+    records = [json.loads(line) for line in results.read_text().splitlines()]
+    assert len(records) == 2
+    for record in records:
+        assert record["failed"] is True
+        assert record["estimate"] == -1.0
+        assert record["steps_taken"] == 0
+        assert record["error"].startswith("epsilon 1e-09 is too small for n = 4: ")
 
 
 @pytest.mark.parametrize(

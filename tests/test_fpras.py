@@ -71,7 +71,7 @@ def banded(n):
 
 def replay_run_phase(sampler, tau_init, tau_resample, num_samples):
     # One walk call and one record per sample.
-    stats = PhaseStats(sampler.n)
+    stats = PhaseStats()
     sampler.walk(tau_init)
     for _ in range(num_samples):
         sampler.walk(tau_resample)
@@ -153,7 +153,7 @@ def test_run_phase_hole_frequencies_uniform():
 
 def test_update_weights_equal_counts_is_identity():
     wt = WeightTable.initial(all_ones(2))
-    stats = PhaseStats(2)
+    stats = PhaseStats()
     for _ in range(4):
         stats.record(None, 0)
     for u in range(2):
@@ -165,7 +165,7 @@ def test_update_weights_equal_counts_is_identity():
 
 def test_update_weights_ratio_doubles():
     wt = WeightTable.initial(all_ones(2))
-    stats = PhaseStats(2)
+    stats = PhaseStats()
     stats.record(None, 0, 8.0)
     for u in range(2):
         for v in range(2):
@@ -178,13 +178,13 @@ def test_update_weights_ratio_doubles():
 
 def test_update_weights_failures():
     wt = WeightTable.initial(all_ones(2))
-    no_perfect = PhaseStats(2)
+    no_perfect = PhaseStats()
     for u in range(2):
         for v in range(2):
             no_perfect.record((u, v), 0)
     with pytest.raises(PhaseFailure, match="no perfect"):
         update_weights(no_perfect, wt, phase=7)
-    missing_hole = PhaseStats(2)
+    missing_hole = PhaseStats()
     missing_hole.record(None, 0, 5.0)
     missing_hole.record((0, 0), 0, 5.0)
     with pytest.raises(PhaseFailure) as info:
@@ -194,7 +194,7 @@ def test_update_weights_failures():
 
 def test_phase_ratio_identity_tables():
     wt = WeightTable.initial(all_ones(2))
-    stats = PhaseStats(2)
+    stats = PhaseStats()
     stats.record(None, 1, 3.0)
     stats.record((1, 1), 0, 2.0)
     assert phase_ratio(stats, wt, wt) == pytest.approx(0.0, abs=1e-15)
@@ -203,7 +203,7 @@ def test_phase_ratio_identity_tables():
 def test_phase_ratio_all_perfect_k0_ignores_lambda():
     wt = WeightTable.initial(all_ones(2))
     advanced = wt.with_updates(log_lambda=math.log(0.25))
-    stats = PhaseStats(2)
+    stats = PhaseStats()
     stats.record(None, 0, 10.0)
     assert phase_ratio(stats, wt, advanced) == pytest.approx(0.0, abs=1e-15)
 
@@ -211,7 +211,7 @@ def test_phase_ratio_all_perfect_k0_ignores_lambda():
 def test_phase_ratio_lambda_square_factor():
     wt = WeightTable.initial(all_ones(2))
     halved = wt.with_updates(log_lambda=wt.log_lambda + math.log(0.5))
-    stats = PhaseStats(2)
+    stats = PhaseStats()
     stats.record((0, 0), 2, 1.0)
     assert math.exp(phase_ratio(stats, wt, halved)) == pytest.approx(0.25, rel=1e-12)
 
@@ -379,7 +379,7 @@ def test_class_stats_match_the_stationary_state_sums(n):
     wt = WeightTable.initial(m).with_updates(
         log_lambda=-log_factorial(n) / 2, log_w=[2 * math.sin(3 * i) for i in range(n * n)]
     )
-    expected = PhaseStats(n)
+    expected = PhaseStats()
     for state, probability in zip(*exact_stationary(n, wt)):
         expected.record(state.hole, lambda_edges(state, wt), float(probability))
     stats = exact_distribution_stats(wt, state_classes(wt))

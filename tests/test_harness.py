@@ -194,6 +194,9 @@ def test_run_trial_unreadable_file():
     result = run_single_trial(config)
     assert result.failed
     assert result.error is not None
+    assert result.n == result.ones_count == 0
+    assert result.steps_taken == 0
+    assert result.wall_seconds == 0.0
 
 
 def test_undersized_instance_fails_without_losing_the_batch(tmp_path):
@@ -211,6 +214,8 @@ def test_undersized_instance_fails_without_losing_the_batch(tmp_path):
     assert small.estimate == -1.0
     assert small.exact == permanent_naive(load_matrix(configs[0].matrix_path))
     assert small.error == "parameter formulas require n >= 4, got 3"
+    assert small.steps_taken == 0
+    assert small.wall_seconds == 0.0
     # The n = 4 trial ran; at these settings its run ends in a phase failure.
     assert large.steps_taken > 0
     assert large.error.startswith("phase ")
@@ -284,12 +289,22 @@ def test_results_jsonl_round_trip(tmp_path):
 
 
 def test_summary_csv(tmp_path):
-    rows = aggregate([make_result(), make_result(n=6)])
+    # The n = 6 group holds only a failed trial, so its mean error is None.
+    results = [
+        make_result(),
+        make_result(rel_error=0.125, within_bound=False, wall_seconds=0.25),
+        make_result(
+            n=6, estimate=-1.0, rel_error=None, failed=True, within_bound=None,
+            steps_taken=0, wall_seconds=0.0, error="phase 0: no perfect samples",
+        ),
+    ]
     out = tmp_path / "summary.csv"
-    write_summary_csv(rows, out)
-    text = out.read_text().splitlines()
-    assert text[0].startswith("group,")
-    assert len(text) == 3
+    write_summary_csv(aggregate(results), out)
+    assert out.read_bytes() == (
+        b"group,trials,mean_rel_error,misestimates,failures,mean_wall_seconds\r\n"
+        b"4,2,0.093750,1,0,0.375000\r\n"
+        b"6,1,,0,1,0.000000\r\n"
+    )
 
 
 def test_configs_from_manifest(tmp_path):

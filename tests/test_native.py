@@ -21,7 +21,7 @@ def test_compiled_kernels_build_and_load_from_one_library(tmp_path, monkeypatch)
     monkeypatch.setattr(_native, "library", _native.load_library)
     cache = tmp_path / ".cache" / "permlab"
     cache.mkdir(mode=0o700, parents=True)
-    for name in ("permlab-" + "0" * 32 + ".so", "walk-" + "0" * 32 + ".so", "tmp1234.partial"):
+    for name in ("permlab-" + "0" * 32 + ".so", "tmp1234.partial"):
         (cache / name).write_bytes(b"")
     assert all(lookup() is not None for lookup in kernel_lookups())
     assert stat.S_IMODE(cache.stat().st_mode) == 0o700

@@ -100,6 +100,9 @@ def test_domain_errors():
         compute_params(4, 0.0)
     with pytest.raises(ValueError):
         compute_params(4, 1.5)
+    # (1 + eps^2/300)^(1/l) rounds to 1, so the counting bound would divide by 0.
+    with pytest.raises(ValueError, match="epsilon 1e-07 is too small for n = 4"):
+        compute_params(4, 1e-7)
 
 
 def test_delta_phase_upper_bound():
