@@ -13,7 +13,9 @@ Subcommands:
 
 Every JSON document printed or written carries a schema_version field. Bad
 input (an unreadable or malformed file, an unsupported size) prints one
-``permlab: error: ...`` line on stderr and exits with status 1.
+``permlab: error: ...`` line on stderr and exits with status 1. A stdout
+whose reader has gone (``permlab params --n 4 | head -c 50``) also exits
+with status 1, with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from . import feasibility as feas
@@ -39,7 +42,7 @@ from .harness import (
     write_summary_csv,
 )
 from .matrix import load_matrix
-from .params import RelaxationFactors, compute_params
+from .params import RelaxationFactors, check_epsilon, compute_params
 from .rng import RNG_ALGORITHM
 
 # Keys of one trials config entry; only epsilon is required. The scalar keys
@@ -211,8 +214,7 @@ def cmd_trials(args) -> int:
             raise ValueError(
                 f"{where}, key 'seed': must be a nonnegative integer, got {entry['seed']!r}"
             )
-        if not 0 < entry["epsilon"] <= 1:
-            raise ValueError(f"{where}, key 'epsilon': must be in (0, 1], got {entry['epsilon']!r}")
+        check_epsilon(entry["epsilon"], f"{where}, key 'epsilon':")
         try:
             relax = RelaxationFactors.from_sequence(entry.get("relax", [1, 1, 1, 1]))
         except ValueError as exc:
@@ -319,7 +321,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        # Flushed here, so that a closed stdout raises below and not at exit.
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader of stdout is gone (`permlab params ... | head -c 50`),
+        # which says nothing about the input: no error line. stdout now
+        # points at devnull, so the flush at exit raises nothing either.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (OSError, ValueError) as exc:
         # MatrixParseError is a ValueError; it names the offending line.
         print(f"permlab: error: {exc}", file=sys.stderr)

@@ -37,7 +37,7 @@ from typing import Iterable, Iterator, Sequence
 from .exact import permanent_ryser
 from .fpras import estimate_permanent
 from .matrix import generate_random, load_matrix, save_matrix
-from .params import RelaxationFactors
+from .params import RelaxationFactors, check_epsilon
 from .rng import RNG_ALGORITHM
 
 SCHEMA_VERSION = "1"
@@ -68,8 +68,7 @@ class TrialConfig:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if not 0 < self.epsilon <= 1:
-            raise ValueError(f"epsilon must be in (0, 1], got {self.epsilon}")
+        check_epsilon(self.epsilon)
 
 
 @dataclass(frozen=True)

@@ -200,12 +200,18 @@ class SamplingParams:
         return self.l * self.phase_steps() + self.final_steps()
 
 
+def check_epsilon(epsilon: float, name: str = "epsilon") -> None:
+    """Raise ValueError unless epsilon lies in (0, 1], the error bounds the
+    parameter formulas take; the message starts with ``name``."""
+    if not 0 < epsilon <= 1:
+        raise ValueError(f"{name} must be in (0, 1], got {epsilon!r}")
+
+
 def compute_params(n: int, epsilon: float) -> SamplingParams:
     """Unrelaxed sampling parameters for an n x n instance at error bound epsilon."""
     if n < 4:
         raise ValueError(f"parameter formulas require n >= 4, got {n}")
-    if not 0 < epsilon <= 1:
-        raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
+    check_epsilon(epsilon)
     l = phase_count_closed_form(n)
     n2p1 = n * n + 1
     poly = MIXING_CONSTANT * (n**4 + n**2)

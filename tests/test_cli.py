@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from permlab import Matrix, save_matrix
 from permlab.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -29,6 +35,26 @@ def test_params_subcommand(capsys):
     assert record["l"] == 24
     assert record["total_steps"] == 3_932_754_162_118
     assert record["schema_version"] == "1"
+
+
+def test_a_closed_stdout_exits_1_without_an_error_line():
+    # As in `permlab params --n 4 | head -c 50`, where head stops reading:
+    # a reader that has gone says nothing about the input, so nothing is
+    # printed on stderr, neither an error line nor "Exception ignored".
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "permlab.cli", "params", "--n", "4"],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert done.returncode == 1
+    assert done.stderr == b""
 
 
 def test_feasibility_subcommand(capsys):

@@ -1,10 +1,12 @@
+import itertools
 import math
 import random
+from array import array
 
 import pytest
 
 from permlab import Matrix, generate_random, parse_matrix, permanent_naive, permanent_ryser
-from permlab import exact
+from permlab import _native, exact
 from permlab.exact import KERNEL_LIMIT, gray_code_subsets
 
 FIG = parse_matrix("3\n101\n110\n101\n")
@@ -180,6 +182,53 @@ def test_compiled_ryser_resumes_across_kernel_calls(monkeypatch):
             calls = 0
             assert permanent_ryser(m) == exact._ryser_python(m)
             assert calls == 1 << (n - 5)
+
+
+def kernel_row_values(masks, k):
+    """_ryser.c's row values v_u = 2 sum_{j in S} a_uj + 2 a_u,n-1 - r_u for the
+    subset S of Gray-code index k, from the rows' bitmasks (``row_masks``)."""
+    subset = k ^ (k >> 1) | 1 << (len(masks) - 1)
+    return [2 * (mask & subset).bit_count() - mask.bit_count() for mask in masks]
+
+
+def kernel_sum(masks, start, stop):
+    """_ryser.c's sum over the Gray-code indices start to stop - 1, mod 2^192:
+    (-1)^k times the product of the row values, term by term in Python ints."""
+    total = 0
+    for k in range(start, stop):
+        total += (-1) ** k * math.prod(kernel_row_values(masks, k))
+    return total % (1 << 192)
+
+
+@pytest.mark.parametrize("n", [17, 24, 25, 32, 33, 34])
+def test_compiled_ryser_ranges_at_every_vector_count(n):
+    # The kernel's row values fill (n + 7) / 8 vectors of eight int16 lanes,
+    # and it has one subset loop for each count: n = 17 and 24 take three,
+    # 25 and 32 four, 33 and 34 five (n <= 16, one and two, is checked
+    # above). 2^12 subsets from k = 0, and from a k in the second half of
+    # the range with the row values of subset k - 1 and a sum preset.
+    compiled_ryser()
+    kernel = exact._ryser_kernel()
+    rng = random.Random(n)
+    count = 1 << 12
+    for num, den in ((1, 4), (7, 8)):
+        m = generate_random(n, n * n * num // den, seed=rng.getrandbits(32))
+        cols = array("q", itertools.chain.from_iterable(m.columns()))
+        masks = m.row_masks()
+        middle = (1 << (n - 2)) + rng.randrange(1 << (n - 3))
+        for start in (0, middle):
+            state = exact._RyserState(n=n, cols=_native.address(cols), k=start)
+            preset = 0
+            if start:
+                state.values[:n] = kernel_row_values(masks, start - 1)
+                preset = rng.getrandbits(192)
+                for i in range(3):
+                    state.total[i] = preset >> (64 * i) & (1 << 64) - 1
+            kernel(state, start + count)
+            total = state.total[0] | state.total[1] << 64 | state.total[2] << 128
+            assert total == (preset + kernel_sum(masks, start, start + count)) % (1 << 192)
+            assert state.k == start + count
+            assert state.values[:n] == kernel_row_values(masks, start + count - 1)
 
 
 def test_gray_sequence_small():

@@ -117,6 +117,11 @@ def test_aggregate_empty_rejected():
         aggregate([])
 
 
+def test_trial_config_refuses_epsilon_outside_0_1():
+    with pytest.raises(ValueError, match=r"^epsilon must be in \(0, 1\], got 0\.0$"):
+        TrialConfig("m.pmat", epsilon=0.0, relax=RelaxationFactors.identity(), seed=0)
+
+
 def test_ones_for_density():
     assert ones_for_density(4, 3, 4) == 12
     assert ones_for_density(4, 7, 8) == 14

@@ -29,6 +29,14 @@ def test_compiled_kernels_build_and_load_from_one_library(tmp_path, monkeypatch)
     assert sorted(path.name for path in cache.iterdir()) == sorted([library.name, "tmp1234.partial"])
 
 
+def test_build_flags_keep_floating_point_results_exact():
+    # The unit draws of _rng.c are bit-identical to numpy's only while the
+    # compiler neither fuses nor reorders floating-point operations.
+    assert "-ffp-contract=off" in _native._CC_ARGS
+    for flag in ("-ffast-math", "-Ofast", "-funsafe-math-optimizations", "-march=native"):
+        assert flag not in _native._CC_ARGS
+
+
 def test_kernels_are_none_when_the_cache_cannot_be_written(tmp_path, monkeypatch):
     home = tmp_path / "home"
     home.write_text("a file, not a directory")
