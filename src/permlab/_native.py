@@ -29,6 +29,9 @@ from pathlib import Path
 # the flag stays for any expression added later.
 _CC_ARGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
 
+# Libraries of other sources that a build leaves in the cache.
+_KEPT_LIBRARIES = 3
+
 
 def library_path() -> Path:
     """The shared library built from the ``_*.c`` sources, compiling it on first use.
@@ -37,7 +40,7 @@ def library_path() -> Path:
     sources (names and contents, in name order), the compiler arguments and
     the machine type. A build writes a temporary file and renames it into
     place, so processes that build at once never load a partial library,
-    and then deletes the libraries of other sources from the cache.
+    and then deletes all but the three newest libraries of other sources.
     """
     # Imported here so that importing permlab stays as cheap as it can be.
     import hashlib
@@ -84,13 +87,20 @@ def library_path() -> Path:
     finally:
         if os.path.exists(partial):
             os.unlink(partial)
-    # Delete the libraries of other sources: this checkout never loads them
-    # again. A process that loaded one keeps its mapping, and a checkout with
-    # those sources rebuilds once. A *.partial file may belong to a build
-    # still running, so it stays.
-    for stale in cache.glob("permlab-*.so"):
-        if stale != library:
-            stale.unlink(missing_ok=True)
+    # Keep the newest few libraries of other sources, so that checkouts that
+    # share the cache (a parent and its change, say) do not rebuild by turns,
+    # and delete the older ones. A process that loaded one keeps its mapping,
+    # and a checkout with those sources rebuilds once. A *.partial file may
+    # belong to a build still running, so it stays.
+    others = []
+    for other in cache.glob("permlab-*.so"):
+        try:
+            if other != library:
+                others.append((other.stat().st_mtime, other))
+        except FileNotFoundError:
+            pass  # another build deleted it since the glob
+    for _, stale in sorted(others, reverse=True)[_KEPT_LIBRARIES:]:
+        stale.unlink(missing_ok=True)
     return library
 
 

@@ -25,6 +25,7 @@ import dataclasses
 import json
 import os
 import sys
+import time
 
 from . import feasibility as feas
 from .exact import permanent_ryser
@@ -42,8 +43,8 @@ from .harness import (
     write_summary_csv,
 )
 from .matrix import load_matrix
-from .params import RelaxationFactors, check_epsilon, compute_params
-from .rng import RNG_ALGORITHM
+from .params import RelaxationFactors, check_epsilon, compute_params, phase_schedule
+from .rng import RNG_ALGORITHM, check_seed
 
 # Keys of one trials config entry; only epsilon is required. The scalar keys
 # have the JSON types below, checked as TrialResult's fields are; relax is
@@ -129,13 +130,19 @@ def cmd_exact(args) -> int:
 
 def cmd_estimate(args) -> int:
     m = load_matrix(args.matrix)
-    estimate = estimate_permanent(
-        m,
-        args.epsilon,
-        args.relax,
-        seed=args.seed,
-        progress=not args.quiet,
-    )
+    start, stages = time.monotonic(), None
+
+    def print_stage(record) -> None:
+        nonlocal stages  # l, at the first record: phase_schedule refuses n = 1, which runs none
+        stages = stages or phase_schedule(m.n).l
+        print(
+            f"stage {record.index}/{stages} ln(lambda)={record.weights.log_lambda:.6f} "
+            f"ln(ratio)={record.log_ratio:.6f} elapsed={time.monotonic() - start:.1f}s",
+            file=sys.stderr,
+        )
+
+    on_stage = None if args.quiet else print_stage
+    estimate = estimate_permanent(m, args.epsilon, args.relax, seed=args.seed, on_stage=on_stage)
     _emit(
         {
             "n": m.n,
@@ -210,10 +217,7 @@ def cmd_trials(args) -> int:
         for key, annotation, what in TRIAL_TYPES:
             if key in entry and not _json_value_fits(entry[key], annotation):
                 raise ValueError(f"{where}, key {key!r}: must be {what}, got {entry[key]!r}")
-        if entry.get("seed", 0) < 0:
-            raise ValueError(
-                f"{where}, key 'seed': must be a nonnegative integer, got {entry['seed']!r}"
-            )
+        check_seed(entry.get("seed", 0), f"{where}, key 'seed':")
         check_epsilon(entry["epsilon"], f"{where}, key 'epsilon':")
         try:
             relax = RelaxationFactors.from_sequence(entry.get("relax", [1, 1, 1, 1]))
@@ -280,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="four divisors: s_phase,t_phase,s_final,t_final",
     )
     p.add_argument("--seed", type=_parse_seed, default=0)
-    p.add_argument("--quiet", action="store_true", help="suppress stage progress on stderr")
+    p.add_argument("--quiet", action="store_true", help="print no stage lines on stderr")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("params", help="sampling parameters for n and epsilon")

@@ -56,4 +56,10 @@ def projected_time(steps: int, steps_per_second: float) -> float:
     # NaN fails both comparisons; neither NaN nor inf has a JSON spelling.
     if not 0 < steps_per_second < math.inf:
         raise ValueError(f"steps_per_second must be positive and finite, got {steps_per_second!r}")
-    return steps / steps_per_second / SECONDS_PER_JULIAN_YEAR
+    years = steps / steps_per_second / SECONDS_PER_JULIAN_YEAR
+    if not math.isfinite(years):
+        raise ValueError(
+            f"steps_per_second {steps_per_second!r} is too small: the time for {steps} steps "
+            "overflows a float"
+        )
+    return years

@@ -23,6 +23,9 @@ sampling walk, and ``PhaseStats`` is built once from the counts, in the
 order each (hole, k) was first seen. Recomputing a Z_i from a stored table
 reproduces the recorded value bit for bit.
 
+The stages' one outlet is ``on_stage``, which is handed one ``StageRecord``
+per completed stage and never stores it; this module does no I/O.
+
 A phase that leaves any hole position unsampled, or collects no perfect
 samples at all, has no defined weight update; the run then stops and reports
 the failure sentinel -1. The same sentinel covers a final stage that sees no
@@ -32,8 +35,6 @@ instance-perfect samples.
 from __future__ import annotations
 
 import math
-import sys
-import time
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
@@ -87,6 +88,18 @@ class PhaseStats:
 
     def hole_count(self, hole: tuple[int, int]) -> float:
         return sum(self.holes.get(hole, {}).values())
+
+
+@dataclass(frozen=True)
+class StageRecord:
+    """What one completed stage saw. Stage i < l: the weights it sampled at,
+    its table and ln Z_i, taken against the next record's weights. Stage l:
+    its weights, None and ln Y."""
+
+    index: int
+    weights: WeightTable
+    stats: PhaseStats | None
+    log_ratio: float
 
 
 @dataclass(frozen=True)
@@ -200,28 +213,31 @@ def run_schedule(
     lambdas,
     sample_stage: Callable[[WeightTable], PhaseStats],
     sample_final: Callable[[WeightTable], float],
-    progress: Callable[[int, float], None] | None = None,
+    on_stage: Callable[[StageRecord], None] | None = None,
 ) -> tuple[float, list[float], float]:
     """Annealing driver shared by the sampled and exact paths.
 
     Stage i samples at lambdas[i] via ``sample_stage(wt)``, updates the
     weights, advances the activity to lambdas[i+1], and records ln Z_i.
     ``sample_final`` runs at the terminal entry and returns the fraction Y
-    of instance-perfect samples. Returns (ln estimate, [ln Z_i], Y). Raises
-    PhaseFailure for an undefined weight update, and for Y = 0 as stage l.
+    of instance-perfect samples, and ``on_stage`` gets each successful
+    stage's record. Returns (ln estimate, [ln Z_i], Y). Raises PhaseFailure
+    for an undefined weight update, and for Y = 0 as stage l.
     """
     log_z: list[float] = []
     for i in range(len(lambdas) - 1):
-        if progress is not None:
-            progress(i, lambdas[i])
         stats = sample_stage(wt)
         updated = update_weights(stats, wt, phase=i)
         advanced = updated.with_updates(log_lambda=lambdas[i + 1])
         log_z.append(phase_ratio(stats, wt, advanced))
+        if on_stage is not None:
+            on_stage(StageRecord(i, wt, stats, log_z[-1]))
         wt = advanced
     y_bar = sample_final(wt)
     if y_bar == 0.0:
         raise PhaseFailure(len(lambdas) - 1, "no instance-perfect samples in the final stage")
+    if on_stage is not None:
+        on_stage(StageRecord(len(lambdas) - 1, wt, None, math.log(y_bar)))
     n = wt.n
     # The order of the terms is part of the seed-to-estimate mapping that
     # the golden pins fix bit for bit.
@@ -235,7 +251,7 @@ def estimate_permanent(
     relax: RelaxationFactors | None = None,
     seed: int = 0,
     params: SamplingParams | None = None,
-    progress: bool = False,
+    on_stage: Callable[[StageRecord], None] | None = None,
 ) -> Estimate:
     """Full estimator run on one instance.
 
@@ -254,7 +270,6 @@ def estimate_permanent(
     if params is None:
         params = compute_params(m.n, epsilon)
     params = apply_relaxation(params, relax)
-    schedule = phase_schedule(m.n)
     wt = WeightTable.initial(m)
     draws = BufferedDraws(seed, m.n)
     sampler = ChainSampler(wt, start_matching, draws)
@@ -271,20 +286,9 @@ def estimate_permanent(
             sampler, params.tau_init, params.tau_resample_final, params.samples_final
         )
 
-    reporter = None
-    if progress:
-        t0 = time.monotonic()
-
-        def reporter(stage: int, log_lambda: float) -> None:
-            print(
-                f"stage {stage}/{schedule.l} ln(lambda)={log_lambda:.6f} "
-                f"steps={sampler.steps_taken} elapsed={time.monotonic() - t0:.1f}s",
-                file=sys.stderr,
-            )
-
     try:
         log_value, log_z, y_bar = run_schedule(
-            wt, schedule.lambdas, sample_stage, sample_final, progress=reporter
+            wt, phase_schedule(m.n).lambdas, sample_stage, sample_final, on_stage
         )
     except PhaseFailure as failure:
         return Estimate(

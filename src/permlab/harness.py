@@ -95,7 +95,7 @@ class TrialResult:
     @classmethod
     def from_json(cls, line: str) -> "TrialResult":
         """Parse one results line; raises ValueError for any other record."""
-        record = json.loads(line)
+        record = json.loads(line, parse_constant=_refuse_constant)
         if not isinstance(record, dict):
             raise ValueError(f"expected a JSON object, got {record!r}")
         record.pop("schema_version", None)
@@ -115,6 +115,11 @@ class TrialResult:
         if problems:
             raise ValueError("; ".join(problems))
         return cls(**record)
+
+
+def _refuse_constant(name: str):
+    # json.loads takes NaN and Infinity, which JSON itself cannot spell.
+    raise ValueError(f"{name} is not a JSON number")
 
 
 # JSON value types for the annotations of TrialResult's fields.

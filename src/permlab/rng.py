@@ -69,14 +69,15 @@ def _refill_kernels():
     return bounded, _native.kernel("fill_unit", None, state, ctypes.c_void_p, ctypes.c_int64)
 
 
-def _check_seed(seed: int) -> None:
-    """Refuse a seed that is not a nonnegative integer, naming it.
+def check_seed(seed: int, name: str = "seed") -> None:
+    """Refuse a seed that is not a nonnegative integer; the message starts
+    with ``name``.
 
     numpy's ``PCG64`` refuses a negative seed without naming it, and takes
     None for fresh entropy, which would make a run irreproducible.
     """
     if not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+        raise ValueError(f"{name} must be a nonnegative integer, got {seed!r}")
 
 
 def _words(value: int) -> tuple[int, int]:
@@ -103,7 +104,7 @@ class BufferedDraws:
         if buffer_size < 1:
             # An empty refill would leave walk resuming forever.
             raise ValueError(f"buffer_size must be >= 1, got {buffer_size}")
-        _check_seed(seed)
+        check_seed(seed)
         import numpy as np
 
         self.n = n
@@ -183,7 +184,7 @@ class BufferedDraws:
 
 def generator(seed: int) -> np.random.Generator:
     """A plain seeded generator for non-chain uses (matrix generation)."""
-    _check_seed(seed)
+    check_seed(seed)
     import numpy as np
 
     return np.random.Generator(np.random.PCG64(seed))

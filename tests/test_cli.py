@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 
 from permlab import Matrix, save_matrix
 from permlab.cli import main
+from permlab.params import phase_schedule
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -104,6 +106,29 @@ def test_estimate_subcommand_zero_matrix(tmp_path, capsys):
     assert record["rng"] == "pcg64"
 
 
+def test_estimate_prints_one_line_per_completed_stage(tmp_path, capsys):
+    path = tmp_path / "ones.pmat"
+    save_matrix(Matrix.from_rows([[1] * 4] * 4), path)
+    argv = ["estimate", str(path), "--relax", "1000,262144,80,640", "--seed", "3"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    record = json.loads(out)
+    assert not record["failed"]
+    lines = err.splitlines()
+    assert [line.split()[:2] for line in lines] == [["stage", f"{i}/24"] for i in range(25)]
+    log_lambda, log_y = phase_schedule(4).lambdas[-1], math.log(record["y_bar"])
+    final = f"stage 24/24 ln(lambda)={log_lambda:.6f} ln(ratio)={log_y:.6f} elapsed="
+    assert lines[-1].startswith(final)
+    assert run_cli(capsys, *argv, "--quiet") == (0, out, "")
+
+
+def test_estimate_without_a_perfect_matching_prints_no_stage(tmp_path, capsys):
+    path = tmp_path / "zero.pmat"
+    save_matrix(Matrix.from_rows([[0]]), path)
+    code, out, err = run_cli(capsys, "estimate", str(path))
+    assert (code, json.loads(out)["value"], err) == (0, 0.0, "")
+
+
 def test_estimate_subcommand_failure_path(tmp_path, capsys):
     path = tmp_path / "sparse.pmat"
     save_matrix(
@@ -120,7 +145,7 @@ def test_estimate_subcommand_failure_path(tmp_path, capsys):
     assert record["value"] == -1.0
     assert record["failed"] is True
     assert record["failed_phase"] == 0
-    assert "stage 0" in err  # progress reporting on stderr
+    assert err == ""  # stage 0 failed, so no stage completed
 
 
 def test_trials_and_report_subcommands(tmp_path, capsys):
@@ -186,6 +211,17 @@ def test_trials_and_report_subcommands(tmp_path, capsys):
         ),
         (["report"], '{"n": 4}\n{"label": "\u00e9"}\n', "input.pmat: 'ascii' codec can't decode"),
         (["exact"], "3\n101\n1\u00e90\n101\n", "input.pmat: 'ascii' codec can't decode"),
+        (["estimate"], "3\n101\n110\n101\n", "parameter formulas require n >= 4, got 3"),
+        *(
+            (
+                ["report"],
+                '{"n": 4, "ones_count": 12, "seed": 0, "exact": 9, "estimate": 9.0, '
+                '"rel_error": 0.0, "failed": false, "within_bound": true, "steps_taken": 1, '
+                f'"wall_seconds": {constant}}}\n',
+                f"input.pmat, line 1: {constant} is not a JSON number",
+            )
+            for constant in ("NaN", "Infinity", "-Infinity")
+        ),
     ],
     ids=[
         "malformed",
@@ -197,6 +233,10 @@ def test_trials_and_report_subcommands(tmp_path, capsys):
         "report-wrong-types",
         "report-not-ascii",
         "exact-not-ascii",
+        "undersized-not-quiet",
+        "report-nan",
+        "report-infinity",
+        "report-negative-infinity",
     ],
 )
 def test_domain_errors_print_one_line(tmp_path, capsys, command, text, message):
@@ -443,3 +483,13 @@ def test_feasibility_refuses_a_rate_that_is_not_finite(capsys, rate):
     assert code == 1
     assert out == ""
     assert err == f"permlab: error: steps_per_second must be positive and finite, got {rate}\n"
+
+
+def test_feasibility_refuses_a_rate_whose_projection_overflows(capsys):
+    code, out, err = run_cli(capsys, "feasibility", "--n", "68", "--rate", "1e-300")
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "permlab: error: steps_per_second 1e-300 is too small: the time for "
+        "13285251197747730326655 steps overflows a float\n"
+    )

@@ -21,7 +21,6 @@ from permlab.fpras import (
     final_refinement,
     phase_ratio,
     run_phase,
-    run_schedule,
     state_classes,
     update_weights,
 )
@@ -308,35 +307,34 @@ def test_estimate_value_never_nan():
 
 def test_stage_records_reproduce_ratios_bitwise():
     # The compressed tables are sufficient statistics: recomputing each
-    # stage ratio from its captured table and the weights on either side of
-    # it reproduces the returned value bit for bit.
+    # stage ratio from its record and the next record's weights reproduces
+    # it bit for bit, and the records add up to the returned estimate.
     m = generate_random(4, 12, seed=31)
-    wt = WeightTable.initial(m)
-    sampler = ChainSampler(wt, find_perfect_matching(m), BufferedDraws(12, 4))
-    seen = []  # (stats, weights) per stage; the final stage has no table
-
-    def sample_stage(stage_wt):
-        sampler.set_weights(stage_wt)
-        stats = run_phase(
-            sampler, FAST_PARAMS.tau_init, FAST_PARAMS.tau_resample_phase, FAST_PARAMS.samples_phase
-        )
-        seen.append((stats, stage_wt))
-        return stats
-
-    def sample_final(stage_wt):
-        seen.append((None, stage_wt))
-        sampler.set_weights(stage_wt)
-        return final_refinement(
-            sampler, FAST_PARAMS.tau_init, FAST_PARAMS.tau_resample_final, FAST_PARAMS.samples_final
-        )
-
-    log_value, log_z, _ = run_schedule(wt, phase_schedule(4).lambdas, sample_stage, sample_final)
-    assert len(log_z) == FAST_PARAMS.l == len(seen) - 1
-    for i, z in enumerate(log_z):
-        assert phase_ratio(seen[i][0], seen[i][1], seen[i + 1][1]) == z
-    estimate = estimate_permanent(m, 0.5, seed=12, params=FAST_PARAMS)
-    assert estimate.log_value == log_value
+    records = []
+    estimate = estimate_permanent(m, 0.5, seed=12, params=FAST_PARAMS, on_stage=records.append)
+    l = FAST_PARAMS.l
+    assert [(r.index, r.stats is None) for r in records] == [(i, i == l) for i in range(l + 1)]
+    for record, after in zip(records, records[1:]):
+        assert phase_ratio(record.stats, record.weights, after.weights) == record.log_ratio
+    log_z = [r.log_ratio for r in records[:-1]]
+    assert math.log(17) + log_factorial(4) + sum(log_z) + records[-1].log_ratio == estimate.log_value
     assert estimate.z_ratios == tuple(math.exp(z) for z in log_z)
+    assert estimate == estimate_permanent(m, 0.5, seed=12, params=FAST_PARAMS)
+
+
+def test_failed_stages_make_no_record():
+    m = generate_random(4, 12, seed=31)
+    records = []
+    params = dataclasses.replace(FAST_PARAMS, samples_final=1)
+    estimate = estimate_permanent(m, 0.5, seed=0, params=params, on_stage=records.append)
+    assert estimate.failed_phase == phase_schedule(4).l
+    assert [r.index for r in records] == list(range(estimate.failed_phase))
+    identity = Matrix.from_rows([[int(i == j) for j in range(4)] for i in range(4)])
+    records.clear()
+    estimate = estimate_permanent(
+        identity, 0.5, RelaxationFactors(300_000, 1, 1, 1), seed=2, on_stage=records.append
+    )
+    assert estimate.failed_phase == 0 and records == []
 
 
 def test_estimate_requires_n_at_least_4():

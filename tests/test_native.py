@@ -1,3 +1,4 @@
+import os
 import shutil
 import stat
 
@@ -15,18 +16,23 @@ def kernel_lookups():
 def test_compiled_kernels_build_and_load_from_one_library(tmp_path, monkeypatch):
     # Where a compiler exists, a broken build must not fall back to the
     # Python loops unnoticed. A fresh home makes this a real build.
-    # The build deletes the libraries of older sources and leaves the
-    # temporary file of a build that may still be running.
+    # The build keeps the three newest libraries of other sources, deletes
+    # the older ones, and leaves the temporary file of a build that may
+    # still be running.
     monkeypatch.setenv("HOME", str(tmp_path))
     monkeypatch.setattr(_native, "library", _native.load_library)
     cache = tmp_path / ".cache" / "permlab"
     cache.mkdir(mode=0o700, parents=True)
-    for name in ("permlab-" + "0" * 32 + ".so", "tmp1234.partial"):
+    others = [f"permlab-{digit * 32}.so" for digit in "0123"]
+    for age, name in enumerate(reversed(others), 1):
         (cache / name).write_bytes(b"")
+        os.utime(cache / name, (1e9 - age * 3600,) * 2)
+    (cache / "tmp1234.partial").write_bytes(b"")
     assert all(lookup() is not None for lookup in kernel_lookups())
     assert stat.S_IMODE(cache.stat().st_mode) == 0o700
     library = _native.library_path()
-    assert sorted(path.name for path in cache.iterdir()) == sorted([library.name, "tmp1234.partial"])
+    kept = [library.name, *others[1:], "tmp1234.partial"]
+    assert sorted(path.name for path in cache.iterdir()) == sorted(kept)
 
 
 def test_build_flags_keep_floating_point_results_exact():
