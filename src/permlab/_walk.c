@@ -5,10 +5,18 @@
  *
  * Neither kernel does any floating-point arithmetic. Each step reads its
  * move's entry of the stage's acceptance table, which chain.acceptance_table
- * fills once per stage (layout in its docstring): a negative entry accepts
- * without a unit draw, and any other accepts when the next unit draw is
- * below it. Both kernels compare the same doubles, so every acceptance
+ * fills once per stage (layout in its docstring): a negative entry, NO_DRAW,
+ * accepts without a unit draw, and any other accepts when the next unit draw
+ * is below it. Both kernels compare the same doubles, so every acceptance
  * decision is the same on both.
+ *
+ * A unit draw is consumed exactly when the entry is not NO_DRAW. This kernel
+ * reads a unit value on every step, at the read position clamped into the
+ * block, so that it needs no branch on the entry; on a NO_DRAW step that
+ * value decides nothing, since a negative entry accepts whatever it is, a
+ * stale or never-filled (NaN) value included. That is why NO_DRAW stays
+ * negative: an entry above 1 would accept any draw in [0, 1), but not a
+ * NaN.
  *
  * The struct points at the three draw blocks of a BufferedDraws, each of
  * `size` draws, and at its `positions`: the read positions in the edge,
@@ -110,16 +118,18 @@ void walk(walk_state *s)
                 ratio = column_moves[dk * cube + w * nn + hu * n + hv];
             }
         }
-        int accept;
-        if (ratio < 0.0) {
-            accept = 1;
-        } else {
-            if (upos >= size) {
-                s->need = NEED_UNIT;
-                break;
-            }
-            accept = ubuf[upos++] < ratio;
+        /* The acceptance draw without a branch on the entry: on annealed
+         * stages "a draw is due" and "accepted" are close to independent,
+         * and one data-dependent branch fewer is one mispredict fewer. The
+         * rare, predictable test of a used-up block comes first. */
+        const int64_t draw = !(ratio < 0.0);
+        if (upos >= size && draw) {
+            s->need = NEED_UNIT;
+            break;
         }
+        const double u = ubuf[upos < size ? upos : size - 1];
+        const int accept = (ratio < 0.0) | (u < ratio);
+        upos += draw;
         if (move == 0)
             epos++;
         else

@@ -226,7 +226,8 @@ def exact_stationary(n: int, wt: WeightTable) -> tuple[tuple[Matching, ...], np.
 
 # The acceptance_table entry of a move whose weight ratio is at least 1: it
 # is accepted without a unit draw. Every other entry is a ratio in [0, 1]
-# (or NaN, which rejects), so any negative value would do.
+# (or NaN, which rejects). It must be negative, not merely above 1; see
+# acceptance_table.
 NO_DRAW = -1.0
 
 
@@ -237,7 +238,12 @@ def acceptance_table(wt: WeightTable) -> array:
     index, the change dk in the non-instance pair count and the stage's
     weights. Its entry is ``NO_DRAW`` where delta >= 0.0, and otherwise
     exp(delta), the probability that the move is accepted, against one unit
-    draw. With nn = n * n, the 2 * nn + 6 * n^3 entries are:
+    draw. A step consumes a unit draw exactly when its entry is not
+    ``NO_DRAW``. The compiled kernel reads a unit value on every step, to
+    need no branch on the entry; on a ``NO_DRAW`` step that value, stale or
+    never filled, decides nothing, and ``NO_DRAW`` stays negative for that
+    reason: a negative entry accepts whatever the value is, where one above
+    1 would reject a NaN. With nn = n * n, the 2 * nn + 6 * n^3 entries are:
 
     * drop the pair (u, v) of a perfect matching: [u * n + v];
     * complete the hole (hu, hv): [nn + hu * n + hv];

@@ -29,7 +29,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, astuple, dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -40,7 +40,7 @@ from .matrix import generate_random, load_matrix, save_matrix
 from .params import RelaxationFactors, check_epsilon
 from .rng import RNG_ALGORITHM
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 WORKERS_ENV_VAR = "PERMLAB_WORKERS"
 
@@ -83,12 +83,17 @@ class TrialResult:
     within_bound: bool | None
     steps_taken: int
     wall_seconds: float
+    # The trial's settings, as in its TrialConfig; relax is written as the
+    # four-number list of a trials config.
+    epsilon: float
+    relax: RelaxationFactors
     label: str = ""
     matrix_path: str = ""
     error: str | None = None
 
     def to_json(self) -> str:
         record = asdict(self)
+        record["relax"] = astuple(self.relax)
         record["schema_version"] = SCHEMA_VERSION
         return json.dumps(record, sort_keys=True)
 
@@ -110,8 +115,13 @@ class TrialResult:
         problems += [
             f"{f.name} must be {f.type}, got {record[f.name]!r}"
             for f in known
-            if f.name in record and not _json_value_fits(record[f.name], f.type)
+            if f.name in record and f.name != "relax" and not _json_value_fits(record[f.name], f.type)
         ]
+        if "relax" in record:
+            try:
+                record["relax"] = RelaxationFactors.from_sequence(record["relax"])
+            except ValueError as exc:
+                problems.append(str(exc))
         if problems:
             raise ValueError("; ".join(problems))
         return cls(**record)
@@ -191,6 +201,8 @@ def run_single_trial(config: TrialConfig) -> TrialResult:
         within_bound=within_multiplicative_bound(value, exact, config.epsilon),
         steps_taken=steps,
         wall_seconds=wall,
+        epsilon=config.epsilon,
+        relax=config.relax,
         label=config.label,
         matrix_path=config.matrix_path,
         error=error,

@@ -298,16 +298,23 @@ def test_sampler_state_golden_pin(n, digest, walk_kernel):
     assert golden_trajectory_digest(n) == digest
 
 
-def test_walk_matches_reference_step_across_refills(walk_kernel):
-    # Three-draw buffers run dry every few steps in every branch, so walk
-    # suspends and refills often, including after a step's proposal draw
-    # has been read and its acceptance draw is missing. Hole weights of both
-    # signs make every move kind, removal included, need acceptance draws.
+@pytest.mark.parametrize("buffer_size", [1, 3])
+def test_walk_matches_reference_step_across_refills(walk_kernel, buffer_size):
+    # One- and three-draw buffers run dry every step or every few steps in
+    # every branch, so walk suspends and refills often, including after a
+    # step's proposal draw has been read and its acceptance draw is missing.
+    # Hole weights of both signs make every move kind, removal included,
+    # need acceptance draws, and accept some of each without one.
     m = banded_matrix(5)
     wt = mixed_weights(m, math.log(0.3))
     start = find_perfect_matching(m)
-    sampler = ChainSampler(wt, start, BufferedDraws(42, 5, buffer_size=3))
-    draws = BufferedDraws(42, 5, buffer_size=3)
+    sampler = ChainSampler(wt, start, BufferedDraws(42, 5, buffer_size=buffer_size))
+    # The compiled kernel reads a unit value on every step, also when no
+    # draw is due and the block is used up or was never filled. A NaN there
+    # rejects any move it decides, so the trajectory shows if one ever does;
+    # the draw positions show a step without a draw that stops for a refill.
+    sampler.draws.unit_buf.obj[:] = math.nan
+    draws = BufferedDraws(42, 5, buffer_size=buffer_size)
     current = start
     for length in [1, 2, 3, 5, 13, 16, 17, 64, 200] * 40:
         sampler.walk(length)

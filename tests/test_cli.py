@@ -26,7 +26,7 @@ def test_exact_subcommand(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "exact", str(path))
     assert code == 0
     record = json.loads(out)
-    assert record == {"n": 3, "permanent": "2", "schema_version": "1"}
+    assert record == {"n": 3, "permanent": "2", "schema_version": "2"}
 
 
 def test_params_subcommand(capsys):
@@ -36,7 +36,7 @@ def test_params_subcommand(capsys):
     assert record["samples_phase"] == 259_304
     assert record["l"] == 24
     assert record["total_steps"] == 3_932_754_162_118
-    assert record["schema_version"] == "1"
+    assert record["schema_version"] == "2"
 
 
 def test_a_closed_stdout_exits_1_without_an_error_line():
@@ -88,7 +88,7 @@ def test_gen_subcommand(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["count"] == 2
     manifest = json.loads((out_dir / "manifest.json").read_text())
-    assert manifest["schema_version"] == "1"
+    assert manifest["schema_version"] == "2"
     assert len(manifest["matrices"]) == 2
 
 
@@ -177,7 +177,7 @@ def test_trials_and_report_subcommands(tmp_path, capsys):
     assert len(rows) == 1
     assert rows[0]["group"] == 4
     assert rows[0]["trials"] == 2
-    assert all(row["schema_version"] == "1" for row in rows)
+    assert all(row["schema_version"] == "2" for row in rows)
     assert csv_path.exists()
 
 
@@ -193,8 +193,16 @@ def test_trials_and_report_subcommands(tmp_path, capsys):
             ["report"],
             '{"n": 4, "ones_count": 12, "seed": 0, "exact": 9, "estimate": 9.0, '
             '"rel_error": 0.0, "failed": false, "within_bound": true, "steps_taken": 1, '
-            '"wall_seconds": 0.1, "nn": 4}\n',
+            '"wall_seconds": 0.1, "epsilon": 0.5, "relax": [1, 1, 1, 1], "nn": 4}\n',
             "line 1: unknown keys nn",
+        ),
+        (
+            # A complete line of schema version 1, which had no settings.
+            ["report"],
+            '{"n": 4, "ones_count": 12, "seed": 0, "exact": 9, "estimate": 9.0, '
+            '"rel_error": 0.0, "failed": false, "within_bound": true, "steps_taken": 1, '
+            '"wall_seconds": 0.1, "schema_version": "1"}\n',
+            "input.pmat, line 1: missing keys epsilon, relax\n",
         ),
         (
             # A valid n = 4 line, then one whose n is a string: aggregate
@@ -202,10 +210,10 @@ def test_trials_and_report_subcommands(tmp_path, capsys):
             ["report"],
             '{"n": 4, "ones_count": 12, "seed": 0, "exact": 9, "estimate": 9.0, '
             '"rel_error": 0.0, "failed": false, "within_bound": true, "steps_taken": 1, '
-            '"wall_seconds": 0.1}\n'
+            '"wall_seconds": 0.1, "epsilon": 0.5, "relax": [1, 1, 1, 1]}\n'
             '{"n": "x", "ones_count": 12, "seed": true, "exact": 9, "estimate": "9", '
             '"rel_error": null, "failed": false, "within_bound": null, "steps_taken": 1, '
-            '"wall_seconds": 0.1}\n',
+            '"wall_seconds": 0.1, "epsilon": 0.5, "relax": [1, 1, 1, 1]}\n',
             "line 2: n must be int, got 'x'; seed must be int, got True; "
             "estimate must be float, got '9'",
         ),
@@ -230,6 +238,7 @@ def test_trials_and_report_subcommands(tmp_path, capsys):
         "report-missing-keys",
         "report-not-object",
         "report-unknown-key",
+        "report-schema-1",
         "report-wrong-types",
         "report-not-ascii",
         "exact-not-ascii",

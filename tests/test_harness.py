@@ -44,6 +44,8 @@ def make_result(**overrides):
         within_bound=True,
         steps_taken=1000,
         wall_seconds=0.5,
+        epsilon=0.5,
+        relax=RelaxationFactors(1, 262144, 80.5, 640),
     )
     base.update(overrides)
     return TrialResult(**base)
@@ -221,6 +223,8 @@ def test_undersized_instance_fails_without_losing_the_batch(tmp_path):
     assert small.error == "parameter formulas require n >= 4, got 3"
     assert small.steps_taken == 0
     assert small.wall_seconds == 0.0
+    # Each record says which settings produced it, failed or not.
+    assert all(r.epsilon == 0.5 and r.relax == RELAX_FAST_FAIL for r in (small, large))
     # The n = 4 trial ran; at these settings its run ends in a phase failure.
     assert large.steps_taken > 0
     assert large.error.startswith("phase ")
@@ -289,8 +293,34 @@ def test_results_jsonl_round_trip(tmp_path):
     loaded = read_results(path)
     assert loaded == results
     first = json.loads(path.read_text().splitlines()[0])
-    assert first["schema_version"] == "1"
+    assert first["schema_version"] == "2"
     assert isinstance(first["exact"], int)
+    # relax is written as a trials config writes it.
+    assert first["epsilon"] == 0.5
+    assert first["relax"] == [1, 262144, 80.5, 640]
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"epsilon": None, "relax": None}, "missing keys epsilon, relax"),
+        ({"epsilon": "0.5"}, "epsilon must be float, got '0.5'"),
+        ({"relax": [1, 2, 3]}, "relax needs four factors"),
+        ({"relax": {"s_phase": 1}}, "relax needs four factors"),
+        ({"relax": [1, "2", 3, 4]}, "relaxation factor t_phase must be a finite number, got '2'"),
+        ({"relax": [1, 1, 0.5, 1]}, "relaxation factor s_final must be >= 1, got 0.5"),
+    ],
+    ids=["missing", "epsilon-str", "relax-short", "relax-object", "relax-str", "relax-below-1"],
+)
+def test_from_json_checks_the_trial_settings(changes, message):
+    record = json.loads(make_result().to_json())
+    for key, value in changes.items():
+        if value is None:
+            del record[key]
+        else:
+            record[key] = value
+    with pytest.raises(ValueError, match=f"^{message}"):
+        TrialResult.from_json(json.dumps(record))
 
 
 def test_summary_csv(tmp_path):
