@@ -43,8 +43,6 @@ typedef struct {
     const double *ubuf;
     int64_t size;         /* draws per block */
     int64_t *pos;         /* read positions in ebuf, vbuf and ubuf */
-    /* The fields from left to countdown move on every call; they are
-     * adjacent so that the Python kernel moves them in one struct call. */
     int64_t left;         /* steps still to take */
     int64_t hu, hv, k;    /* hole (hu < 0 when perfect), non-instance pairs */
     /* Steps to the next tallied sample, then `spacing` again; negative

@@ -35,8 +35,6 @@ import ctypes
 import functools
 import itertools
 import math
-import operator
-import struct
 from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -313,12 +311,6 @@ class _WalkState(ctypes.Structure):
     ]
 
 
-# The fields from left to countdown, which every kernel call moves: adjacent
-# int64s, so that one struct call reads or writes them all (ctypes takes a
-# call per field).
-_MOVED = struct.Struct("5q")
-_MOVED_AT = _WalkState.left.offset
-
 # The NEED_* values of _walk.c: the block a stopped kernel needs refilled.
 _NEED_EDGE, _NEED_VERT, _NEED_UNIT = 0, 1, 2
 
@@ -355,7 +347,8 @@ class ChainSampler:
     ``_python_walk``, which takes the same steps on the same draws, bit for
     bit. The struct points, once, at the draw blocks of the ``BufferedDraws``
     and at its ``positions``: the blocks are refilled in place and never
-    move. A kernel takes the struct, with the steps left in it, and never
+    move, and the Python kernel reads them in place through their one view
+    each. A kernel takes the struct, with the steps left in it, and never
     refills a block: before a step whose next draw is in a used-up block, it
     sets ``need`` and stores the state, the positions and the steps still to
     take (an already-read proposal draw stays unconsumed). ``walk`` then
@@ -404,10 +397,6 @@ class ChainSampler:
         st.edge, st.accept, st.r2c, st.c2r, st.counts, st.seen, st.pos = map(ctypes.addressof, self._pinned)
         st.ebuf, st.vbuf, st.ubuf = map(_native.address, (draws.edge_buf, draws.vert_buf, draws.unit_buf))
         st.size = draws.size
-        # The Python kernel's list copies of the draw blocks, with the views
-        # they were made from.
-        self._listed = (None, None, None)
-        self._lists = ([], [], [])
 
     @property
     def lambda_count(self) -> int:
@@ -499,29 +488,21 @@ class ChainSampler:
     def _python_walk(self, st: _WalkState) -> None:
         """The ``walk`` of _walk.c in Python: the same contract, step for step.
 
-        Its step loop works on local copies (lists index faster than arrays)
-        and writes nothing the sampler keeps; the one store of the call comes
-        after it. So an exception raised inside the loop leaves the sampler
-        as the call found it.
+        It reads the draw blocks in place, through their views, and a
+        used-up block raises ``IndexError`` at its ``size``. Its step loop
+        works on local copies of everything else (lists index faster than
+        arrays) and writes nothing the sampler keeps; the one store of the
+        call comes after it. So an exception raised inside the loop leaves
+        the sampler as the call found it.
         """
-        left, hu, hv, k, countdown = _MOVED.unpack_from(st, _MOVED_AT)
+        left, hu, hv, k, countdown = st.left, st.hu, st.hv, st.k, st.countdown
         if left <= 0:
             return
         draws = self.draws
         size = draws.size
         positions = draws.positions
         ei, vi, ui = positions
-        buffers = draws.edge_buf, draws.vert_buf, draws.unit_buf
-        if any(map(operator.is_not, buffers, self._listed)):
-            # Each refill makes a new view of its block, which is listed
-            # once. A used-up block is read no more until a refill, which
-            # makes a new view, so it is not listed.
-            self._lists = tuple(
-                copy if buffer is listed else buffer.tolist() if position < size else []
-                for buffer, listed, copy, position in zip(buffers, self._listed, self._lists, positions)
-            )
-            self._listed = buffers
-        ebuf, vbuf, ubuf = self._lists
+        ebuf, vbuf, ubuf = draws.edge_buf, draws.vert_buf, draws.unit_buf
         n = self.n
         nn = n * n
         cube = nn * n
@@ -632,7 +613,7 @@ class ChainSampler:
         self.row_to_col[:] = array("q", r2c)
         self.col_to_row[:] = array("q", c2r)
         positions[0], positions[1], positions[2] = ei, vi, ui
-        _MOVED.pack_into(st, _MOVED_AT, left - taken, hu, hv, k, mark + 1 - taken)
+        st.left, st.hu, st.hv, st.k, st.countdown = left - taken, hu, hv, k, mark + 1 - taken
         tallies, seen, nseen = self._tallies, self._seen, st.nseen
         for key, added in samples.items():
             if tallies[key] == 0:

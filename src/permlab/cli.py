@@ -79,6 +79,8 @@ def _parse_density(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"density must look like 3/4, got {text!r}") from None
     if denominator <= 0:
         raise argparse.ArgumentTypeError(f"density denominator must be positive, got {text!r}")
+    if not 0 <= numerator <= denominator:
+        raise argparse.ArgumentTypeError(f"density must be in [0, 1], got {text!r}")
     return numerator, denominator
 
 

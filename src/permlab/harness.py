@@ -99,11 +99,16 @@ class TrialResult:
 
     @classmethod
     def from_json(cls, line: str) -> "TrialResult":
-        """Parse one results line; raises ValueError for any other record."""
+        """Parse one results line; raises ValueError for any other record.
+
+        A line without ``schema_version`` is taken as the current version.
+        """
         record = json.loads(line, parse_constant=_refuse_constant)
         if not isinstance(record, dict):
             raise ValueError(f"expected a JSON object, got {record!r}")
-        record.pop("schema_version", None)
+        version = record.pop("schema_version", SCHEMA_VERSION)
+        if version != SCHEMA_VERSION:
+            raise ValueError(f"schema_version must be {SCHEMA_VERSION!r}, got {version!r}")
         known = fields(cls)
         missing = [f.name for f in known if f.default is MISSING and f.name not in record]
         unknown = sorted(record.keys() - {f.name for f in known})
@@ -117,6 +122,11 @@ class TrialResult:
             for f in known
             if f.name in record and f.name != "relax" and not _json_value_fits(record[f.name], f.type)
         ]
+        if "epsilon" in record and _json_value_fits(record["epsilon"], "float"):
+            try:
+                check_epsilon(record["epsilon"])
+            except ValueError as exc:
+                problems.append(str(exc))
         if "relax" in record:
             try:
                 record["relax"] = RelaxationFactors.from_sequence(record["relax"])
@@ -214,10 +224,11 @@ def run_trials(configs: Sequence[TrialConfig], workers: int | None = None) -> It
 
     Each trial is seeded independently, so the result set is identical for
     any worker count; yielding in input order keeps persisted output
-    byte-stable apart from wall times.
+    byte-stable apart from wall times. The pool has at most one worker per
+    trial: it may start all of its workers at once.
     """
-    workers = workers or default_workers()
-    if workers <= 1 or len(configs) <= 1:
+    workers = min(workers or default_workers(), len(configs))
+    if workers <= 1:
         for config in configs:
             yield run_single_trial(config)
         return

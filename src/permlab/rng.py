@@ -9,10 +9,11 @@ the current matching is perfect, a vertex index uniform on [0, 2n) when it is
 near-perfect, and a unit float for the acceptance filter (drawn only when the
 proposal ratio is below 1). ``BufferedDraws`` pre-generates each kind in
 blocks, which makes per-step cost small while keeping the consumed stream a
-pure function of the seed. Each kind has one int64 or float64 block,
-allocated once and refilled in place, so it never moves: the sampler points
-its compiled kernel at the blocks, and at the three read positions in
-``BufferedDraws.positions``, once.
+pure function of the seed. Each kind has one int64 or float64 block and one
+memoryview of it, both made once; a refill rewrites the block in place, so
+it never moves: the sampler points its compiled kernel at the blocks, and at
+the three read positions in ``BufferedDraws.positions``, once, and its
+Python kernel indexes the views.
 
 The blocks come from one of two sources that give the same values, bit for
 bit. Where the compiled kernels load (see _native.py), ``fill_bounded`` and
@@ -87,14 +88,14 @@ def _words(value: int) -> tuple[int, int]:
 class BufferedDraws:
     """Three block-buffered draw streams over one seeded PCG64 generator.
 
-    Each stream reads one block of ``size`` int64 or float64 draws, which
-    never moves: a refill rewrites it in place. The read positions in the
-    edge, vertex and unit blocks are the three slots of ``positions``, their
-    only store. A refill returns a new memoryview of its block, also kept as
-    ``edge_buf``, ``vert_buf`` or ``unit_buf``; indexing it yields a Python
-    ``int`` or ``float`` without copying the block. Refills happen lazily in
-    consumption order, so a trajectory is a deterministic function of
-    (seed, n, start state).
+    Each stream reads one block of ``size`` int64 or float64 draws through
+    one memoryview, ``edge_buf``, ``vert_buf`` or ``unit_buf``, made once;
+    indexing it yields a Python ``int`` or ``float`` without copying the
+    block. A refill rewrites the block in place, sets its read position to 0
+    and returns that same view. The read positions in the edge, vertex and
+    unit blocks are the three slots of ``positions``, their only store.
+    Refills happen lazily in consumption order, so a trajectory is a
+    deterministic function of (seed, n, start state).
     """
 
     def __init__(self, seed: int, n: int, buffer_size: int = _BUFFER_SIZE):
@@ -133,21 +134,20 @@ class BufferedDraws:
     vert_pos = property(lambda self: self.positions[1])
     unit_pos = property(lambda self: self.positions[2])
 
-    def _bounded(self, block: np.ndarray, high: int) -> memoryview:
-        """Refill ``block`` with ``integers(0, high)``; a new view of it."""
+    def _bounded(self, block: np.ndarray, high: int) -> None:
+        """Rewrite ``block`` with ``integers(0, high)``."""
         if self._kernels is None:
             block[:] = self._gen.integers(0, high, size=self.size)
         else:
             self._kernels[0](self._pcg, high, block.ctypes.data, self.size)
-        return memoryview(block)
 
     def refill_edge(self) -> memoryview:
-        self.edge_buf = self._bounded(self.edge_buf.obj, self.n)
+        self._bounded(self.edge_buf.obj, self.n)
         self.positions[0] = 0
         return self.edge_buf
 
     def refill_vert(self) -> memoryview:
-        self.vert_buf = self._bounded(self.vert_buf.obj, 2 * self.n)
+        self._bounded(self.vert_buf.obj, 2 * self.n)
         self.positions[1] = 0
         return self.vert_buf
 
@@ -157,7 +157,6 @@ class BufferedDraws:
             self._gen.random(out=block)
         else:
             self._kernels[1](self._pcg, block.ctypes.data, self.size)
-        self.unit_buf = memoryview(block)
         self.positions[2] = 0
         return self.unit_buf
 

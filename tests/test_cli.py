@@ -202,7 +202,21 @@ def test_trials_and_report_subcommands(tmp_path, capsys):
             '{"n": 4, "ones_count": 12, "seed": 0, "exact": 9, "estimate": 9.0, '
             '"rel_error": 0.0, "failed": false, "within_bound": true, "steps_taken": 1, '
             '"wall_seconds": 0.1, "schema_version": "1"}\n',
-            "input.pmat, line 1: missing keys epsilon, relax\n",
+            "input.pmat, line 1: schema_version must be '2', got '1'\n",
+        ),
+        (
+            ["report"],
+            '{"n": 4, "ones_count": 12, "seed": 0, "exact": 9, "estimate": 9.0, '
+            '"rel_error": 0.0, "failed": false, "within_bound": true, "steps_taken": 1, '
+            '"wall_seconds": 0.1, "epsilon": 0.5, "relax": [1, 1, 1, 1], "schema_version": "7"}\n',
+            "input.pmat, line 1: schema_version must be '2', got '7'\n",
+        ),
+        (
+            ["report"],
+            '{"n": 4, "ones_count": 12, "seed": 0, "exact": 9, "estimate": 9.0, '
+            '"rel_error": 0.0, "failed": false, "within_bound": true, "steps_taken": 1, '
+            '"wall_seconds": 0.1, "epsilon": 7.0, "relax": [1, 1, 1, 1]}\n',
+            "input.pmat, line 1: epsilon must be in (0, 1], got 7.0\n",
         ),
         (
             # A valid n = 4 line, then one whose n is a string: aggregate
@@ -239,6 +253,8 @@ def test_trials_and_report_subcommands(tmp_path, capsys):
         "report-not-object",
         "report-unknown-key",
         "report-schema-1",
+        "report-schema-7",
+        "report-epsilon-out-of-range",
         "report-wrong-types",
         "report-not-ascii",
         "exact-not-ascii",
@@ -405,8 +421,10 @@ def test_bad_relax_argument(tmp_path, capsys):
         ("1/0", "density denominator must be positive, got '1/0'"),
         ("3/4,1/-2", "density denominator must be positive, got '1/-2'"),
         ("3", "density must look like 3/4, got '3'"),
+        ("3/4,5/4", "argument --densities: density must be in [0, 1], got '5/4'"),
+        ("3/4,-1/4", "argument --densities: density must be in [0, 1], got '-1/4'"),
     ],
-    ids=["zero-denominator", "negative-denominator", "no-slash"],
+    ids=["zero-denominator", "negative-denominator", "no-slash", "above-1", "below-0"],
 )
 def test_bad_density_argument(tmp_path, capsys, densities, message):
     with pytest.raises(SystemExit) as info:

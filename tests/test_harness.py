@@ -1,5 +1,6 @@
 import json
 import math
+from concurrent.futures import Future
 
 import pytest
 
@@ -16,6 +17,7 @@ from permlab import (
     run_trials,
     save_matrix,
 )
+from permlab import harness
 from permlab.harness import (
     WORKERS_ENV_VAR,
     configs_from_manifest,
@@ -269,6 +271,36 @@ def test_parallel_matches_serial(tmp_path):
     assert serial == parallel
 
 
+@pytest.mark.parametrize("workers, trials, pools", [(64, 4, [4]), (2, 4, [2]), (64, 1, [])])
+def test_pool_has_at_most_one_worker_per_trial(tmp_path, monkeypatch, workers, trials, pools):
+    # A stand-in for ProcessPoolExecutor that records its size and runs
+    # each submission at once, so no process starts.
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    path = tmp_path / "zero.pmat"
+    save_matrix(Matrix.from_rows([[0] * 4] * 4), path)
+    configs = [TrialConfig(str(path), epsilon=0.5, relax=RELAX_FAST_FAIL, seed=i) for i in range(trials)]
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setenv(WORKERS_ENV_VAR, str(workers))
+    assert [r.seed for r in run_trials(configs)] == list(range(trials))
+    assert sizes == pools
+
+
 @pytest.mark.parametrize("value, workers", [(None, 1), ("", 1), ("3", 3)])
 def test_default_workers_reads_the_environment(monkeypatch, value, workers):
     if value is None:
@@ -309,8 +341,16 @@ def test_results_jsonl_round_trip(tmp_path):
         ({"relax": {"s_phase": 1}}, "relax needs four factors"),
         ({"relax": [1, "2", 3, 4]}, "relaxation factor t_phase must be a finite number, got '2'"),
         ({"relax": [1, 1, 0.5, 1]}, "relaxation factor s_final must be >= 1, got 0.5"),
+        ({"epsilon": 7.0}, r"epsilon must be in \(0, 1\], got 7.0$"),
+        ({"epsilon": 0}, r"epsilon must be in \(0, 1\], got 0$"),
+        ({"epsilon": -0.5, "relax": [1, 1, 0.5, 1]}, r"epsilon must be in \(0, 1\], got -0.5; relaxation"),
+        ({"schema_version": "7"}, "schema_version must be '2', got '7'$"),
+        ({"schema_version": 2, "epsilon": 7.0}, "schema_version must be '2', got 2$"),
     ],
-    ids=["missing", "epsilon-str", "relax-short", "relax-object", "relax-str", "relax-below-1"],
+    ids=[
+        "missing", "epsilon-str", "relax-short", "relax-object", "relax-str", "relax-below-1",
+        "epsilon-above-1", "epsilon-0", "epsilon-and-relax", "schema-7", "schema-int",
+    ],
 )
 def test_from_json_checks_the_trial_settings(changes, message):
     record = json.loads(make_result().to_json())

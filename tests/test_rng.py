@@ -32,25 +32,22 @@ def test_compiled_refills_match_the_numpy_generator(n, buffer_size, monkeypatch)
     assert refill_blocks(n, buffer_size) == compiled
 
 
-def test_every_refill_returns_a_new_buffer():
-    # The Python walk kernel lists a block again when its view changes.
-    draws = BufferedDraws(0, 3, buffer_size=4)
-    for refill in (draws.refill_edge, draws.refill_vert, draws.refill_unit):
-        assert refill() is not refill()
-
-
 @pytest.mark.parametrize("fills", ["compiled", "numpy"])
 def test_refills_rewrite_their_blocks_in_place(fills, monkeypatch):
-    # A sampler points its kernel at each block once, when it is made.
+    # A sampler points its compiled kernel at each block once, when it is
+    # made, and its Python kernel indexes the block's one view.
     if fills == "numpy":
         monkeypatch.setattr(rng, "_refill_kernels", lambda: None)
     elif rng._refill_kernels() is None:
         pytest.skip("the compiled refill kernels cannot be built or loaded here")
     draws = BufferedDraws(0, 3, buffer_size=4)
     for kind in ("edge", "vert", "unit"):
-        address = _native.address(getattr(draws, f"{kind}_buf"))
+        view = getattr(draws, f"{kind}_buf")
+        address = _native.address(view)
         for _ in range(3):
-            assert _native.address(getattr(draws, f"refill_{kind}")()) == address
+            refilled = getattr(draws, f"refill_{kind}")()
+            assert refilled is view and getattr(draws, f"{kind}_buf") is view
+            assert _native.address(refilled) == address
 
 
 def test_buffered_draws_refuse_an_n_out_of_range():
