@@ -18,10 +18,13 @@ import tempfile
 from pathlib import Path
 
 # How the sources are compiled. -O3 for the loop transformations that -O2
-# leaves out, loop peeling most of all, in the short per-subset loops of
-# _ryser.c: on a 2-vCPU Xeon with gcc 12, perfbench's exact-ryser takes
-# 0.0168 reference seconds against 0.0192 at -O2 and 0.0179 at -O2
-# -fpeel-loops, and the walk and refill kernels run as fast as at -O2.
+# leaves out in _ryser.c: on a 2-vCPU Xeon with gcc 12, its subset loop
+# over four and five vectors (n = 25 to 34) runs 11-14 % faster than at
+# -O2 on the all-ones matrices at n = 30 and 34, and as fast up to n = 24.
+# (The loop it replaced, with scalar row products, needed -O3 for loop
+# peeling at every n: perfbench's exact-ryser took 0.0168 reference
+# seconds against 0.0192 at -O2.) The walk and refill kernels run as fast
+# as at -O2.
 # No -ffast-math and no -march=native, and -ffp-contract=off: the kernels'
 # floating-point results must round exactly as the Python code they are
 # tested against. Today the only such result is the unit draw of _rng.c,
@@ -134,11 +137,15 @@ def load_library():
 
 def kernel(name: str, restype, *argtypes):
     """The library's function ``name`` with the given signature, or None
-    when the library cannot be built or loaded."""
+    when the library cannot be built or loaded or, on this machine, has no
+    such function (``ryser`` needs SSE2)."""
     lib = library()
     if lib is None:
         return None
-    function = lib[name]
+    try:
+        function = lib[name]
+    except AttributeError:
+        return None
     function.restype = restype
     function.argtypes = argtypes
     return function

@@ -54,7 +54,11 @@ typedef struct {
     int64_t nseen;
 } walk_state;
 
-void walk(walk_state *s)
+/* Aligned to a cache line, so that where its loop falls, and with that its
+ * speed, does not move with the code size of the kernels linked before it:
+ * at n = 4 the four placements of a 16-byte-aligned start ran up to 1.5 %
+ * apart. */
+__attribute__((aligned(64))) void walk(walk_state *s)
 {
     int64_t steps = s->left;
     const int64_t n = s->n, nn = n * n, cube = nn * n;

@@ -28,7 +28,7 @@ import sys
 import time
 
 from . import feasibility as feas
-from .exact import permanent_ryser
+from .exact import RYSER_LIMIT, permanent_ryser
 from .fpras import estimate_permanent
 from .harness import (
     SCHEMA_VERSION,
@@ -108,8 +108,19 @@ def _parse_seed(text: str) -> int:
     return value
 
 
+def _parse_size(text: str) -> int:
+    size = _positive_int(text, "size")
+    if size > RYSER_LIMIT:
+        # Refused here, before gen writes anything: every instance gets its
+        # exact permanent.
+        raise argparse.ArgumentTypeError(
+            f"size must be at most {RYSER_LIMIT}, the largest n permanent_ryser takes, got {text!r}"
+        )
+    return size
+
+
 def _parse_sizes(text: str) -> list[int]:
-    return [_positive_int(part, "size") for part in text.split(",")]
+    return [_parse_size(part) for part in text.split(",")]
 
 
 def cmd_gen(args) -> int:

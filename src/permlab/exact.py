@@ -25,10 +25,16 @@ from . import _native
 from .matrix import Matrix
 
 NAIVE_LIMIT = 12
+# The largest n permanent_ryser takes, that of gray_code_subsets; its
+# 2^n - 1 subsets are out of reach long before.
+RYSER_LIMIT = 63
 # The largest n the compiled kernel takes. A {0,1} permanent counts
-# permutations, so 0 <= perm <= n!; up to this n the kernel's int64 product
-# chains hold 12 row values of at most 34 (34^12 < 2^62) and its signed
-# 192-bit sum holds n! 2^(n-1) < 2^162 (see _ryser.c).
+# permutations, so 0 <= perm <= n!; up to this n the kernel's row values,
+# of magnitude at most n, multiply without overflow in its SSE2 lanes and
+# int64 factors (up to n = 24: three in int16, 24^3 < 2^15, six in int32
+# and twelve in int64; above: two in int16, 34^2 < 2^15, four in int32 and
+# twelve in int64, 34^12 < 2^62), and its signed 192-bit sum holds
+# n! 2^(n-1) < 2^162 (see _ryser.c).
 KERNEL_LIMIT = 34
 
 
@@ -69,8 +75,8 @@ def gray_code_subsets(n: int) -> Iterator[tuple[int, int, int]]:
     flipped bit was set and -1 when it was cleared. Consecutive masks differ
     in exactly one bit, and the first mask is {0}.
     """
-    if not 1 <= n <= 63:
-        raise ValueError(f"n must be in [1, 63], got {n}")
+    if not 1 <= n <= RYSER_LIMIT:
+        raise ValueError(f"n must be in [1, {RYSER_LIMIT}], got {n}")
     prev = 0
     for k in range(1, 1 << n):
         mask = k ^ (k >> 1)
@@ -94,8 +100,9 @@ class _RyserState(ctypes.Structure):
 
 
 # Subsets per kernel call, so that control comes back to the interpreter
-# (signals, Ctrl-C) between ranges: a range took 0.08-0.17 s on the all-ones
-# matrices at n = 24-34 on a 2-vCPU host. Up to n = 23 a permanent is one call.
+# (signals, Ctrl-C) between ranges: a range takes 0.016-0.032 s on the
+# all-ones matrices at n = 24-34 on a 2-vCPU Xeon. Up to n = 23 a permanent
+# is one call.
 _RYSER_CHUNK = 1 << 22
 
 
@@ -121,14 +128,21 @@ def permanent_ryser(m: Matrix) -> int:
     when that can be built and loaded, over ranges of ``_RYSER_CHUNK``
     subsets at a time. The kernel fixes the last column and walks the
     2^(n-1) subsets of the others (Nijenhuis and Wilf), with doubled row
-    values in int16 lanes, and forms the signed sum
-    (-1)^(n-1) 2^(n-1) perm in 192 bits, wrapping mod 2^192; since
-    n! 2^(n-1) < 2^162 for such n, the wrapped sum is exact, and the
-    permanent is that sum shifted right by n - 1 with its sign fixed. Above
-    the limit, or without the kernel, it runs plain Ryser as a Python loop
-    over the 2^n - 1 nonempty subsets, in arbitrary-precision ints; that
-    loop is also the oracle the kernel is tested against.
+    values in int16 lanes. It multiplies them in SSE2 lanes down to three
+    int64 factors (int16 products of three values and int32 ones of six up
+    to n = 24, int16 products of two and int32 ones of four above), and
+    forms the signed sum (-1)^(n-1) 2^(n-1) perm in 192 bits, wrapping mod
+    2^192; since n! 2^(n-1) < 2^162 for such n, the wrapped sum is exact,
+    and the permanent is that sum shifted right by n - 1 with its sign
+    fixed. Above the limit, or without the kernel, it runs plain Ryser as a
+    Python loop over the 2^n - 1 nonempty subsets, in arbitrary-precision
+    ints; that loop is also the oracle the kernel is tested against. It
+    refuses n > ``RYSER_LIMIT`` (63).
     """
+    if m.n > RYSER_LIMIT:
+        raise ValueError(
+            f"permanent_ryser is limited to n <= {RYSER_LIMIT} (O(n 2^n) growth), got n = {m.n}"
+        )
     kernel = _ryser_kernel() if m.n <= KERNEL_LIMIT else None
     if kernel is None:
         return _ryser_python(m)

@@ -233,6 +233,11 @@ def test_trials_and_report_subcommands(tmp_path, capsys):
         ),
         (["report"], '{"n": 4}\n{"label": "\u00e9"}\n', "input.pmat: 'ascii' codec can't decode"),
         (["exact"], "3\n101\n1\u00e90\n101\n", "input.pmat: 'ascii' codec can't decode"),
+        (
+            ["exact"],
+            "64\n" + ("1" * 64 + "\n") * 64,
+            "permanent_ryser is limited to n <= 63 (O(n 2^n) growth), got n = 64\n",
+        ),
         (["estimate"], "3\n101\n110\n101\n", "parameter formulas require n >= 4, got 3"),
         *(
             (
@@ -258,6 +263,7 @@ def test_trials_and_report_subcommands(tmp_path, capsys):
         "report-wrong-types",
         "report-not-ascii",
         "exact-not-ascii",
+        "exact-n64",
         "undersized-not-quiet",
         "report-nan",
         "report-infinity",
@@ -442,8 +448,14 @@ def test_bad_density_argument(tmp_path, capsys, densities, message):
         ("--sizes", "4,x", "argument --sizes: size must be a positive integer, got 'x'"),
         ("--sizes", "0", "argument --sizes: size must be a positive integer, got '0'"),
         ("--sizes", "-4", "argument --sizes: size must be a positive integer, got '-4'"),
+        (
+            "--sizes",
+            "4,64",
+            "argument --sizes: size must be at most 63, the largest n permanent_ryser takes, "
+            "got '64'\n",
+        ),
     ],
-    ids=["count-zero", "count-negative", "size-not-int", "size-zero", "size-negative"],
+    ids=["count-zero", "count-negative", "size-not-int", "size-zero", "size-negative", "size-64"],
 )
 def test_bad_gen_count_or_size(tmp_path, capsys, option, value, message):
     with pytest.raises(SystemExit) as info:

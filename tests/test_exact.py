@@ -130,9 +130,14 @@ def test_compiled_ryser_is_exact_past_64_bits(n):
 
 def test_kernel_limit_is_the_last_n_whose_factorial_fits_128_bits():
     assert math.factorial(KERNEL_LIMIT) < 2**128 <= math.factorial(KERNEL_LIMIT + 1)
-    # The bounds of _ryser.c: int64 product chains of at most 12 row values
-    # of magnitude at most n, and a signed 192-bit sum of n! 2^(n-1) at most.
-    assert math.ceil(KERNEL_LIMIT / 3) <= 12 and KERNEL_LIMIT**12 < 2**62
+    # The bounds of _ryser.c, for row values of magnitude at most n: up to
+    # three vectors of eight (n <= 24) the product of three in int16, of six
+    # in int32 and of twelve in int64; with four and five (n <= 34) the
+    # product of two in int16, of four in int32 and of twelve in int64. And
+    # a signed 192-bit sum of n! 2^(n-1) at most.
+    assert 24**3 < 2**15 and KERNEL_LIMIT**2 < 2**15
+    assert 24**6 < 2**31 and KERNEL_LIMIT**4 < 2**31
+    assert 24**12 < 2**62 and KERNEL_LIMIT**12 < 2**62
     assert math.factorial(KERNEL_LIMIT) << (KERNEL_LIMIT - 1) < 2**162
 
 
@@ -200,6 +205,22 @@ def kernel_sum(masks, start, stop):
     return total % (1 << 192)
 
 
+def run_kernel_range(m, start, stop, preset=0):
+    """The compiled kernel over the Gray-code indices start to stop - 1, from
+    the row values of subset start - 1 and the sum preset: (sum, k, values)."""
+    kernel = exact._ryser_kernel()
+    n = m.n
+    cols = array("q", itertools.chain.from_iterable(m.columns()))
+    state = exact._RyserState(n=n, cols=_native.address(cols), k=start)
+    if start:
+        state.values[:n] = kernel_row_values(m.row_masks(), start - 1)
+    for i in range(3):
+        state.total[i] = preset >> (64 * i) & (1 << 64) - 1
+    kernel(state, stop)
+    total = state.total[0] | state.total[1] << 64 | state.total[2] << 128
+    return total, state.k, state.values[:n]
+
+
 @pytest.mark.parametrize("n", [17, 24, 25, 32, 33, 34])
 def test_compiled_ryser_ranges_at_every_vector_count(n):
     # The kernel's row values fill (n + 7) / 8 vectors of eight int16 lanes,
@@ -208,27 +229,44 @@ def test_compiled_ryser_ranges_at_every_vector_count(n):
     # above). 2^12 subsets from k = 0, and from a k in the second half of
     # the range with the row values of subset k - 1 and a sum preset.
     compiled_ryser()
-    kernel = exact._ryser_kernel()
     rng = random.Random(n)
     count = 1 << 12
     for num, den in ((1, 4), (7, 8)):
         m = generate_random(n, n * n * num // den, seed=rng.getrandbits(32))
-        cols = array("q", itertools.chain.from_iterable(m.columns()))
         masks = m.row_masks()
         middle = (1 << (n - 2)) + rng.randrange(1 << (n - 3))
         for start in (0, middle):
-            state = exact._RyserState(n=n, cols=_native.address(cols), k=start)
-            preset = 0
-            if start:
-                state.values[:n] = kernel_row_values(masks, start - 1)
-                preset = rng.getrandbits(192)
-                for i in range(3):
-                    state.total[i] = preset >> (64 * i) & (1 << 64) - 1
-            kernel(state, start + count)
-            total = state.total[0] | state.total[1] << 64 | state.total[2] << 128
+            preset = rng.getrandbits(192) if start else 0
+            total, k, values = run_kernel_range(m, start, start + count, preset)
             assert total == (preset + kernel_sum(masks, start, start + count)) % (1 << 192)
-            assert state.k == start + count
-            assert state.values[:n] == kernel_row_values(masks, start + count - 1)
+            assert k == start + count
+            assert values == kernel_row_values(masks, start + count - 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 9, 16, 20, 27, 34])
+def test_compiled_ryser_range_edges(n):
+    # The subset loop takes an odd k by adding column 0, and an even one by
+    # the Gray-code flip of column ctz(k). Ranges that start at an odd k,
+    # ranges of odd length, single subsets and the last subsets, at one to
+    # five vectors, on the all-ones matrix (whose row values are 0 only at
+    # even n) and on a dense random one, from a preset sum.
+    compiled_ryser()
+    rng = random.Random(n)
+    last = 1 << (n - 1)
+    ranges = [(0, 1), (1, 2), (last - 1, last), (1, 8), (3, 10), (2, 7), (5, 9),
+              (last - 5, last), (last - 6, last - 1)]
+    middle = rng.randrange(last // 2, last) | 1
+    ranges += [(middle, middle + 1), (middle, middle + 6), (middle - 1, middle + 6)]
+    ranges = [(start, stop) for start, stop in ranges if 0 <= start < stop <= last]
+    matrices = [Matrix.from_rows([[1] * n] * n), generate_random(n, n * n * 7 // 8, seed=n)]
+    for m in matrices:
+        masks = m.row_masks()
+        for start, stop in ranges:
+            preset = rng.getrandbits(192)
+            total, k, values = run_kernel_range(m, start, stop, preset)
+            assert total == (preset + kernel_sum(masks, start, stop)) % (1 << 192), (start, stop)
+            assert k == stop
+            assert values == kernel_row_values(masks, stop - 1)
 
 
 def test_gray_sequence_small():
@@ -254,6 +292,16 @@ def test_gray_sequence_properties():
 def test_gray_sequence_distinctness_n16():
     masks = {mask for mask, _, _ in gray_code_subsets(16)}
     assert len(masks) == 65535
+
+
+def test_ryser_refuses_n_above_63(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("permanent_ryser started work on n = 64")
+
+    monkeypatch.setattr(exact, "_ryser_python", no_work)
+    monkeypatch.setattr(exact, "_ryser_kernel", no_work)
+    with pytest.raises(ValueError, match=r"permanent_ryser is limited to n <= 63 .*, got n = 64"):
+        permanent_ryser(Matrix.from_rows([[1] * 64] * 64))
 
 
 def test_gray_bounds():

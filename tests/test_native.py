@@ -4,7 +4,7 @@ import stat
 
 import pytest
 
-from permlab import _native, chain, exact, rng
+from permlab import Matrix, _native, chain, exact, rng
 
 
 def kernel_lookups():
@@ -70,3 +70,18 @@ def test_a_library_deleted_before_its_load_is_built_again(tmp_path, monkeypatch)
     assert _native.load_library() is not None
     assert len(found) == 2
     assert found[1].exists()
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc) on PATH")
+def test_a_library_built_without_sse2_has_no_ryser_and_the_other_kernels(tmp_path, monkeypatch):
+    # _ryser.c is empty where the compiler does not define __SSE2__ (off
+    # x86-64); the walk and refill kernels still load, and permanent_ryser
+    # runs its Python loop.
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.setattr(_native, "_CC_ARGS", (*_native._CC_ARGS, "-U__SSE2__"))
+    monkeypatch.setattr(_native, "library", _native.load_library)
+    walk, ryser, refill = (lookup() for lookup in kernel_lookups())
+    assert ryser is None
+    assert walk is not None and refill is not None
+    monkeypatch.setattr(exact, "_ryser_kernel", exact._ryser_kernel.__wrapped__)
+    assert exact.permanent_ryser(Matrix.from_rows([[1] * 5] * 5)) == 120
