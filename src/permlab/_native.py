@@ -18,13 +18,12 @@ import tempfile
 from pathlib import Path
 
 # How the sources are compiled. -O3 for the loop transformations that -O2
-# leaves out in _ryser.c: on a 2-vCPU Xeon with gcc 12, its subset loop
-# over four and five vectors (n = 25 to 34) runs 11-14 % faster than at
-# -O2 on the all-ones matrices at n = 30 and 34, and as fast up to n = 24.
-# (The loop it replaced, with scalar row products, needed -O3 for loop
-# peeling at every n: perfbench's exact-ryser took 0.0168 reference
-# seconds against 0.0192 at -O2.) The walk and refill kernels run as fast
-# as at -O2.
+# leaves out in _ryser.c: on a 2-vCPU Xeon with gcc 12, its paired subset
+# loop (n <= 24) runs 1.2-1.3 times as fast as at -O2 on random matrices
+# of density 7/8 at n = 16-24 and 1.7-1.8 times at 1/4, and its loop over
+# four and five vectors (n = 25 to 34) 11-14 % faster on the all-ones
+# matrices at n = 30 and 34. The walk and refill kernels run as fast as at
+# -O2.
 # No -ffast-math and no -march=native, and -ffp-contract=off: the kernels'
 # floating-point results must round exactly as the Python code they are
 # tested against. Today the only such result is the unit draw of _rng.c,

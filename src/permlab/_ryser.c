@@ -12,13 +12,19 @@
  * Each v_u lies in [-r_u, r_u] and r_u <= n <= 34, so the values live in
  * int16 lanes, eight to a vector, and one Gray-code step adds or subtracts
  * a doubled column to all of them at once; the lanes past n hold 1. The
- * product of a subset is formed in SSE2 lanes and reduced to three int64
- * factors p0, p1, p2 (see product), then multiplied out in 192 bits; the
- * signed sum wraps mod 2^192. Wrapping is a ring homomorphism, and the
- * true sum is at most n! 2^(n-1) <= 34! 2^33 < 2^162 in magnitude, so the
- * wrapped sum read as a signed 192-bit integer is the sum itself for
- * n <= 34. A 128-bit sum would not do: it wraps from n = 29. exact.py
- * shifts the sum right by n - 1 and fixes its sign.
+ * product of a subset is formed in SSE2 lanes. Up to n = 24 (see pairs)
+ * it is reduced to two int64 factors, and the subsets are taken two at a
+ * time; their terms, at most 24^24 < 2^111 in magnitude, are summed
+ * exactly in 128 bits over blocks of at most 2^15 subsets, and each block
+ * sum is added to the total. Above (see subsets) it is reduced to three
+ * int64 factors p0, p1, p2 (see product), multiplied out in 192 bits and
+ * added term by term. The total is kept mod 2^192. Wrapping is a ring
+ * homomorphism, and the true sum is at most n! 2^(n-1) <= 34! 2^33 < 2^162
+ * in magnitude, so the wrapped sum read as a signed 192-bit integer is the
+ * sum itself for n <= 34. A 128-bit total would not do: it wraps from
+ * n = 29, and at n = 24 the bound of 24^24 per term would let a 128-bit
+ * sum over a 2^22-subset range pass 2^127. exact.py shifts the sum right
+ * by n - 1 and fixes its sign.
  */
 /* The product takes SSE2, which x86-64 has as baseline. Elsewhere this
  * file is empty and the library has no ryser, so that permanent_ryser runs
@@ -59,54 +65,164 @@ widen(lanes a, lanes b, int64_t words[4])
 #define LOW(w) ((int64_t)(int32_t)(w))
 #define HIGH(w) ((w) >> 32)
 
-/* Whether no row value in v is 0, and if so, the product of the 8 vecs
- * lanes of v as p[0] p[1] p[2], with |v| <= n. The values are multiplied
- * in SSE2 lanes and reduced to int64 factors, and a factor 0 shows in the
- * int16 products, none of which wraps. Up to three vectors (n <= 24) the
- * lanes' product x, at most 24^3 < 2^15, is formed in int16; x_i x_{i+4}
- * for i = 0 to 3 in int32, below 24^6 < 2^28; and p0 = x_0 x_4 x_2 x_6 and
- * p1 = x_1 x_5 x_3 x_7, each below 24^12 < 2^56, with p2 = 1. With four or
- * five (n <= 34), a = v0 v1 and b = v2 v3, each at most 34^2 < 2^15, in
- * int16; q_i = a_i b_i in int32, at most 34^4 < 2^21; p0 = q0 q1 q2,
+/* Subsets per block sum of pairs: at most 2^15 terms of at most
+ * 24^24 < 2^111 in magnitude, so the block sum stays below 2^126. */
+enum { BLOCK = 1 << 15 };
+
+/* The step that takes the row values from subset k - 1 to subset k, k > 0:
+ * column j = ctz(k) flips, and it joins S when bit j + 1 of k is 0. */
+static inline __attribute__((always_inline)) const lanes *
+flip(lanes steps[2][MAX_N - 1][VECS], uint64_t k)
+{
+    int j = __builtin_ctzll(k);
+    return steps[(k >> (j + 1)) & 1][j];
+}
+
+/* v += step, over three vectors. */
+static inline __attribute__((always_inline)) void
+add(lanes v[3], const lanes *step)
+{
+    for (int i = 0; i < 3; i++)
+        v[i] += step[i];
+}
+
+/* The lane-by-lane int16 product of three vectors of row values, at most
+ * 24^3 < 2^15 in magnitude: none wraps, so a lane is 0 exactly when one of
+ * its row values is. */
+static inline __attribute__((always_inline)) lanes
+lane_product(const lanes v[3])
+{
+    return v[0] * v[1] * v[2];
+}
+
+/* The products of the eight lanes of x and of those of y, as p[0] p[1] and
+ * p[2] p[3], from one widen of the low halves of both by their high
+ * halves: x_i x_{i+4} and y_i y_{i+4} for i = 0 to 3 in int32, below
+ * 24^6 < 2^28, then p0 = x_0 x_4 x_2 x_6, p1 = x_1 x_5 x_3 x_7, and p2 and
+ * p3 likewise from y, each below 24^12 < 2^56. A lane 0 makes its product 0. */
+static inline __attribute__((always_inline)) void
+halves(lanes x, lanes y, int64_t p[4])
+{
+    int64_t w[4];
+    widen((lanes)_mm_unpacklo_epi64((__m128i)x, (__m128i)y),
+          (lanes)_mm_unpackhi_epi64((__m128i)x, (__m128i)y), w);
+    p[0] = LOW(w[0]) * LOW(w[1]);
+    p[1] = HIGH(w[0]) * HIGH(w[1]);
+    p[2] = LOW(w[2]) * LOW(w[3]);
+    p[3] = HIGH(w[2]) * HIGH(w[3]);
+}
+
+/* The product of the row values v of one subset. */
+static inline __attribute__((always_inline)) i128
+term(const lanes v[3])
+{
+    lanes x = lane_product(v);
+    int64_t p[4];
+    halves(x, x, p);
+    return (i128)p[0] * p[1];
+}
+
+/* The subset loop of ryser up to n = 24, from Gray-code index k up to
+ * end - 1, adding the terms to the 192-bit sum high 2^128 + low. The row
+ * values fill three vectors at every such n, so that one loop is compiled;
+ * with the lanes past n at 1 and their steps 0, the vectors that hold no
+ * row value multiply by 1. It takes the subsets in pairs k, k + 1 with k
+ * even: k > 0 flips column ctz(k), and k + 1 flips column 0 with direction
+ * (k >> 1) & 1, so the odd subset's row values are the even one's plus
+ * steps[(k >> 1) & 1][0]. One widen gives both products, and one movemask
+ * both zero tests; (-1)^|S| is (-1)^k, so the pair adds the even term and
+ * subtracts the odd one. The terms go into a 128-bit block sum of at most
+ * BLOCK subsets, which is exact, and the block sum is added to the 192-bit
+ * sum with its sign extended. Blocks end at multiples of BLOCK, so only the
+ * first can start at an odd k and only the last can end after an even one;
+ * each such edge takes a single subset. The row values of subset k - 1
+ * come in values and the loop keeps them in registers, v, writing them
+ * back at the end. It is not inlined into ryser, which keeps the
+ * compiler's peak memory below that of one function holding every loop. */
+static __attribute__((noinline)) void
+pairs(lanes steps[2][MAX_N - 1][VECS], lanes values[VECS], uint64_t k,
+      uint64_t end, u128 *sum_low, uint64_t *sum_high)
+{
+    lanes v[3] = {values[0], values[1], values[2]};
+    u128 low = *sum_low;
+    uint64_t high = *sum_high;
+    while (k < end) {
+        uint64_t stop = (k | (BLOCK - 1)) + 1;
+        if (stop > end)
+            stop = end;
+        i128 block = 0;
+        if (k & 1) {
+            add(v, steps[(k >> 1) & 1][0]);
+            block -= term(v);
+            k++;
+        }
+        for (; k + 1 < stop; k += 2) {
+            if (k)
+                add(v, flip(steps, k));
+            lanes even = lane_product(v);
+            add(v, steps[(k >> 1) & 1][0]);
+            lanes odd = lane_product(v);
+            int zero = _mm_movemask_epi8(_mm_packs_epi16((__m128i)(even == 0),
+                                                         (__m128i)(odd == 0)));
+            int zero_even = zero & 0xff, zero_odd = zero >> 8;
+            if (zero_even && zero_odd)
+                continue;
+            int64_t p[4];
+            halves(even, odd, p);
+            if (!zero_even)
+                block += (i128)p[0] * p[1];
+            if (!zero_odd)
+                block -= (i128)p[2] * p[3];
+        }
+        if (k < stop) {
+            if (k)
+                add(v, flip(steps, k));
+            block += term(v);
+            k++;
+        }
+        low += (u128)block;
+        high += (uint64_t)(block >> 127) + (low < (u128)block);
+    }
+    for (int i = 0; i < 3; i++)
+        values[i] = v[i];
+    *sum_low = low;
+    *sum_high = high;
+}
+
+/* With four or five vectors (25 <= n <= 34), whether no row value in v is
+ * 0, and if so, the product of the 8 vecs lanes of v as p[0] p[1] p[2],
+ * with |v| <= n. The values are multiplied in SSE2 lanes and reduced to
+ * int64 factors, and a factor 0 shows in the int16 products, none of which
+ * wraps: a = v0 v1 and b = v2 v3, each at most 34^2 < 2^15, in int16;
+ * q_i = a_i b_i in int32, at most 34^4 < 2^21; p0 = q0 q1 q2,
  * p1 = q3 q4 q5 and p2 = q6 q7, each at most 34^12 < 2^62, and five
  * vectors multiply lanes 32 and 33, the only ones of v4 not 1, into p2. */
 static inline __attribute__((always_inline)) int
 product(const int vecs, const lanes *v, int64_t p[3])
 {
     int64_t w[4];
-    if (vecs <= 3) {
-        lanes x = v[0];
-        for (int i = 1; i < vecs; i++)
-            x *= v[i];
-        if (_mm_movemask_epi8((__m128i)(x == 0)))
-            return 0;
-        widen(x, (lanes)_mm_unpackhi_epi64((__m128i)x, (__m128i)x), w);
-        p[0] = LOW(w[0]) * LOW(w[1]);
-        p[1] = HIGH(w[0]) * HIGH(w[1]);
-        p[2] = 1;
-    } else {
-        lanes a = v[0] * v[1], b = v[2] * v[3];
-        lanes zero = (a == 0) | (b == 0);
-        if (vecs == 5)
-            zero |= v[4] == 0;
-        if (_mm_movemask_epi8((__m128i)zero))
-            return 0;
-        widen(a, b, w);
-        p[0] = LOW(w[0]) * HIGH(w[0]) * LOW(w[1]);
-        p[1] = HIGH(w[1]) * LOW(w[2]) * HIGH(w[2]);
-        p[2] = LOW(w[3]) * HIGH(w[3]);
-        if (vecs == 5)
-            p[2] *= (int64_t)v[4][0] * v[4][1];
-    }
+    lanes a = v[0] * v[1], b = v[2] * v[3];
+    lanes zero = (a == 0) | (b == 0);
+    if (vecs == 5)
+        zero |= v[4] == 0;
+    if (_mm_movemask_epi8((__m128i)zero))
+        return 0;
+    widen(a, b, w);
+    p[0] = LOW(w[0]) * HIGH(w[0]) * LOW(w[1]);
+    p[1] = HIGH(w[1]) * LOW(w[2]) * HIGH(w[2]);
+    p[2] = LOW(w[3]) * HIGH(w[3]);
+    if (vecs == 5)
+        p[2] *= (int64_t)v[4][0] * v[4][1];
     return 1;
 }
 
-/* The subset loop of ryser, from Gray-code index k up to end - 1, adding the
- * terms to the 192-bit sum high 2^128 + low. The row values of subset
- * k - 1 come in values and the loop keeps them in registers, v, writing
- * them back at the end. ryser calls it with vecs a constant, (n + 7) / 8,
- * so that GCC compiles one loop for each count and unrolls the loops over
- * the vectors, which it cannot do for a count known only at run time. */
+/* The subset loop of ryser above n = 24, one subset at a time, from
+ * Gray-code index k up to end - 1, adding the terms to the 192-bit sum
+ * high 2^128 + low. The row values of subset k - 1 come in values and the
+ * loop keeps them in registers, v, writing them back at the end. ryser
+ * calls it with vecs a constant, 4 or 5, so that GCC compiles one loop for
+ * each count and unrolls the loops over the vectors, which it cannot do
+ * for a count known only at run time. */
 static inline __attribute__((always_inline)) void
 subsets(const int vecs, lanes steps[2][MAX_N - 1][VECS], lanes values[VECS],
         uint64_t k, uint64_t end, u128 *sum_low, uint64_t *sum_high)
@@ -117,15 +233,12 @@ subsets(const int vecs, lanes steps[2][MAX_N - 1][VECS], lanes values[VECS],
     u128 low = *sum_low;
     uint64_t high = *sum_high;
     for (; k < end; k++) {
-        /* Column j = ctz(k) flips; it joins S when bit j + 1 of k is 0. Every
-         * odd k flips column 0. */
+        /* Every odd k flips column 0, found without flip's ctz. */
         const lanes *step = 0;
-        if (k & 1) {
+        if (k & 1)
             step = steps[(k >> 1) & 1][0];
-        } else if (k) {
-            int j = __builtin_ctzll(k);
-            step = steps[(k >> (j + 1)) & 1][j];
-        }
+        else if (k)
+            step = flip(steps, k);
         if (step)
             for (int i = 0; i < vecs; i++)
                 v[i] += step[i];
@@ -191,11 +304,9 @@ void ryser(ryser_state *s, uint64_t end)
     u128 low = (u128)s->total[1] << 64 | s->total[0];
     uint64_t high = s->total[2];
     switch ((n + 7) / 8) {
-    case 1: subsets(1, steps, v, s->k, end, &low, &high); break;
-    case 2: subsets(2, steps, v, s->k, end, &low, &high); break;
-    case 3: subsets(3, steps, v, s->k, end, &low, &high); break;
     case 4: subsets(4, steps, v, s->k, end, &low, &high); break;
     case 5: subsets(5, steps, v, s->k, end, &low, &high); break;
+    default: pairs(steps, v, s->k, end, &low, &high); break;
     }
     for (int u = 0; u < n; u++)
         s->values[u] = v[u / 8][u % 8];

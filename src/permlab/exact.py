@@ -7,10 +7,10 @@ maintained incrementally in Gray code order, giving O(n * 2^n) work overall.
 
 ``permanent_ryser`` has two kernels that return the same value: the
 compiled one of _ryser.c, which takes Nijenhuis and Wilf's form of Ryser's
-formula over half the subsets and is exact up to ``KERNEL_LIMIT``, and a
-Python loop of plain Ryser in arbitrary-precision ints, which is the
-fallback and, being built on the other formula, the oracle. Results are
-Python ints either way (n! passes 2^63 at n = 21).
+formula over half the subsets, two at a time up to n = 24, and is exact up
+to ``KERNEL_LIMIT``, and a Python loop of plain Ryser in arbitrary-precision
+ints, which is the fallback and, being built on the other formula, the
+oracle. Results are Python ints either way (n! passes 2^63 at n = 21).
 """
 
 from __future__ import annotations
@@ -32,9 +32,10 @@ RYSER_LIMIT = 63
 # permutations, so 0 <= perm <= n!; up to this n the kernel's row values,
 # of magnitude at most n, multiply without overflow in its SSE2 lanes and
 # int64 factors (up to n = 24: three in int16, 24^3 < 2^15, six in int32
-# and twelve in int64; above: two in int16, 34^2 < 2^15, four in int32 and
-# twelve in int64, 34^12 < 2^62), and its signed 192-bit sum holds
-# n! 2^(n-1) < 2^162 (see _ryser.c).
+# and twelve in int64, 24^12 < 2^56, with 128-bit block sums of at most
+# 2^15 terms, 2^15 24^24 < 2^127; above: two in int16, 34^2 < 2^15, four
+# in int32 and twelve in int64, 34^12 < 2^62), and its signed 192-bit sum
+# holds n! 2^(n-1) < 2^162 (see _ryser.c).
 KERNEL_LIMIT = 34
 
 
@@ -100,7 +101,7 @@ class _RyserState(ctypes.Structure):
 
 
 # Subsets per kernel call, so that control comes back to the interpreter
-# (signals, Ctrl-C) between ranges: a range takes 0.016-0.032 s on the
+# (signals, Ctrl-C) between ranges: a range takes 0.012-0.032 s on the
 # all-ones matrices at n = 24-34 on a 2-vCPU Xeon. Up to n = 23 a permanent
 # is one call.
 _RYSER_CHUNK = 1 << 22
@@ -128,11 +129,15 @@ def permanent_ryser(m: Matrix) -> int:
     when that can be built and loaded, over ranges of ``_RYSER_CHUNK``
     subsets at a time. The kernel fixes the last column and walks the
     2^(n-1) subsets of the others (Nijenhuis and Wilf), with doubled row
-    values in int16 lanes. It multiplies them in SSE2 lanes down to three
-    int64 factors (int16 products of three values and int32 ones of six up
-    to n = 24, int16 products of two and int32 ones of four above), and
-    forms the signed sum (-1)^(n-1) 2^(n-1) perm in 192 bits, wrapping mod
-    2^192; since n! 2^(n-1) < 2^162 for such n, the wrapped sum is exact,
+    values in int16 lanes, and forms the signed sum
+    (-1)^(n-1) 2^(n-1) perm in 192 bits, wrapping mod 2^192. Up to n = 24
+    it takes the subsets two at a time: it multiplies the row values of
+    both in SSE2 lanes (int16 products of three values, int32 ones of six)
+    down to two int64 factors each, sums the terms exactly in 128 bits over
+    blocks of at most 2^15 subsets and adds each block sum to the total.
+    Above, it multiplies one subset's values down to three int64 factors
+    (int16 products of two, int32 ones of four) and adds each term in 192
+    bits. Since n! 2^(n-1) < 2^162 for such n, the wrapped sum is exact,
     and the permanent is that sum shifted right by n - 1 with its sign
     fixed. Above the limit, or without the kernel, it runs plain Ryser as a
     Python loop over the 2^n - 1 nonempty subsets, in arbitrary-precision

@@ -34,7 +34,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .exact import permanent_ryser
+from .exact import RYSER_LIMIT, permanent_ryser
 from .fpras import estimate_permanent
 from .matrix import generate_random, load_matrix, save_matrix
 from .params import RelaxationFactors, check_epsilon
@@ -343,7 +343,14 @@ def generate_suite(
     seeds derive deterministically from the master seed and the instance
     index. Exact permanents are computed with Ryser and recorded; instances
     are never filtered on the permanent, a zero simply stays in the suite.
+    A size outside [1, ``RYSER_LIMIT``] raises ValueError before anything
+    is written.
     """
+    for n in sizes:
+        if not 1 <= n <= RYSER_LIMIT:
+            raise ValueError(
+                f"suite sizes must be in [1, {RYSER_LIMIT}], the n permanent_ryser takes, got {n}"
+            )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []

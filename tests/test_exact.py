@@ -139,6 +139,11 @@ def test_kernel_limit_is_the_last_n_whose_factorial_fits_128_bits():
     assert 24**6 < 2**31 and KERNEL_LIMIT**4 < 2**31
     assert 24**12 < 2**62 and KERNEL_LIMIT**12 < 2**62
     assert math.factorial(KERNEL_LIMIT) << (KERNEL_LIMIT - 1) < 2**162
+    # Up to n = 24 the two int64 factors of a term, p0 and p1, are each a
+    # product of twelve row values, and a 128-bit block sum of at most 2^15
+    # terms of at most 24^24 in magnitude does not wrap.
+    assert 24**12 < 2**56
+    assert 2**15 * 24**24 < 2**127
 
 
 def test_ryser_runs_the_kernel_up_to_the_limit_and_python_above_it(monkeypatch):
@@ -267,6 +272,32 @@ def test_compiled_ryser_range_edges(n):
             assert total == (preset + kernel_sum(masks, start, stop)) % (1 << 192), (start, stop)
             assert k == stop
             assert values == kernel_row_values(masks, stop - 1)
+
+
+@pytest.mark.parametrize("n", [17, 20, 24])
+def test_compiled_ryser_folds_block_sums_into_the_total(n):
+    # Up to n = 24 the kernel sums its terms in 128-bit blocks of at most
+    # 2^15 subsets, ending at multiples of 2^15, and adds each block sum to
+    # the 192-bit total with its sign extended. A range of one and a half
+    # blocks across a block's end, which starts at an odd k (a single
+    # subset before the first pair) and ends after an even one (a single
+    # subset after the last), on a dense random matrix from a random preset;
+    # at n = 24 also two blocks and one subset of the all-ones matrix from
+    # k = 0, whose terms reach 22^24 > 2^107 in magnitude.
+    compiled_ryser()
+    rng = random.Random(n)
+    block = 1 << 15
+    start = block * rng.randrange((1 << (n - 1)) // block - 1) + block // 2 + 1
+    stop = start + 3 * block // 2 - 2
+    cases = [(generate_random(n, n * n * 7 // 8, seed=n), start, stop, rng.getrandbits(192))]
+    if n == 24:
+        cases.append((Matrix.from_rows([[1] * n] * n), 0, 2 * block + 1, rng.getrandbits(192)))
+    for m, start, stop, preset in cases:
+        masks = m.row_masks()
+        total, k, values = run_kernel_range(m, start, stop, preset)
+        assert total == (preset + kernel_sum(masks, start, stop)) % (1 << 192)
+        assert k == stop
+        assert values == kernel_row_values(masks, stop - 1)
 
 
 def test_gray_sequence_small():

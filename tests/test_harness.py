@@ -158,6 +158,14 @@ def test_generate_suite_deterministic(tmp_path):
         ).read_text()
 
 
+@pytest.mark.parametrize("size", [0, 64])
+def test_generate_suite_refuses_a_size_before_writing(tmp_path, size):
+    out = tmp_path / "suite"
+    with pytest.raises(ValueError, match=rf"suite sizes must be in \[1, 63\].*, got {size}$"):
+        generate_suite([4, size], [(1, 2)], 1, 0, out)
+    assert not out.exists()
+
+
 def test_run_single_trial_full_fields(tmp_path):
     m = Matrix.from_rows([[1, 1, 1, 0], [1, 1, 0, 1], [1, 0, 1, 1], [0, 1, 1, 1]])
     path = tmp_path / "m.pmat"
