@@ -23,7 +23,7 @@ from pathlib import Path
 # of density 7/8 at n = 16-24 and 1.7-1.8 times at 1/4, and its loop over
 # four and five vectors (n = 25 to 34) 11-14 % faster on the all-ones
 # matrices at n = 30 and 34. The walk and refill kernels run as fast as at
-# -O2.
+# -O2, walk_states within 2 %.
 # No -ffast-math and no -march=native, and -ffp-contract=off: the kernels'
 # floating-point results must round exactly as the Python code they are
 # tested against. Today the only such result is the unit draw of _rng.c,
@@ -39,10 +39,11 @@ def library_path() -> Path:
     """The shared library built from the ``_*.c`` sources, compiling it on first use.
 
     It lives in ~/.cache/permlab (mode 0700), named by the sha256 of the
-    sources (names and contents, in name order), the compiler arguments and
-    the machine type. A build writes a temporary file and renames it into
-    place, so processes that build at once never load a partial library,
-    and then deletes all but the three newest libraries of other sources.
+    sources (names and contents, in link order: _walk.c, then the others
+    in name order), the compiler arguments and the machine type. A build
+    writes a temporary file and renames it into place, so processes that
+    build at once never load a partial library, and then deletes all but
+    the three newest libraries of other sources.
     """
     # Imported here so that importing permlab stays as cheap as it can be.
     import hashlib
@@ -50,7 +51,9 @@ def library_path() -> Path:
 
     if os.name != "posix":
         raise OSError("the compiled kernels are built only on POSIX systems")
-    sources = sorted(Path(__file__).parent.glob("_*.c"))
+    # _walk.c first, so that where the walk kernels sit, and with that their
+    # speed, does not move with the code size of the other kernels.
+    sources = sorted(Path(__file__).parent.glob("_*.c"), key=lambda path: (path.name != "_walk.c", path.name))
     if not sources:
         # cc would link an empty library without complaint.
         raise OSError("no kernel sources next to the package")

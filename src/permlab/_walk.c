@@ -1,22 +1,33 @@
-/* The compiled kernel of ChainSampler.walk. ChainSampler._python_walk in
- * chain.py is the other kernel, and both keep one contract: the same move
- * rules, draw order and spaced tally, step for step, on the state of one
- * walk_state struct.
+/* The compiled kernels of ChainSampler.walk: walk_states, which runs up to
+ * n = chain.STATE_WALK_LIMIT (6), and walk, which runs above it.
+ * ChainSampler._python_walk in chain.py is the third kernel: the fallback
+ * where the library cannot be built or loaded, and the oracle of the other
+ * two. All three keep one contract: the same move rules, draw order and
+ * spaced tally, step for step, on the state of one walk_state struct.
  *
- * Neither kernel does any floating-point arithmetic. Each step reads its
- * move's entry of the stage's acceptance table, which chain.acceptance_table
- * fills once per stage (layout in its docstring): a negative entry, NO_DRAW,
+ * No kernel does any floating-point arithmetic. Each step reads its move's
+ * entry of the stage's acceptance table, which chain.acceptance_table fills
+ * once per stage (layout in its docstring): a negative entry, NO_DRAW,
  * accepts without a unit draw, and any other accepts when the next unit draw
- * is below it. Both kernels compare the same doubles, so every acceptance
- * decision is the same on both.
+ * is below it. Every kernel compares the same doubles, so every acceptance
+ * decision is the same on all three.
  *
- * A unit draw is consumed exactly when the entry is not NO_DRAW. This kernel
- * reads a unit value on every step, at the read position clamped into the
- * block, so that it needs no branch on the entry; on a NO_DRAW step that
- * value decides nothing, since a negative entry accepts whatever it is, a
- * stale or never-filled (NaN) value included. That is why NO_DRAW stays
- * negative: an entry above 1 would accept any draw in [0, 1), but not a
- * NaN.
+ * A unit draw is consumed exactly when the entry is not NO_DRAW. The
+ * compiled kernels read a unit value on every step, at the read position
+ * clamped into the block, so that they need no branch on the entry; on a
+ * NO_DRAW step that value decides nothing, since a negative entry accepts
+ * whatever it is, a stale or never-filled (NaN) value included. That is why
+ * NO_DRAW stays negative: an entry above 1 would accept any draw in [0, 1),
+ * but not a NaN.
+ *
+ * walk_states walks the (n + 1)! states of chain.enumerate_states by index,
+ * on a table of one state_move per state and draw (the edge index from a
+ * perfect state, the vertex index otherwise): the state that the reference
+ * propose makes, from chain.state_moves, and the move's acceptance entry,
+ * which ChainSampler.set_weights gathers from the acceptance table. So a step
+ * is one table read, the unit-draw test, and a masked select of the next
+ * state with no branch on the outcome. It finds the state in r2c on entry
+ * and writes r2c, c2r, the hole and k back on return.
  *
  * The struct points at the three draw blocks of a BufferedDraws, each of
  * `size` draws, and at its `positions`: the read positions in the edge,
@@ -25,7 +36,7 @@
  * and never refills a block. When the next draw it needs is in a used-up
  * block it stops before that step, sets `need`, and stores the state and
  * the positions back with the steps still to take in `left`;
- * ChainSampler.walk, the one caller of both kernels, refills that block and
+ * ChainSampler.walk, the one caller of every kernel, refills that block and
  * calls again. A step whose proposal draw has been read but whose
  * acceptance draw is missing is abandoned whole: the proposal draw is read
  * again on the next call.
@@ -33,6 +44,14 @@
 #include <stdint.h>
 
 enum { NEED_EDGE = 0, NEED_VERT = 1, NEED_UNIT = 2 };
+
+/* One move of walk_states' table: its acceptance entry, and the state it
+ * proposes, as the index of that state's first move (its index times 2n) and
+ * as its tally key. */
+typedef struct {
+    double accept;
+    int32_t next, key;
+} state_move;
 
 typedef struct {
     int64_t n;
@@ -52,12 +71,18 @@ typedef struct {
     int64_t *counts;      /* per-key sample counts */
     int64_t *seen;        /* keys in first-seen order */
     int64_t nseen;
+    /* Read by walk_states only: */
+    const state_move *moves; /* 2n per state, by draw */
+    const int64_t *states; /* each state's r2c, n per state, ascending */
+    const int64_t *keys;  /* each state's tally key */
+    int64_t nstates;
 } walk_state;
 
-/* Aligned to a cache line, so that where its loop falls, and with that its
- * speed, does not move with the code size of the kernels linked before it:
- * at n = 4 the four placements of a 16-byte-aligned start ran up to 1.5 %
- * apart. */
+/* Both kernels start on a cache line, so that where their loops fall, and
+ * with that their speed, does not move with the code size of what is linked
+ * before them: at n = 4 the four placements of a 16-byte-aligned walk ran
+ * up to 1.5 % apart. _walk.c is linked first (_native.library_path), so
+ * only walk's own size moves walk_states. */
 __attribute__((aligned(64))) void walk(walk_state *s)
 {
     int64_t steps = s->left;
@@ -174,6 +199,98 @@ __attribute__((aligned(64))) void walk(walk_state *s)
     s->hu = hu;
     s->hv = hv;
     s->k = k;
+    s->pos[0] = epos;
+    s->pos[1] = vpos;
+    s->pos[2] = upos;
+    s->countdown = countdown;
+    s->nseen = nseen;
+    s->left = steps;
+}
+
+/* The index of the state whose row assignment is r2c: the lower bound of a
+ * binary search, the states being in ascending order of their assignments,
+ * compared row by row. */
+static int64_t state_index(const walk_state *s)
+{
+    const int64_t n = s->n, *r2c = s->r2c;
+    int64_t lo = 0, hi = s->nstates - 1;
+    while (lo < hi) {
+        const int64_t mid = lo + (hi - lo) / 2;
+        const int64_t *a = s->states + mid * n;
+        int64_t u = 0;
+        while (u < n - 1 && a[u] == r2c[u])
+            u++;
+        if (a[u] < r2c[u])
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+/* walk on the enumerated states; see the top of this file. */
+__attribute__((aligned(64))) void walk_states(walk_state *s)
+{
+    int64_t steps = s->left;
+    const int64_t n = s->n, width = 2 * n;
+    const state_move *moves = s->moves;
+    const int64_t *ebuf = s->ebuf, *vbuf = s->vbuf;
+    const double *ubuf = s->ubuf;
+    const int64_t size = s->size;
+    int64_t epos = s->pos[0], vpos = s->pos[1], upos = s->pos[2];
+    const int64_t spacing = s->spacing;
+    int64_t countdown = s->countdown;
+    int64_t *counts = s->counts, *seen = s->seen;
+    int64_t nseen = s->nseen;
+    /* The state, as the index of its first move and as its key. */
+    int64_t first = state_index(s) * width, key = s->keys[first / width];
+
+    for (; steps > 0; steps--) {
+        /* A perfect state's key is its k, at most n. The choice of draw
+         * block is a branch: predicted, it lets the draw be read before the
+         * state is known, and a branch-free choice ran a quarter slower at
+         * n = 4 to 6. */
+        const int64_t perfect = key <= n;
+        const int64_t pos = perfect ? epos : vpos;
+        if (pos >= size) {
+            s->need = perfect ? NEED_EDGE : NEED_VERT;
+            break;
+        }
+        const state_move *move = moves + first + (perfect ? ebuf : vbuf)[pos];
+        const double ratio = move->accept;
+        const int64_t draw = !(ratio < 0.0);
+        if (upos >= size && draw) {
+            s->need = NEED_UNIT;
+            break;
+        }
+        const double u = ubuf[upos < size ? upos : size - 1];
+        /* All ones when accepted. A plain `accept ? next : first` came out
+         * as a branch, one mispredict on most annealed steps. */
+        const int64_t accept = -(int64_t)((ratio < 0.0) | (u < ratio));
+        upos += draw;
+        epos += perfect;
+        vpos += !perfect;
+        first ^= (first ^ move->next) & accept;
+        key ^= (key ^ move->key) & accept;
+        if (--countdown == 0) {
+            if (counts[key]++ == 0)
+                seen[nseen++] = key;
+            countdown = spacing;
+        }
+    }
+
+    const int64_t *r2c = s->states + first / width * n;
+    const int64_t cell = key / (n + 1);
+    for (int64_t v = 0; v < n; v++)
+        s->c2r[v] = -1;
+    for (int64_t u = 0; u < n; u++) {
+        s->r2c[u] = r2c[u];
+        if (r2c[u] >= 0)
+            s->c2r[r2c[u]] = u;
+    }
+    s->hu = cell ? (cell - 1) / n : -1;
+    s->hv = cell ? (cell - 1) % n : -1;
+    s->k = key % (n + 1);
     s->pos[0] = epos;
     s->pos[1] = vpos;
     s->pos[2] = upos;

@@ -179,25 +179,36 @@ class _FixedDraw:
         return self.index
 
 
-def build_transition_matrix(n: int, wt: WeightTable) -> tuple[tuple[Matching, ...], np.ndarray]:
-    """Explicit transition matrix of ``propose`` plus the acceptance filter.
+@functools.cache
+def state_moves(n: int) -> tuple[tuple[int, ...], ...]:
+    """Every proposal of the enumerated chain, as indices into ``enumerate_states(n)``.
 
-    Each state's proposals come from feeding ``propose`` every equally
-    likely draw: the n edge indices from a perfect matching, the 2n vertex
-    indices from a near-perfect one.
+    Entry [i][x] is the state that ``propose`` makes from state i on draw
+    x: the edge index, one of n, from a perfect matching, and the vertex
+    index, one of 2n, from a near-perfect one. Every draw is equally likely.
+    Cached per n: the transition matrix and every ``ChainSampler`` that walks
+    with ``walk_states`` read it.
     """
+    states = enumerate_states(n)
+    index = {state_key(s): i for i, s in enumerate(states)}
+    return tuple(
+        tuple(index[state_key(propose(state, _FixedDraw(x)))] for x in range(n if state.is_perfect else 2 * n))
+        for state in states
+    )
+
+
+def build_transition_matrix(n: int, wt: WeightTable) -> tuple[tuple[Matching, ...], np.ndarray]:
+    """Explicit transition matrix of ``propose`` plus the acceptance filter,
+    over the proposals of ``state_moves``."""
     import numpy as np
 
     states = enumerate_states(n)
-    index = {state_key(s): i for i, s in enumerate(states)}
     size = len(states)
     matrix = np.zeros((size, size))
     log_weights = [log_weight(s, wt) for s in states]
-    for i, state in enumerate(states):
-        draw_count = n if state.is_perfect else 2 * n
-        select_p = 1.0 / draw_count
-        for x in range(draw_count):
-            j = index[state_key(propose(state, _FixedDraw(x)))]
+    for i, moves in enumerate(state_moves(n)):
+        select_p = 1.0 / len(moves)
+        for j in moves:
             accept = min(1.0, math.exp(log_weights[j] - log_weights[i]))
             matrix[i, j] += select_p * accept
             matrix[i, i] += select_p * (1.0 - accept)
@@ -308,6 +319,10 @@ class _WalkState(ctypes.Structure):
         ("counts", ctypes.c_void_p),
         ("seen", ctypes.c_void_p),
         ("nseen", ctypes.c_int64),
+        ("moves", ctypes.c_void_p),
+        ("states", ctypes.c_void_p),
+        ("keys", ctypes.c_void_p),
+        ("nstates", ctypes.c_int64),
     ]
 
 
@@ -325,6 +340,89 @@ def _walk_kernel():
     return _native.kernel("walk", None, ctypes.POINTER(_WalkState))
 
 
+# The largest n at which a ChainSampler walks with walk_states, the
+# enumerated-state kernel of _walk.c (see ChainSampler): the largest n that
+# enumerate_states lists, and walk_states outruns walk up to there (README,
+# Speed).
+STATE_WALK_LIMIT = 6
+
+
+@functools.cache
+def _state_walk_kernel():
+    """The compiled ``walk_states`` of _walk.c, or None when it cannot be built or loaded.
+
+    A ``ChainSampler`` at n <= ``STATE_WALK_LIMIT`` asks for it when it is
+    made, to build the kernel's table, and on every ``walk`` call.
+    """
+    return _native.kernel("walk_states", None, ctypes.POINTER(_WalkState))
+
+
+# The state_move struct of _walk.c: a move's acceptance entry, and the
+# proposed state's first move and tally key.
+_STATE_MOVE = [("accept", "<f8"), ("next", "<i4"), ("key", "<i4")]
+
+
+@functools.cache
+def _state_graph(n: int):
+    """``enumerate_states(n)`` and ``state_moves(n)`` as read-only int64
+    arrays, cached per n.
+
+    Returns each state's row assignment (states by n, ascending, -1 at the
+    hole row), its hole row and column (-1 where perfect) and its
+    proposals, states by 2n, a perfect state's n proposals repeated to fill
+    its row.
+    """
+    import numpy as np
+
+    states = enumerate_states(n)
+    assignments = np.array([s.row_to_col() for s in states], dtype=np.int64)
+    holes = np.array([s.hole or (-1, -1) for s in states], dtype=np.int64)
+    proposals = np.array([moves * (2 * n // len(moves)) for moves in state_moves(n)], dtype=np.int64)
+    for shared in (assignments, holes, proposals):
+        shared.flags.writeable = False
+    return assignments, holes[:, 0], holes[:, 1], proposals
+
+
+def _state_walk_table(wt: WeightTable):
+    """The tables ``walk_states`` reads for one instance, but for the entries.
+
+    Returns each state's tally key (``walk``'s key of its hole and k), the
+    ``_STATE_MOVE`` array of every (state, draw) with its proposal filled
+    in, and the index of each move's entry in ``acceptance_table``, which
+    ``set_weights`` gathers into it. A move's entry is fixed by the holes of
+    its two states and the change dk in k (layout in ``acceptance_table``'s
+    docstring).
+    """
+    import numpy as np
+
+    n = wt.n
+    assignments, hu, hv, proposals = _state_graph(n)
+    edge = np.array(wt.edge_present, dtype=np.int64).reshape(n, n)
+    k = ((assignments >= 0) & (edge[np.arange(n), assignments] == 0)).sum(axis=1)
+    keys = np.where(hu < 0, k, (hu * n + hv + 1) * (n + 1) + k)
+    # The hole and k before (0) and after (1) each move.
+    before = np.repeat(np.arange(len(keys)), 2 * n)
+    after = proposals.ravel()
+    hu0, hv0, hu1, hv1 = hu[before], hv[before], hu[after], hv[after]
+    dk = k[after] - k[before]
+    nn, cube = n * n, n**3
+    # A drop, a completion, a row move (the hole column moves) and a column
+    # move (the hole row moves).
+    entries = np.select(
+        [hu0 < 0, hu1 < 0, hu1 == hu0],
+        [
+            hu1 * n + hv1,
+            nn + hu0 * n + hv0,
+            2 * nn + (dk + 1) * cube + hu0 * nn + hv1 * n + hv0,
+        ],
+        2 * nn + 3 * cube + (dk + 1) * cube + hu1 * nn + hu0 * n + hv0,
+    )
+    moves = np.zeros(len(after), dtype=_STATE_MOVE)
+    moves["next"] = after * (2 * n)
+    moves["key"] = keys[after]
+    return keys, moves, entries
+
+
 class ChainSampler:
     """Mutable walker used by the estimator's inner loop.
 
@@ -332,7 +430,8 @@ class ChainSampler:
     it points into: the instance matrix, the stage's ``acceptance_table``
     (rebuilt by ``set_weights``), the matching as paired row/column
     assignment arrays (int64 ``array`` objects), the hole, the non-instance
-    pair count (kept incrementally) and the per-key sample counts. Draws are
+    pair count (kept incrementally), the per-key sample counts and, for
+    ``walk_states``, its table. Draws are
     consumed from a BufferedDraws in exactly the same order as the reference
     ``step`` function, so short trajectories of the two are interchangeable.
 
@@ -342,13 +441,19 @@ class ChainSampler:
     samples is one ``walk`` call. ``tally`` sets this up and decodes the
     counts.
 
-    ``walk`` is one loop over two kernels with one contract: the compiled
-    ``walk`` of _walk.c when it can be built and loaded, and otherwise
-    ``_python_walk``, which takes the same steps on the same draws, bit for
-    bit. The struct points, once, at the draw blocks of the ``BufferedDraws``
-    and at its ``positions``: the blocks are refilled in place and never
-    move, and the Python kernel reads them in place through their one view
-    each. A kernel takes the struct, with the steps left in it, and never
+    ``walk`` is one loop over three kernels with one contract, which take
+    the same steps on the same draws, bit for bit. Where the library of
+    _walk.c can be built and loaded, a sampler at n <= ``STATE_WALK_LIMIT``
+    runs ``walk_states``, which steps through the states of
+    ``enumerate_states`` on a table of their moves (``_state_walk_table``,
+    whose entries ``set_weights`` gathers from the acceptance table), and a
+    larger one runs ``walk``. Without the library every sampler runs
+    ``_python_walk``, which is also the oracle of the other two.
+
+    The struct points, once, at the draw blocks of the ``BufferedDraws`` and
+    at its ``positions``: the blocks are refilled in place and never move,
+    and the Python kernel reads them in place through their one view each.
+    A kernel takes the struct, with the steps left in it, and never
     refills a block: before a step whose next draw is in a used-up block, it
     sets ``need`` and stores the state, the positions and the steps still to
     take (an already-read proposal draw stays unconsumed). ``walk`` then
@@ -376,10 +481,17 @@ class ChainSampler:
         hu, hv = (-1, -1) if start.hole is None else start.hole
         st = self._state = _WalkState(n=n, hu=hu, hv=hv, countdown=-1)
         self._edges = array("q", wt.edge_present)
-        # The first set_weights sizes the acceptance table before it is
-        # pinned below; later stages rewrite it in place.
+        # The first set_weights checks the tables and sizes the acceptance
+        # table before it is pinned below; later stages rewrite it in place.
         self._accept = array("d")
+        self._moves = None
         self.set_weights(wt)
+        if n <= STATE_WALK_LIMIT and _state_walk_kernel() is not None:
+            self._keys, self._moves, self._entries = _state_walk_table(wt)
+            self.set_weights(wt)  # again, to fill the table's entries
+            assignments = _state_graph(n)[0]
+            st.moves, st.states, st.keys = (a.ctypes.data for a in (self._moves, assignments, self._keys))
+            st.nstates = len(assignments)
         st.k = lambda_edges(start, wt)
         self.row_to_col = array("q", start.row_to_col())
         self.col_to_row = array("q", [-1] * n)
@@ -422,7 +534,8 @@ class ChainSampler:
         return {key: tallies[key] for key in self._seen[: self._state.nseen]}
 
     def set_weights(self, wt: WeightTable) -> None:
-        """Swap in the next stage's activity and hole weights, as its acceptance table."""
+        """Swap in the next stage's activity and hole weights, as its acceptance
+        table and, where the sampler runs ``walk_states``, that kernel's entries."""
         # The kernels index the tables without bounds checks.
         n = self.n
         if len(wt.edge_present) != n * n or len(wt.log_w) != n * n:
@@ -430,6 +543,11 @@ class ChainSampler:
         if wt.n != self.n or array("q", wt.edge_present) != self._edges:
             raise ValueError("weight table belongs to a different instance")
         self._accept[:] = acceptance_table(wt)
+        if self._moves is not None:
+            import numpy as np
+
+            # Once per stage, not on every kernel call.
+            self._moves["accept"] = np.frombuffer(self._accept)[self._entries]
 
     def state(self) -> Matching:
         pairs = frozenset((u, v) for u, v in enumerate(self.row_to_col) if v >= 0)
@@ -472,7 +590,7 @@ class ChainSampler:
         """
         draws = self.draws
         st = self._state
-        kernel = _walk_kernel() or self._python_walk
+        kernel = self._kernel()
         st.left = steps
         try:
             kernel(st)
@@ -484,6 +602,10 @@ class ChainSampler:
             # when an exception cut this loop short (a signal handler run as
             # a kernel call returns, a refill that raises).
             self.steps_taken += steps - st.left
+
+    def _kernel(self):
+        """The kernel that the next ``walk`` call runs."""
+        return (self._moves is not None and _state_walk_kernel()) or _walk_kernel() or self._python_walk
 
     def _python_walk(self, st: _WalkState) -> None:
         """The ``walk`` of _walk.c in Python: the same contract, step for step.

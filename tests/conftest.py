@@ -3,13 +3,19 @@ import pytest
 from permlab import chain, exact
 
 
-@pytest.fixture(params=["compiled", "python"])
+@pytest.fixture(params=["states", "compiled", "python"])
 def walk_kernel(request, monkeypatch):
-    """Each of walk's two kernels in turn; the compiled one skips where it cannot load."""
+    """Each of walk's three kernels in turn: ``walk_states``, which runs up
+    to n = chain.STATE_WALK_LIMIT (``walk`` above it), the general compiled
+    ``walk`` at every n, and the Python kernel. The compiled ones skip where
+    they cannot load."""
+    loader = {"states": chain._state_walk_kernel, "compiled": chain._walk_kernel}.get(request.param)
+    if loader is not None and loader() is None:
+        pytest.skip(f"the {request.param} walk kernel cannot be built or loaded here")
+    if request.param != "states":
+        monkeypatch.setattr(chain, "_state_walk_kernel", lambda: None)
     if request.param == "python":
         monkeypatch.setattr(chain, "_walk_kernel", lambda: None)
-    elif chain._walk_kernel() is None:
-        pytest.skip("the compiled walk kernel cannot be built or loaded here")
     return request.param
 
 

@@ -347,7 +347,7 @@ def mixed_weights(m, log_lambda):
 
 def walk_fingerprint(n, log_lambda, buffer_size):
     """Hashes of the trajectory, the draw positions and the tallies of a mixed run."""
-    m = generate_random(n, 3 * n * n // 4, seed=n)
+    m = generate_random(n, -(-3 * n * n // 4), seed=n)
     wt = mixed_weights(m, log_lambda)
     draws = BufferedDraws(7 * n, n, buffer_size=buffer_size)
     sampler = ChainSampler(wt, find_perfect_matching(m), draws)
@@ -359,14 +359,20 @@ def walk_fingerprint(n, log_lambda, buffer_size):
         positions.update(repr(draw_positions(draws)).encode())
     for spacing in (1, 3):
         tallies.update(repr(sampler.tally(spacing, 700)).encode())
+    # Halfway, a second stage: a kernel left reading the first stage's
+    # entries shows in the rest of the trajectory.
+    sampler.set_weights(
+        wt.with_updates(log_lambda=log_lambda / 2 - 0.5, log_w=[2 * math.cos(5 * i) for i in range(n * n)])
+    )
     sampler.walk(5_000)
     trajectory.update(repr(sampler_state(sampler)).encode())
     positions.update(repr(draw_positions(draws)).encode())
     return [h.hexdigest() for h in hashes]
 
 
-@pytest.mark.parametrize("n", [4, 8, 16])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8, 16])
 def test_compiled_walk_matches_python_walk(n, monkeypatch):
+    # At n = 1 an edge draw consumes no generator output.
     if chain._walk_kernel() is None:
         pytest.skip("the compiled walk kernel cannot be built or loaded here")
     settings = [
@@ -374,7 +380,11 @@ def test_compiled_walk_matches_python_walk(n, monkeypatch):
         for log_lambda in (0.0, -1.0, -log_factorial(n) / 2)
         for buffer_size in (1 << 16, 3)
     ]
+    # walk_states runs up to n = STATE_WALK_LIMIT and walk above it; then
+    # walk is forced at every n.
     compiled = [walk_fingerprint(n, *setting) for setting in settings]
+    monkeypatch.setattr(chain, "_state_walk_kernel", lambda: None)
+    assert [walk_fingerprint(n, *setting) for setting in settings] == compiled
     monkeypatch.setattr(chain, "_walk_kernel", lambda: None)
     assert [walk_fingerprint(n, *setting) for setting in settings] == compiled
     # A host without cc runs the Python kernel on draws that numpy fills.
@@ -409,22 +419,17 @@ def interrupt_the_fourth_refill(sampler, monkeypatch, refilled=False):
 def interrupt_the_fourth_kernel_return(sampler, monkeypatch):
     """Make the sampler's fourth kernel call raise just after the kernel
     returns, as a signal handler that CPython runs then would."""
-    compiled = chain._walk_kernel()
-    kernel = compiled or sampler._python_walk
+    kernel = sampler._kernel()
     calls = 0
 
     def interrupting(st):
         nonlocal calls
         kernel(st)
-        if st is sampler._state:
-            calls += 1
-            if calls == 4:
-                raise KeyboardInterrupt
+        calls += 1
+        if calls == 4:
+            raise KeyboardInterrupt
 
-    if compiled is None:
-        monkeypatch.setattr(sampler, "_python_walk", interrupting, raising=False)
-    else:
-        monkeypatch.setattr(chain, "_walk_kernel", lambda: interrupting)
+    monkeypatch.setattr(sampler, "_kernel", lambda: interrupting)
 
 
 class InterruptingTable(array):
@@ -457,10 +462,13 @@ INTERRUPTS = {
 @pytest.mark.parametrize(
     "walk_kernel, interrupt",
     [
+        ("states", "refill"),
         ("compiled", "refill"),
         ("python", "refill"),
+        ("states", "refill-return"),
         ("compiled", "refill-return"),
         ("python", "refill-return"),
+        ("states", "kernel-return"),
         ("compiled", "kernel-return"),
         ("python", "kernel-return"),
         ("python", "table-read"),

@@ -9,7 +9,12 @@ from permlab import Matrix, _native, chain, exact, rng
 
 def kernel_lookups():
     """Each caller's uncached lookup of its compiled kernel."""
-    return [chain._walk_kernel.__wrapped__, exact._ryser_kernel.__wrapped__, rng._refill_kernels.__wrapped__]
+    return [
+        chain._walk_kernel.__wrapped__,
+        chain._state_walk_kernel.__wrapped__,
+        exact._ryser_kernel.__wrapped__,
+        rng._refill_kernels.__wrapped__,
+    ]
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc) on PATH")
@@ -48,7 +53,7 @@ def test_kernels_are_none_when_the_cache_cannot_be_written(tmp_path, monkeypatch
     home.write_text("a file, not a directory")
     monkeypatch.setenv("HOME", str(home))
     monkeypatch.setattr(_native, "library", _native.load_library)
-    assert [lookup() for lookup in kernel_lookups()] == [None, None, None]
+    assert [lookup() for lookup in kernel_lookups()] == [None] * 4
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc) on PATH")
@@ -80,8 +85,8 @@ def test_a_library_built_without_sse2_has_no_ryser_and_the_other_kernels(tmp_pat
     monkeypatch.setenv("HOME", str(tmp_path))
     monkeypatch.setattr(_native, "_CC_ARGS", (*_native._CC_ARGS, "-U__SSE2__"))
     monkeypatch.setattr(_native, "library", _native.load_library)
-    walk, ryser, refill = (lookup() for lookup in kernel_lookups())
+    walk, walk_states, ryser, refill = (lookup() for lookup in kernel_lookups())
     assert ryser is None
-    assert walk is not None and refill is not None
+    assert walk is not None and walk_states is not None and refill is not None
     monkeypatch.setattr(exact, "_ryser_kernel", exact._ryser_kernel.__wrapped__)
     assert exact.permanent_ryser(Matrix.from_rows([[1] * 5] * 5)) == 120
