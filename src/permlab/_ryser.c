@@ -23,8 +23,14 @@
  * in magnitude, so the wrapped sum read as a signed 192-bit integer is the
  * sum itself for n <= 34. A 128-bit total would not do: it wraps from
  * n = 29, and at n = 24 the bound of 24^24 per term would let a 128-bit
- * sum over a 2^22-subset range pass 2^127. exact.py shifts the sum right
- * by n - 1 and fixes its sign.
+ * sum over a 2^22-subset range pass 2^127.
+ *
+ * A call sums one range of subsets, from an even Gray-code index to an
+ * even end, from scratch: it keeps nothing between calls. The caller may
+ * split the 2^(n-1) subsets into such ranges as it likes and add their
+ * sums mod 2^192, which is exact for the same reason, even where the sum
+ * of one range wraps (2^22 34^34 > 2^191). exact.py does, and shifts the
+ * total right by n - 1 and fixes its sign.
  */
 /* The product takes SSE2, which x86-64 has as baseline. Elsewhere this
  * file is empty and the library has no ryser, so that permanent_ryser runs
@@ -39,14 +45,6 @@ typedef __int128 i128;
 typedef int16_t lanes __attribute__((vector_size(16)));
 
 enum { MAX_N = 34, VECS = (MAX_N + 7) / 8 };
-
-typedef struct {
-    int64_t n;            /* 1 <= n <= 34 */
-    const int64_t *cols;  /* n columns of n entries each, column-major, 0 or 1 */
-    uint64_t k;           /* Gray-code index of the next subset, from 0 */
-    uint64_t total[3];    /* the sum so far mod 2^192, low word first */
-    int64_t values[MAX_N];  /* v_u of subset k - 1; set by the call with k = 0 */
-} ryser_state;
 
 /* The eight int32 products a_i b_i, two to an int64 word in lane order:
  * words[0] holds lanes 0 and 1, lane 0 in its low half. */
@@ -112,51 +110,35 @@ halves(lanes x, lanes y, int64_t p[4])
     p[3] = HIGH(w[2]) * HIGH(w[3]);
 }
 
-/* The product of the row values v of one subset. */
-static inline __attribute__((always_inline)) i128
-term(const lanes v[3])
-{
-    lanes x = lane_product(v);
-    int64_t p[4];
-    halves(x, x, p);
-    return (i128)p[0] * p[1];
-}
-
 /* The subset loop of ryser up to n = 24, from Gray-code index k up to
- * end - 1, adding the terms to the 192-bit sum high 2^128 + low. The row
- * values fill three vectors at every such n, so that one loop is compiled;
- * with the lanes past n at 1 and their steps 0, the vectors that hold no
- * row value multiply by 1. It takes the subsets in pairs k, k + 1 with k
- * even: k > 0 flips column ctz(k), and k + 1 flips column 0 with direction
- * (k >> 1) & 1, so the odd subset's row values are the even one's plus
- * steps[(k >> 1) & 1][0]. One widen gives both products, and one movemask
- * both zero tests; (-1)^|S| is (-1)^k, so the pair adds the even term and
- * subtracts the odd one. The terms go into a 128-bit block sum of at most
- * BLOCK subsets, which is exact, and the block sum is added to the 192-bit
- * sum with its sign extended. Blocks end at multiples of BLOCK, so only the
- * first can start at an odd k and only the last can end after an even one;
- * each such edge takes a single subset. The row values of subset k - 1
- * come in values and the loop keeps them in registers, v, writing them
- * back at the end. It is not inlined into ryser, which keeps the
+ * end - 1, both even, writing the sum of the terms mod 2^192 as
+ * high 2^128 + low. The row values fill three vectors at every such n, so
+ * that one loop is compiled; with the lanes past n at 1 and their steps 0,
+ * the vectors that hold no row value multiply by 1. It takes the subsets
+ * in pairs k, k + 1 with k even: k > 0 flips column ctz(k), and k + 1
+ * flips column 0 with direction (k >> 1) & 1, so the odd subset's row
+ * values are the even one's plus steps[(k >> 1) & 1][0]. One widen gives
+ * both products, and one movemask both zero tests; (-1)^|S| is (-1)^k, so
+ * the pair adds the even term and subtracts the odd one. The terms go into
+ * a 128-bit block sum of at most BLOCK subsets, which is exact, and the
+ * block sum is added to the 192-bit sum with its sign extended; blocks end
+ * at multiples of BLOCK or at end, all even. The row values of subset
+ * k - 1 come in values (those of subset 0 when k = 0) and the loop keeps
+ * them in registers, v. It is not inlined into ryser, which keeps the
  * compiler's peak memory below that of one function holding every loop. */
 static __attribute__((noinline)) void
-pairs(lanes steps[2][MAX_N - 1][VECS], lanes values[VECS], uint64_t k,
+pairs(lanes steps[2][MAX_N - 1][VECS], const lanes values[VECS], uint64_t k,
       uint64_t end, u128 *sum_low, uint64_t *sum_high)
 {
     lanes v[3] = {values[0], values[1], values[2]};
-    u128 low = *sum_low;
-    uint64_t high = *sum_high;
+    u128 low = 0;
+    uint64_t high = 0;
     while (k < end) {
         uint64_t stop = (k | (BLOCK - 1)) + 1;
         if (stop > end)
             stop = end;
         i128 block = 0;
-        if (k & 1) {
-            add(v, steps[(k >> 1) & 1][0]);
-            block -= term(v);
-            k++;
-        }
-        for (; k + 1 < stop; k += 2) {
+        for (; k < stop; k += 2) {
             if (k)
                 add(v, flip(steps, k));
             lanes even = lane_product(v);
@@ -174,17 +156,9 @@ pairs(lanes steps[2][MAX_N - 1][VECS], lanes values[VECS], uint64_t k,
             if (!zero_odd)
                 block -= (i128)p[2] * p[3];
         }
-        if (k < stop) {
-            if (k)
-                add(v, flip(steps, k));
-            block += term(v);
-            k++;
-        }
         low += (u128)block;
         high += (uint64_t)(block >> 127) + (low < (u128)block);
     }
-    for (int i = 0; i < 3; i++)
-        values[i] = v[i];
     *sum_low = low;
     *sum_high = high;
 }
@@ -217,21 +191,21 @@ product(const int vecs, const lanes *v, int64_t p[3])
 }
 
 /* The subset loop of ryser above n = 24, one subset at a time, from
- * Gray-code index k up to end - 1, adding the terms to the 192-bit sum
- * high 2^128 + low. The row values of subset k - 1 come in values and the
- * loop keeps them in registers, v, writing them back at the end. ryser
- * calls it with vecs a constant, 4 or 5, so that GCC compiles one loop for
- * each count and unrolls the loops over the vectors, which it cannot do
- * for a count known only at run time. */
+ * Gray-code index k up to end - 1, writing the sum of the terms mod 2^192
+ * as high 2^128 + low. The row values of subset k - 1 come in values
+ * (those of subset 0 when k = 0) and the loop keeps them in registers, v.
+ * ryser calls it with vecs a constant, 4 or 5, so that GCC compiles one
+ * loop for each count and unrolls the loops over the vectors, which it
+ * cannot do for a count known only at run time. */
 static inline __attribute__((always_inline)) void
-subsets(const int vecs, lanes steps[2][MAX_N - 1][VECS], lanes values[VECS],
+subsets(const int vecs, lanes steps[2][MAX_N - 1][VECS], const lanes values[VECS],
         uint64_t k, uint64_t end, u128 *sum_low, uint64_t *sum_high)
 {
     lanes v[VECS];
     for (int i = 0; i < vecs; i++)
         v[i] = values[i];
-    u128 low = *sum_low;
-    uint64_t high = *sum_high;
+    u128 low = 0;
+    uint64_t high = 0;
     for (; k < end; k++) {
         /* Every odd k flips column 0, found without flip's ctz. */
         const lanes *step = 0;
@@ -265,54 +239,52 @@ subsets(const int vecs, lanes steps[2][MAX_N - 1][VECS], lanes values[VECS],
             high += term_high + (low < term_low);
         }
     }
-    for (int i = 0; i < vecs; i++)
-        values[i] = v[i];
     *sum_low = low;
     *sum_high = high;
 }
 
-/* Adds the terms of the subsets with Gray-code index s->k up to end - 1;
- * the caller starts from k = 0 and a zero total, and runs up to 2^(n-1),
- * in as many calls as it likes. */
-void ryser(ryser_state *s, uint64_t end)
+/* Writes to sum, low word first, the sum mod 2^192 of the terms of the
+ * subsets with Gray-code index start up to end - 1, for 2 <= n <= 34, cols
+ * the n columns of n entries each (column-major, 0 or 1) and start < end
+ * <= 2^(n-1) both even. */
+void ryser(int64_t n, const int64_t *cols, uint64_t start, uint64_t end, uint64_t sum[3])
 {
-    const int n = (int)s->n;
     /* steps[0][j] adds the doubled column j, steps[1][j] subtracts it. */
     lanes steps[2][MAX_N - 1][VECS];
     lanes v[VECS];
     for (int j = 0; j < n - 1; j++)
         for (int u = 0; u < VECS * 8; u++) {
-            int16_t twice = u < n ? (int16_t)(2 * s->cols[j * n + u]) : 0;
+            int16_t twice = u < n ? (int16_t)(2 * cols[j * n + u]) : 0;
             steps[0][j][u / 8][u % 8] = twice;
             steps[1][j][u / 8][u % 8] = (int16_t)-twice;
         }
-    /* The unused lanes hold 1, so that no zero is seen there and the
-     * product is that of the n row values. */
+    /* The row values of subset 0, the empty set. The unused lanes hold 1,
+     * so that no zero is seen there and the product is that of the n row
+     * values. */
     for (int u = 0; u < VECS * 8; u++)
         v[u / 8][u % 8] = 1;
-    if (s->k == 0) {
-        for (int u = 0; u < n; u++) {
-            int64_t r = 0;
-            for (int j = 0; j < n; j++)
-                r += s->cols[j * n + u];
-            v[u / 8][u % 8] = (int16_t)(2 * s->cols[(n - 1) * n + u] - r);
-        }
-    } else {
-        for (int u = 0; u < n; u++)
-            v[u / 8][u % 8] = (int16_t)s->values[u];
+    for (int u = 0; u < n; u++) {
+        int64_t r = 0;
+        for (int j = 0; j < n; j++)
+            r += cols[j * n + u];
+        v[u / 8][u % 8] = (int16_t)(2 * cols[(n - 1) * n + u] - r);
     }
-    u128 low = (u128)s->total[1] << 64 | s->total[0];
-    uint64_t high = s->total[2];
+    /* Then those of subset start - 1, whose columns are the bits of its
+     * Gray code. */
+    uint64_t gray = start ? (start - 1) ^ ((start - 1) >> 1) : 0;
+    for (int j = 0; j < n - 1; j++)
+        if (gray >> j & 1)
+            for (int i = 0; i < VECS; i++)
+                v[i] += steps[0][j][i];
+    u128 low;
+    uint64_t high;
     switch ((n + 7) / 8) {
-    case 4: subsets(4, steps, v, s->k, end, &low, &high); break;
-    case 5: subsets(5, steps, v, s->k, end, &low, &high); break;
-    default: pairs(steps, v, s->k, end, &low, &high); break;
+    case 4: subsets(4, steps, v, start, end, &low, &high); break;
+    case 5: subsets(5, steps, v, start, end, &low, &high); break;
+    default: pairs(steps, v, start, end, &low, &high); break;
     }
-    for (int u = 0; u < n; u++)
-        s->values[u] = v[u / 8][u % 8];
-    s->k = end;
-    s->total[0] = (uint64_t)low;
-    s->total[1] = (uint64_t)(low >> 64);
-    s->total[2] = high;
+    sum[0] = (uint64_t)low;
+    sum[1] = (uint64_t)(low >> 64);
+    sum[2] = high;
 }
 #endif

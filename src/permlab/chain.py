@@ -241,7 +241,8 @@ NO_DRAW = -1.0
 
 
 def acceptance_table(wt: WeightTable) -> array:
-    """The acceptance entry of every move of one stage, as both walk kernels read it.
+    """The acceptance entry of every move of one stage, as ``walk`` and
+    ``_python_walk`` read it; ``walk_states`` reads entries gathered from it.
 
     A move's log-weight difference delta depends only on the hole, the moved
     index, the change dk in the non-instance pair count and the stage's
@@ -292,11 +293,13 @@ def acceptance_table(wt: WeightTable) -> array:
 
 
 class _WalkState(ctypes.Structure):
-    """The ``walk_state`` struct of _walk.c, which both walk kernels read and
-    write; with the arrays it points into, ChainSampler's only store of the
-    acceptance table, the matching, the hole, the non-instance pair count and
-    the tally. It points at the three draw blocks of a ``BufferedDraws`` and
-    at its ``positions``, which never move."""
+    """The ``walk_state`` struct of _walk.c, which all three walk kernels
+    read and write: ``walk`` and ``_python_walk`` read the acceptance table
+    directly, ``walk_states`` the entries gathered from it into its table of
+    moves. With the arrays it points into, it is ChainSampler's only store
+    of the acceptance table, the matching, the hole, the non-instance pair
+    count and the tally. It points at the three draw blocks of a
+    ``BufferedDraws`` and at its ``positions``, which never move."""
 
     _fields_ = [
         ("n", ctypes.c_int64),

@@ -7,10 +7,12 @@ maintained incrementally in Gray code order, giving O(n * 2^n) work overall.
 
 ``permanent_ryser`` has two kernels that return the same value: the
 compiled one of _ryser.c, which takes Nijenhuis and Wilf's form of Ryser's
-formula over half the subsets, two at a time up to n = 24, and is exact up
-to ``KERNEL_LIMIT``, and a Python loop of plain Ryser in arbitrary-precision
-ints, which is the fallback and, being built on the other formula, the
-oracle. Results are Python ints either way (n! passes 2^63 at n = 21).
+formula over half the subsets, two at a time up to n = 24, and is exact for
+2 <= n <= ``KERNEL_LIMIT``, and a Python loop of plain Ryser in
+arbitrary-precision ints, which is the fallback and, being built on the
+other formula, the oracle. A call of the compiled kernel sums one even range
+of Gray-code indices from scratch, and the sum of the ranges mod 2^192 is
+exact. Results are Python ints either way (n! passes 2^63 at n = 21).
 """
 
 from __future__ import annotations
@@ -88,18 +90,6 @@ def gray_code_subsets(n: int) -> Iterator[tuple[int, int, int]]:
         prev = mask
 
 
-class _RyserState(ctypes.Structure):
-    """The ``ryser_state`` struct of _ryser.c: where a permanent_ryser run is."""
-
-    _fields_ = [
-        ("n", ctypes.c_int64),
-        ("cols", ctypes.c_void_p),
-        ("k", ctypes.c_uint64),
-        ("total", ctypes.c_uint64 * 3),
-        ("values", ctypes.c_int64 * KERNEL_LIMIT),
-    ]
-
-
 # Subsets per kernel call, so that control comes back to the interpreter
 # (signals, Ctrl-C) between ranges: a range takes 0.012-0.032 s on the
 # all-ones matrices at n = 24-34 on a 2-vCPU Xeon. Up to n = 23 a permanent
@@ -111,10 +101,16 @@ _RYSER_CHUNK = 1 << 22
 def _ryser_kernel():
     """The compiled ``ryser`` of _ryser.c, or None when it cannot be built or loaded.
 
+    ``ryser(n, cols, start, end, sum)`` writes to ``sum``, three uint64
+    words low first, the sum mod 2^192 of the terms of the Gray-code
+    indices start to end - 1, for 2 <= n <= ``KERNEL_LIMIT``, ``cols`` the
+    column-major entries and even start < end <= 2^(n-1). A call keeps
+    nothing, so the ranges of one permanent are independent.
     ``permanent_ryser`` asks for it on every call and runs its Python loop
     on None.
     """
-    return _native.kernel("ryser", None, ctypes.POINTER(_RyserState), ctypes.c_uint64)
+    words = ctypes.POINTER(ctypes.c_uint64)
+    return _native.kernel("ryser", None, ctypes.c_int64, ctypes.c_void_p, ctypes.c_uint64, ctypes.c_uint64, words)
 
 
 def permanent_ryser(m: Matrix) -> int:
@@ -125,40 +121,41 @@ def permanent_ryser(m: Matrix) -> int:
     instead of O(n^2)). The sign of each term comes from the subset
     cardinality's parity.
 
-    For n <= ``KERNEL_LIMIT`` (34) it runs the compiled kernel of _ryser.c
-    when that can be built and loaded, over ranges of ``_RYSER_CHUNK``
-    subsets at a time. The kernel fixes the last column and walks the
-    2^(n-1) subsets of the others (Nijenhuis and Wilf), with doubled row
-    values in int16 lanes, and forms the signed sum
-    (-1)^(n-1) 2^(n-1) perm in 192 bits, wrapping mod 2^192. Up to n = 24
-    it takes the subsets two at a time: it multiplies the row values of
-    both in SSE2 lanes (int16 products of three values, int32 ones of six)
-    down to two int64 factors each, sums the terms exactly in 128 bits over
-    blocks of at most 2^15 subsets and adds each block sum to the total.
-    Above, it multiplies one subset's values down to three int64 factors
-    (int16 products of two, int32 ones of four) and adds each term in 192
-    bits. Since n! 2^(n-1) < 2^162 for such n, the wrapped sum is exact,
-    and the permanent is that sum shifted right by n - 1 with its sign
-    fixed. Above the limit, or without the kernel, it runs plain Ryser as a
-    Python loop over the 2^n - 1 nonempty subsets, in arbitrary-precision
-    ints; that loop is also the oracle the kernel is tested against. It
-    refuses n > ``RYSER_LIMIT`` (63).
+    For 2 <= n <= ``KERNEL_LIMIT`` (34) it runs the compiled kernel of
+    _ryser.c when that can be built and loaded. The kernel fixes the last
+    column and walks the 2^(n-1) subsets of the others (Nijenhuis and
+    Wilf), with doubled row values in int16 lanes. Up to n = 24 it takes
+    the subsets two at a time: it multiplies the row values of both in SSE2
+    lanes (int16 products of three values, int32 ones of six) down to two
+    int64 factors each, sums the terms exactly in 128 bits over blocks of
+    at most 2^15 subsets and adds each block sum to a 192-bit sum. Above,
+    it multiplies one subset's values down to three int64 factors (int16
+    products of two, int32 ones of four) and adds each term in 192 bits.
+    Each call sums one range of ``_RYSER_CHUNK`` subsets (fewer at the
+    end) from scratch, mod 2^192, and the range sums are added here mod
+    2^192 into the signed sum (-1)^(n-1) 2^(n-1) perm. Since
+    n! 2^(n-1) < 2^162 for such n, that total is exact even where the sum
+    of one range wraps, and the permanent is the total shifted right by
+    n - 1 with its sign fixed. At n = 1, above the limit, or without the
+    kernel, it runs plain Ryser as a Python loop over the 2^n - 1 nonempty
+    subsets, in arbitrary-precision ints; that loop is also the oracle the
+    kernel is tested against. It refuses n > ``RYSER_LIMIT`` (63).
     """
     if m.n > RYSER_LIMIT:
         raise ValueError(
             f"permanent_ryser is limited to n <= {RYSER_LIMIT} (O(n 2^n) growth), got n = {m.n}"
         )
-    kernel = _ryser_kernel() if m.n <= KERNEL_LIMIT else None
+    kernel = _ryser_kernel() if 2 <= m.n <= KERNEL_LIMIT else None
     if kernel is None:
         return _ryser_python(m)
     cols = array("q", itertools.chain.from_iterable(m.columns()))
-    st = _RyserState(n=m.n, cols=_native.address(cols))
+    words = (ctypes.c_uint64 * 3)()
     subsets = 1 << (m.n - 1)
+    total = 0
     for start in range(0, subsets, _RYSER_CHUNK):
-        kernel(st, min(start + _RYSER_CHUNK, subsets))
-    total = st.total[0] | st.total[1] << 64 | st.total[2] << 128
-    if total >> 191:  # negative, as a signed 192-bit integer
-        total -= 1 << 192
+        kernel(m.n, _native.address(cols), start, min(start + _RYSER_CHUNK, subsets), words)
+        total += words[0] | words[1] << 64 | words[2] << 128
+    total = (total + (1 << 191)) % (1 << 192) - (1 << 191)  # as a signed 192-bit integer
     return (total if m.n & 1 else -total) >> (m.n - 1)
 
 

@@ -1,3 +1,4 @@
+import ctypes
 import itertools
 import math
 import random
@@ -149,14 +150,21 @@ def test_kernel_limit_is_the_last_n_whose_factorial_fits_128_bits():
 def test_ryser_runs_the_kernel_up_to_the_limit_and_python_above_it(monkeypatch):
     calls = []
 
-    # The kernel's sum is (-1)^(n-1) 2^(n-1) perm, mod 2^192.
+    # The kernel's sum is (-1)^(n-1) 2^(n-1) perm, mod 2^192. Each range
+    # writes a random 192-bit share of it and the last range the rest, so
+    # the shares wrap and only their sum mod 2^192 gives perm.
     perm = 5 + (7 << 64)
     total = (-perm << (KERNEL_LIMIT - 1)) % (1 << 192)
+    shares = random.Random(3)
+    written = 0
 
-    def spy(state, end):
-        calls.append((state.n, end))
+    def spy(n, cols, start, end, words):
+        nonlocal written
+        calls.append((n, start, end))
+        share = shares.getrandbits(192) if end < 1 << (n - 1) else (total - written) % (1 << 192)
+        written += share
         for i in range(3):
-            state.total[i] = total >> (64 * i) & (1 << 64) - 1
+            words[i] = share >> (64 * i) & (1 << 64) - 1
 
     monkeypatch.setattr(exact, "_ryser_kernel", lambda: spy)
     monkeypatch.setattr(exact, "_ryser_python", lambda m: "python")
@@ -164,24 +172,35 @@ def test_ryser_runs_the_kernel_up_to_the_limit_and_python_above_it(monkeypatch):
     assert permanent_ryser(Matrix.from_rows(ones)) == perm
     chunk = exact._RYSER_CHUNK
     subsets = 1 << (KERNEL_LIMIT - 1)
-    assert calls == [(KERNEL_LIMIT, end) for end in range(chunk, subsets + 1, chunk)]
+    assert calls == [(KERNEL_LIMIT, end - chunk, end) for end in range(chunk, subsets + 1, chunk)]
+    # At every n the kernel takes, its calls cover [0, 2^(n-1)] in order,
+    # each from an even start to an even end.
+    for n in (2, 3, 8, 23, 24, 25):
+        del calls[:]
+        permanent_ryser(Matrix.from_rows([[1] * n] * n))
+        assert all(call[0] == n for call in calls)
+        assert [start for _, start, _ in calls] == [0] + [end for _, _, end in calls[:-1]]
+        assert calls[-1][2] == 1 << (n - 1)
+        assert all(start % 2 == 0 == end % 2 and start < end for _, start, end in calls)
+    # n = 1, whose one subset makes no even range, and n above the limit
+    # never reach it.
     del calls[:]
-    big = Matrix.from_rows([[1] * (KERNEL_LIMIT + 1)] * (KERNEL_LIMIT + 1))
-    assert permanent_ryser(big) == "python"
+    for n in (1, KERNEL_LIMIT + 1):
+        assert permanent_ryser(Matrix.from_rows([[1] * n] * n)) == "python"
     assert calls == []
 
 
-def test_compiled_ryser_resumes_across_kernel_calls(monkeypatch):
+def test_compiled_ryser_splits_permanents_into_kernel_calls(monkeypatch):
     # Ranges of 16 subsets: every permanent at n = 9..16 takes 16 to 2048
-    # kernel calls, each resuming the Gray-code walk where the last stopped.
+    # kernel calls, each summing its range from scratch.
     compiled_ryser()
     kernel = exact._ryser_kernel()
     calls = 0
 
-    def counted(state, end):
+    def counted(*args):
         nonlocal calls
         calls += 1
-        kernel(state, end)
+        kernel(*args)
 
     monkeypatch.setattr(exact, "_ryser_kernel", lambda: counted)
     monkeypatch.setattr(exact, "_RYSER_CHUNK", 1 << 4)
@@ -210,20 +229,14 @@ def kernel_sum(masks, start, stop):
     return total % (1 << 192)
 
 
-def run_kernel_range(m, start, stop, preset=0):
-    """The compiled kernel over the Gray-code indices start to stop - 1, from
-    the row values of subset start - 1 and the sum preset: (sum, k, values)."""
+def run_kernel_range(m, start, stop, stale=0):
+    """The compiled kernel's sum over the Gray-code indices start to stop - 1,
+    from one call into sum words that held stale before it."""
     kernel = exact._ryser_kernel()
-    n = m.n
     cols = array("q", itertools.chain.from_iterable(m.columns()))
-    state = exact._RyserState(n=n, cols=_native.address(cols), k=start)
-    if start:
-        state.values[:n] = kernel_row_values(m.row_masks(), start - 1)
-    for i in range(3):
-        state.total[i] = preset >> (64 * i) & (1 << 64) - 1
-    kernel(state, stop)
-    total = state.total[0] | state.total[1] << 64 | state.total[2] << 128
-    return total, state.k, state.values[:n]
+    words = (ctypes.c_uint64 * 3)(*(stale >> (64 * i) & (1 << 64) - 1 for i in range(3)))
+    kernel(m.n, _native.address(cols), start, stop, words)
+    return words[0] | words[1] << 64 | words[2] << 128
 
 
 @pytest.mark.parametrize("n", [17, 24, 25, 32, 33, 34])
@@ -231,47 +244,42 @@ def test_compiled_ryser_ranges_at_every_vector_count(n):
     # The kernel's row values fill (n + 7) / 8 vectors of eight int16 lanes,
     # and it has one subset loop for each count: n = 17 and 24 take three,
     # 25 and 32 four, 33 and 34 five (n <= 16, one and two, is checked
-    # above). 2^12 subsets from k = 0, and from a k in the second half of
-    # the range with the row values of subset k - 1 and a sum preset.
+    # above). 2^12 subsets from k = 0, and from an even k in the second
+    # half of the range, whose row values start from those of subset k - 1,
+    # into sum words that held a stale sum.
     compiled_ryser()
     rng = random.Random(n)
     count = 1 << 12
     for num, den in ((1, 4), (7, 8)):
         m = generate_random(n, n * n * num // den, seed=rng.getrandbits(32))
         masks = m.row_masks()
-        middle = (1 << (n - 2)) + rng.randrange(1 << (n - 3))
+        middle = ((1 << (n - 2)) + rng.randrange(1 << (n - 3))) & ~1
         for start in (0, middle):
-            preset = rng.getrandbits(192) if start else 0
-            total, k, values = run_kernel_range(m, start, start + count, preset)
-            assert total == (preset + kernel_sum(masks, start, start + count)) % (1 << 192)
-            assert k == start + count
-            assert values == kernel_row_values(masks, start + count - 1)
+            stale = rng.getrandbits(192) if start else 0
+            total = run_kernel_range(m, start, start + count, stale)
+            assert total == kernel_sum(masks, start, start + count)
 
 
-@pytest.mark.parametrize("n", [1, 2, 8, 9, 16, 20, 27, 34])
+@pytest.mark.parametrize("n", [2, 8, 9, 16, 20, 27, 34])
 def test_compiled_ryser_range_edges(n):
     # The subset loop takes an odd k by adding column 0, and an even one by
-    # the Gray-code flip of column ctz(k). Ranges that start at an odd k,
-    # ranges of odd length, single subsets and the last subsets, at one to
-    # five vectors, on the all-ones matrix (whose row values are 0 only at
-    # even n) and on a dense random one, from a preset sum.
+    # the Gray-code flip of column ctz(k). Single pairs, short ranges and
+    # the last subsets, at one to five vectors, on the all-ones matrix
+    # (whose row values are 0 only at even n) and on a dense random one,
+    # into sum words that held a stale sum.
     compiled_ryser()
     rng = random.Random(n)
     last = 1 << (n - 1)
-    ranges = [(0, 1), (1, 2), (last - 1, last), (1, 8), (3, 10), (2, 7), (5, 9),
-              (last - 5, last), (last - 6, last - 1)]
-    middle = rng.randrange(last // 2, last) | 1
-    ranges += [(middle, middle + 1), (middle, middle + 6), (middle - 1, middle + 6)]
+    ranges = [(0, 2), (2, 4), (last - 2, last), (0, 8), (2, 10), (2, 8), (4, 10), (last - 6, last)]
+    middle = rng.randrange(last // 2, last) & ~1
+    ranges += [(middle, middle + 2), (middle, middle + 8), (middle + 2, middle + 8)]
     ranges = [(start, stop) for start, stop in ranges if 0 <= start < stop <= last]
     matrices = [Matrix.from_rows([[1] * n] * n), generate_random(n, n * n * 7 // 8, seed=n)]
     for m in matrices:
         masks = m.row_masks()
         for start, stop in ranges:
-            preset = rng.getrandbits(192)
-            total, k, values = run_kernel_range(m, start, stop, preset)
-            assert total == (preset + kernel_sum(masks, start, stop)) % (1 << 192), (start, stop)
-            assert k == stop
-            assert values == kernel_row_values(masks, stop - 1)
+            stale = rng.getrandbits(192)
+            assert run_kernel_range(m, start, stop, stale) == kernel_sum(masks, start, stop), (start, stop)
 
 
 @pytest.mark.parametrize("n", [17, 20, 24])
@@ -279,25 +287,39 @@ def test_compiled_ryser_folds_block_sums_into_the_total(n):
     # Up to n = 24 the kernel sums its terms in 128-bit blocks of at most
     # 2^15 subsets, ending at multiples of 2^15, and adds each block sum to
     # the 192-bit total with its sign extended. A range of one and a half
-    # blocks across a block's end, which starts at an odd k (a single
-    # subset before the first pair) and ends after an even one (a single
-    # subset after the last), on a dense random matrix from a random preset;
-    # at n = 24 also two blocks and one subset of the all-ones matrix from
-    # k = 0, whose terms reach 22^24 > 2^107 in magnitude.
+    # blocks across a block's end, on a dense random matrix; at n = 24 also
+    # two blocks and one pair of the all-ones matrix from k = 0, whose terms
+    # reach 22^24 > 2^107 in magnitude.
     compiled_ryser()
     rng = random.Random(n)
     block = 1 << 15
-    start = block * rng.randrange((1 << (n - 1)) // block - 1) + block // 2 + 1
-    stop = start + 3 * block // 2 - 2
+    start = block * rng.randrange((1 << (n - 1)) // block - 1) + block // 2
+    stop = start + 3 * block // 2
     cases = [(generate_random(n, n * n * 7 // 8, seed=n), start, stop, rng.getrandbits(192))]
     if n == 24:
-        cases.append((Matrix.from_rows([[1] * n] * n), 0, 2 * block + 1, rng.getrandbits(192)))
-    for m, start, stop, preset in cases:
-        masks = m.row_masks()
-        total, k, values = run_kernel_range(m, start, stop, preset)
-        assert total == (preset + kernel_sum(masks, start, stop)) % (1 << 192)
-        assert k == stop
-        assert values == kernel_row_values(masks, stop - 1)
+        cases.append((Matrix.from_rows([[1] * n] * n), 0, 2 * block + 2, rng.getrandbits(192)))
+    for m, start, stop, stale in cases:
+        assert run_kernel_range(m, start, stop, stale) == kernel_sum(m.row_masks(), start, stop)
+
+
+@pytest.mark.parametrize("n", [24, 30, 34])
+def test_compiled_ryser_ranges_are_independent(n):
+    # A call keeps nothing from the last, so the sums of the pieces of a
+    # window, taken in any order, add up mod 2^192 to the window's sum in
+    # one call: at three, four and five vectors, 2^13 subsets across the
+    # end of a 2^15-subset block (one of pairs' block sums at n = 24), cut
+    # at random even places into pieces of 2 subsets up to thousands.
+    compiled_ryser()
+    rng = random.Random(n)
+    m = generate_random(n, n * n * 7 // 8, seed=n)
+    count = 1 << 13
+    start = (1 << 15) * rng.randrange(1, 1 << (n - 16)) - count // 2
+    cuts = sorted({0, 2, count - 2, count, *(2 * rng.randrange(2, count // 2 - 1) for _ in range(5))})
+    pieces = [(start + a, start + b) for a, b in zip(cuts, cuts[1:])]
+    rng.shuffle(pieces)
+    whole = run_kernel_range(m, start, start + count)
+    assert whole == kernel_sum(m.row_masks(), start, start + count)
+    assert sum(run_kernel_range(m, a, b, rng.getrandbits(192)) for a, b in pieces) % (1 << 192) == whole
 
 
 def test_gray_sequence_small():
