@@ -1,10 +1,12 @@
 """The compiled kernels: one shared library built from every ``_*.c`` here.
 
 The library is compiled with ``cc`` on first use into ~/.cache/permlab and
-loaded with ``ctypes``. Each caller keeps a cached function over ``kernel``,
-asks it on every call and runs its own Python code when it returns None, so
-nothing is compiled or loaded at import and a host without a compiler still
-runs, only slower.
+loaded with ``ctypes``. The cache is append-only: each library is named by
+what it was built from and nothing here deletes one, so a library once found
+stays in place. Each caller keeps a cached function over ``kernel``, asks it
+on every call and runs its own Python code when it returns None, so nothing
+is compiled or loaded at import and a host without a compiler still runs,
+only slower.
 """
 
 from __future__ import annotations
@@ -31,9 +33,6 @@ from pathlib import Path
 # the flag stays for any expression added later.
 _CC_ARGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
 
-# Libraries of other sources that a build leaves in the cache.
-_KEPT_LIBRARIES = 3
-
 
 def library_path() -> Path:
     """The shared library built from the ``_*.c`` sources, compiling it on first use.
@@ -42,8 +41,8 @@ def library_path() -> Path:
     sources (names and contents, in link order: _walk.c, then the others
     in name order), the compiler arguments and the machine type. A build
     writes a temporary file and renames it into place, so processes that
-    build at once never load a partial library, and then deletes all but
-    the three newest libraries of other sources.
+    build at once never load a partial library. No build deletes another
+    library, so checkouts that share the cache never rebuild by turns.
     """
     # Imported here so that importing permlab stays as cheap as it can be.
     import hashlib
@@ -92,20 +91,6 @@ def library_path() -> Path:
     finally:
         if os.path.exists(partial):
             os.unlink(partial)
-    # Keep the newest few libraries of other sources, so that checkouts that
-    # share the cache (a parent and its change, say) do not rebuild by turns,
-    # and delete the older ones. A process that loaded one keeps its mapping,
-    # and a checkout with those sources rebuilds once. A *.partial file may
-    # belong to a build still running, so it stays.
-    others = []
-    for other in cache.glob("permlab-*.so"):
-        try:
-            if other != library:
-                others.append((other.stat().st_mtime, other))
-        except FileNotFoundError:
-            pass  # another build deleted it since the glob
-    for _, stale in sorted(others, reverse=True)[_KEPT_LIBRARIES:]:
-        stale.unlink(missing_ok=True)
     return library
 
 
@@ -121,26 +106,19 @@ def library():
 
 def load_library():
     """The shared library, built if need be and loaded afresh, or None when
-    it cannot be built or loaded. A library that another checkout's build
-    deletes before it is loaded is built again, once."""
+    it cannot be built or loaded."""
     # PyDLL keeps the interpreter lock through each call, so no other
     # thread can refill or free a buffer while a kernel reads it.
     try:
-        path = library_path()
-        try:
-            return ctypes.PyDLL(str(path))
-        except OSError:
-            if path.exists():
-                raise
         return ctypes.PyDLL(str(library_path()))
     except (OSError, subprocess.SubprocessError):
         return None
 
 
-def kernel(name: str, restype, *argtypes):
-    """The library's function ``name`` with the given signature, or None
-    when the library cannot be built or loaded or, on this machine, has no
-    such function (``ryser`` needs SSE2)."""
+def kernel(name: str, *argtypes):
+    """The library's function ``name``, returning nothing and taking
+    ``argtypes``, or None when the library cannot be built or loaded or, on
+    this machine, has no such function (``ryser`` needs SSE2)."""
     lib = library()
     if lib is None:
         return None
@@ -148,7 +126,7 @@ def kernel(name: str, restype, *argtypes):
         function = lib[name]
     except AttributeError:
         return None
-    function.restype = restype
+    function.restype = None
     function.argtypes = argtypes
     return function
 

@@ -146,20 +146,10 @@ def enumerate_states(n: int) -> tuple[Matching, ...]:
     """
     if not 1 <= n <= 6:
         raise ValueError(f"state enumeration is practical only for 1 <= n <= 6, got {n}")
-    assignments: list[tuple[int, ...]] = []
-    for perm in itertools.permutations(range(n)):
-        assignments.append(perm)
-    for hu in range(n):
-        for hv in range(n):
-            other_rows = [u for u in range(n) if u != hu]
-            other_cols = [v for v in range(n) if v != hv]
-            for perm in itertools.permutations(other_cols):
-                assignment = [-1] * n
-                for u, v in zip(other_rows, perm):
-                    assignment[u] = v
-                assignments.append(tuple(assignment))
-    assignments.sort()
-    return tuple(Matching.from_row_to_col(a) for a in assignments)
+    perms = list(itertools.permutations(range(n)))
+    # A near-perfect matching is a perfect one without its hole row's pair.
+    near = [p[:u] + (-1,) + p[u + 1 :] for p in perms for u in range(n)]
+    return tuple(Matching.from_row_to_col(a) for a in sorted(perms + near))
 
 
 def state_key(state: Matching) -> tuple[int, ...]:
@@ -340,7 +330,7 @@ def _walk_kernel():
     ``ChainSampler.walk`` asks for it on every call and runs the Python
     kernel on None.
     """
-    return _native.kernel("walk", None, ctypes.POINTER(_WalkState))
+    return _native.kernel("walk", ctypes.POINTER(_WalkState))
 
 
 # The largest n at which a ChainSampler walks with walk_states, the
@@ -357,7 +347,7 @@ def _state_walk_kernel():
     A ``ChainSampler`` at n <= ``STATE_WALK_LIMIT`` asks for it when it is
     made, to build the kernel's table, and on every ``walk`` call.
     """
-    return _native.kernel("walk_states", None, ctypes.POINTER(_WalkState))
+    return _native.kernel("walk_states", ctypes.POINTER(_WalkState))
 
 
 # The state_move struct of _walk.c: a move's acceptance entry, and the

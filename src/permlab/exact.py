@@ -110,7 +110,7 @@ def _ryser_kernel():
     on None.
     """
     words = ctypes.POINTER(ctypes.c_uint64)
-    return _native.kernel("ryser", None, ctypes.c_int64, ctypes.c_void_p, ctypes.c_uint64, ctypes.c_uint64, words)
+    return _native.kernel("ryser", ctypes.c_int64, ctypes.c_void_p, ctypes.c_uint64, ctypes.c_uint64, words)
 
 
 def permanent_ryser(m: Matrix) -> int:

@@ -5,9 +5,10 @@ instance's seed, ones count, and exact permanent. Trials pair a matrix with
 an error bound, relaxation factors, and a seed; each trial computes the
 exact permanent (Ryser), runs the estimator, and emits one TrialResult,
 built in one place for every outcome. A trial whose matrix cannot be read,
-whose instance or epsilon the estimator rejects, or whose run ends in a
-PhaseFailure has no estimate: its record has ``failed`` set, estimate -1.0,
-``rel_error`` and ``within_bound`` None and ``error`` saying why, and the
+whose matrix is too large for Ryser (n > 63), whose instance or epsilon the
+estimator rejects, or whose run ends in a PhaseFailure has no estimate: its
+record has ``failed`` set, estimate -1.0, ``rel_error`` and ``within_bound``
+None and ``error`` saying why (``exact`` is 0 where Ryser refused), and the
 batch goes on.
 Results persist as JSON Lines, one record per line, written afresh on each
 run; a CSV export, whose columns are SummaryRow's fields, serves
@@ -189,9 +190,9 @@ def run_single_trial(config: TrialConfig) -> TrialResult:
     except (OSError, ValueError) as exc:
         error = f"unreadable matrix: {exc}"
     else:
-        exact = permanent_ryser(m)
-        started = time.perf_counter()
         try:
+            exact = permanent_ryser(m)
+            started = time.perf_counter()
             estimate = estimate_permanent(m, config.epsilon, config.relax, config.seed)
         except ValueError as exc:
             error = str(exc)

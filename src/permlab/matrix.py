@@ -48,7 +48,7 @@ class Matrix:
         return [sum(1 << v for v, cell in enumerate(row) if cell) for row in self.rows]
 
     def columns(self) -> list[tuple[int, ...]]:
-        return [tuple(self.rows[u][v] for u in range(self.n)) for v in range(self.n)]
+        return list(zip(*self.rows))
 
 
 @dataclass(frozen=True)

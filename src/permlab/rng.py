@@ -64,10 +64,10 @@ def _refill_kernels():
     state in the numpy ``Generator`` on None.
     """
     state = ctypes.POINTER(_PCG64State)
-    bounded = _native.kernel("fill_bounded", None, state, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64)
+    bounded = _native.kernel("fill_bounded", state, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64)
     if bounded is None:
         return None
-    return bounded, _native.kernel("fill_unit", None, state, ctypes.c_void_p, ctypes.c_int64)
+    return bounded, _native.kernel("fill_unit", state, ctypes.c_void_p, ctypes.c_int64)
 
 
 def check_seed(seed: int, name: str = "seed") -> None:

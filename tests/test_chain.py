@@ -139,18 +139,21 @@ def test_step_rejects_on_high_unit_draw():
 
 def test_enumerate_states_counts():
     # Distinct matchings number (n+1)!: n! perfect plus n^2 (n-1)! near.
-    assert len(enumerate_states(1)) == 2
-    assert len(enumerate_states(2)) == 6
-    assert len(enumerate_states(3)) == 24
-    assert len(enumerate_states(4)) == 120
+    for n in range(1, 7):
+        states = enumerate_states(n)
+        assert len(states) == math.factorial(n + 1)
+        assert sum(state.is_perfect for state in states) == math.factorial(n)
 
 
 def test_enumerate_states_distinct_and_valid():
-    states = enumerate_states(3)
-    keys = {state_key(s) for s in states}
-    assert len(keys) == len(states)
-    for state in states:
-        state.validate()
+    # Strictly increasing row assignments: walk_states' binary search and
+    # _state_graph rely on the order.
+    for n in range(1, 7):
+        states = enumerate_states(n)
+        keys = [state_key(s) for s in states]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        for state in states:
+            state.validate()
 
 
 def test_enumerate_states_guard():

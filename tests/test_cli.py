@@ -385,6 +385,24 @@ def test_too_small_epsilon_fails_each_trial_and_keeps_the_batch(tmp_path, capsys
         assert record["error"].startswith("epsilon 1e-09 is too small for n = 4: ")
 
 
+def test_a_matrix_too_large_for_ryser_fails_one_trial_and_keeps_the_batch(tmp_path, capsys):
+    save_matrix(Matrix.from_rows([[1] * 4] * 4), tmp_path / "small.pmat")
+    save_matrix(Matrix.from_rows([[int(u == v) for v in range(64)] for u in range(64)]), tmp_path / "large.pmat")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"matrices": [{"path": "small.pmat"}, {"path": "large.pmat"}]}))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"epsilon": 0.5, "relax": [300000, 1, 300000, 1]}))
+    results = tmp_path / "results.jsonl"
+    code, out, _ = run_cli(capsys, "trials", str(manifest), str(config), "--out", str(results))
+    assert code == 0
+    assert json.loads(out)["trials"] == 2
+    small, large = (json.loads(line) for line in results.read_text().splitlines())
+    assert (small["n"], small["exact"]) == (4, 24)
+    assert large["n"] == 64
+    assert large["failed"] is True
+    assert large["error"].startswith("permanent_ryser is limited to n <= 63")
+
+
 @pytest.mark.parametrize(
     "manifest, message",
     [

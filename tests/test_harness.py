@@ -240,6 +240,26 @@ def test_undersized_instance_fails_without_losing_the_batch(tmp_path):
     assert large.error.startswith("phase ")
 
 
+def test_a_matrix_too_large_for_ryser_fails_without_losing_the_batch(tmp_path):
+    # Ryser refuses n = 64; that trial is recorded as failed, and the one
+    # before it keeps its record.
+    save_matrix(Matrix.from_rows([[1, 1, 1, 0], [1, 1, 0, 1], [1, 0, 1, 1], [0, 1, 1, 1]]), tmp_path / "small.pmat")
+    save_matrix(Matrix.from_rows([[int(u == v) for v in range(64)] for u in range(64)]), tmp_path / "large.pmat")
+    configs = [
+        TrialConfig(str(tmp_path / name), epsilon=0.5, relax=RELAX_FAST_FAIL, seed=1)
+        for name in ("small.pmat", "large.pmat")
+    ]
+    small, large = run_trials(configs, workers=1)
+    assert (small.n, small.exact) == (4, 9)
+    assert large.n == 64
+    assert large.failed
+    assert large.exact == 0
+    assert large.estimate == -1.0
+    assert large.error.startswith("permanent_ryser is limited to n <= 63")
+    assert large.steps_taken == 0
+    assert large.wall_seconds == 0.0
+
+
 def test_zero_permanent_trial_is_benign(tmp_path):
     zero = Matrix.from_rows([[0] * 4] * 4)
     path = tmp_path / "zero.pmat"

@@ -53,6 +53,15 @@ def test_parse_missing_and_extra_rows():
         parse_matrix("2\n10\n01\n11\n")
 
 
+def test_columns_transpose_the_rows():
+    for seed in range(24):
+        n = 1 + seed % 8
+        m = generate_random(n, (n * n * (1 + seed % 3)) // 4, seed)
+        cols = m.columns()
+        assert len(cols) == n
+        assert all(cols[v][u] == m.rows[u][v] for u in range(n) for v in range(n))
+
+
 def test_round_trip_random():
     for seed in range(25):
         n = 1 + seed % 7

@@ -21,9 +21,8 @@ def kernel_lookups():
 def test_compiled_kernels_build_and_load_from_one_library(tmp_path, monkeypatch):
     # Where a compiler exists, a broken build must not fall back to the
     # Python loops unnoticed. A fresh home makes this a real build.
-    # The build keeps the three newest libraries of other sources, deletes
-    # the older ones, and leaves the temporary file of a build that may
-    # still be running.
+    # The build deletes nothing: every library of other sources stays, as
+    # does the temporary file of a build that may still be running.
     monkeypatch.setenv("HOME", str(tmp_path))
     monkeypatch.setattr(_native, "library", _native.load_library)
     cache = tmp_path / ".cache" / "permlab"
@@ -36,7 +35,7 @@ def test_compiled_kernels_build_and_load_from_one_library(tmp_path, monkeypatch)
     assert all(lookup() is not None for lookup in kernel_lookups())
     assert stat.S_IMODE(cache.stat().st_mode) == 0o700
     library = _native.library_path()
-    kept = [library.name, *others[1:], "tmp1234.partial"]
+    kept = [library.name, *others, "tmp1234.partial"]
     assert sorted(path.name for path in cache.iterdir()) == sorted(kept)
 
 
@@ -57,24 +56,22 @@ def test_kernels_are_none_when_the_cache_cannot_be_written(tmp_path, monkeypatch
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc) on PATH")
-def test_a_library_deleted_before_its_load_is_built_again(tmp_path, monkeypatch):
-    # Another checkout's build deletes the libraries of other sources, and
-    # may do so between library_path finding this one and the load.
+def test_checkouts_sharing_the_cache_keep_each_others_libraries(tmp_path, monkeypatch):
+    # A parent and its change build from different sources (here, different
+    # arguments) into one cache; each finds its library again unrebuilt.
     monkeypatch.setenv("HOME", str(tmp_path))
-    library_path = _native.library_path
-    found = []
-
-    def deleted_once_found():
-        path = library_path()
-        if not found:
-            path.unlink()
-        found.append(path)
-        return path
-
-    monkeypatch.setattr(_native, "library_path", deleted_once_found)
+    plain = _native._CC_ARGS
+    other = (*plain, "-DPERMLAB_OTHER_CHECKOUT")
+    monkeypatch.setattr(_native, "_CC_ARGS", other)
+    first = _native.library_path()
+    built = first.stat().st_mtime_ns
+    monkeypatch.setattr(_native, "_CC_ARGS", plain)
+    second = _native.library_path()
+    assert first != second
+    monkeypatch.setattr(_native, "_CC_ARGS", other)
     assert _native.load_library() is not None
-    assert len(found) == 2
-    assert found[1].exists()
+    assert first.stat().st_mtime_ns == built
+    assert sorted(tmp_path.joinpath(".cache", "permlab").iterdir()) == sorted([first, second])
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc) on PATH")
