@@ -7,18 +7,22 @@
  *
  * No kernel does any floating-point arithmetic. Each step reads its move's
  * entry of the stage's acceptance table, which chain.acceptance_table fills
- * once per stage (layout in its docstring): a negative entry, NO_DRAW,
- * accepts without a unit draw, and any other accepts when the next unit draw
- * is below it. Every kernel compares the same doubles, so every acceptance
- * decision is the same on all three.
+ * once per stage (layout in its docstring): NO_DRAW (-1.0) accepts without
+ * a unit draw, and any other entry, a ratio in [0, 1], accepts when the
+ * next unit draw, in [0, 1), is below it. The compiled kernels compare
+ * the int64 bit patterns of the entry and the unit value, not the doubles:
+ * non-negative doubles order as their bit patterns do, and of all the
+ * entries only NO_DRAW has its sign bit set. A NaN's bit pattern would
+ * order wrongly (x86's default NaN is negative), so chain.acceptance_table
+ * writes +0.0 where the ratio is NaN; that entry takes a draw and rejects,
+ * as a NaN does under the Python kernel's float compare. So every
+ * acceptance decision is the same on all three.
  *
  * A unit draw is consumed exactly when the entry is not NO_DRAW. The
  * compiled kernels read a unit value on every step, at the read position
  * clamped into the block, so that they need no branch on the entry; on a
- * NO_DRAW step that value decides nothing, since a negative entry accepts
- * whatever it is, a stale or never-filled (NaN) value included. That is why
- * NO_DRAW stays negative: an entry above 1 would accept any draw in [0, 1),
- * but not a NaN.
+ * NO_DRAW step that value decides nothing, since the entry's sign bit
+ * accepts whatever it is, a stale or never-filled (NaN) value included.
  *
  * walk_states walks the (n + 1)! states of chain.enumerate_states by index,
  * on a table of one state_move per state and draw (the edge index from a
@@ -49,17 +53,27 @@ enum { NEED_EDGE = 0, NEED_VERT = 1, NEED_UNIT = 2 };
  * proposes, as the index of that state's first move (its index times 2n) and
  * as its tally key. */
 typedef struct {
-    double accept;
+    int64_t accept; /* the double's bit pattern */
     int32_t next, key;
 } state_move;
+
+/* 1 when a step whose entry has bit pattern t and whose unit value has bit
+ * pattern ub is accepted: t is NO_DRAW, the one entry with its sign bit
+ * set, or ub < t, both non-negative, which is when the unsigned difference
+ * ub - t wraps past 2^63. */
+static inline int64_t accepted(int64_t t, int64_t ub)
+{
+    return ((uint64_t)t | ((uint64_t)ub - (uint64_t)t)) >> 63;
+}
 
 typedef struct {
     int64_t n;
     const int64_t *edge;  /* n * n instance matrix, row-major, 0 or 1 */
-    const double *accept; /* 2 n^2 + 6 n^3 acceptance entries */
+    /* 2 n^2 + 6 n^3 acceptance entries, doubles read as their bit
+     * patterns, as are the unit draws. */
+    const int64_t *accept;
     int64_t *r2c, *c2r;   /* assignments, -1 at the hole row and column */
-    const int64_t *ebuf, *vbuf; /* the draw blocks */
-    const double *ubuf;
+    const int64_t *ebuf, *vbuf, *ubuf; /* the draw blocks */
     int64_t size;         /* draws per block */
     int64_t *pos;         /* read positions in ebuf, vbuf and ubuf */
     int64_t left;         /* steps still to take */
@@ -88,14 +102,13 @@ __attribute__((aligned(64))) void walk(walk_state *s)
     int64_t steps = s->left;
     const int64_t n = s->n, nn = n * n, cube = nn * n;
     const int64_t *edge = s->edge;
-    const double *drops = s->accept, *completions = drops + nn;
+    const int64_t *drops = s->accept, *completions = drops + nn;
     /* The row-move and column-move entries with dk = 0. */
-    const double *row_moves = drops + 2 * nn + cube;
-    const double *column_moves = drops + 2 * nn + 4 * cube;
+    const int64_t *row_moves = drops + 2 * nn + cube;
+    const int64_t *column_moves = drops + 2 * nn + 4 * cube;
     int64_t *r2c = s->r2c, *c2r = s->c2r;
     int64_t hu = s->hu, hv = s->hv, k = s->k;
-    const int64_t *ebuf = s->ebuf, *vbuf = s->vbuf;
-    const double *ubuf = s->ubuf;
+    const int64_t *ebuf = s->ebuf, *vbuf = s->vbuf, *ubuf = s->ubuf;
     const int64_t size = s->size;
     int64_t epos = s->pos[0], vpos = s->pos[1], upos = s->pos[2];
     const int64_t spacing = s->spacing;
@@ -106,7 +119,7 @@ __attribute__((aligned(64))) void walk(walk_state *s)
     for (; steps > 0; steps--) {
         int64_t dk, x, z = 0, w = 0;
         int move; /* 0 drop, 1 complete, 2 matched row, 3 matched column */
-        double ratio;
+        int64_t ratio;
         if (hu < 0) {
             /* Perfect: drop a uniformly chosen matched pair (x, z). */
             if (epos >= size) {
@@ -149,13 +162,12 @@ __attribute__((aligned(64))) void walk(walk_state *s)
          * stages "a draw is due" and "accepted" are close to independent,
          * and one data-dependent branch fewer is one mispredict fewer. The
          * rare, predictable test of a used-up block comes first. */
-        const int64_t draw = !(ratio < 0.0);
+        const int64_t draw = ratio >= 0;
         if (upos >= size && draw) {
             s->need = NEED_UNIT;
             break;
         }
-        const double u = ubuf[upos < size ? upos : size - 1];
-        const int accept = (ratio < 0.0) | (u < ratio);
+        const int64_t accept = accepted(ratio, ubuf[upos < size ? upos : size - 1]);
         upos += draw;
         if (move == 0)
             epos++;
@@ -234,8 +246,7 @@ __attribute__((aligned(64))) void walk_states(walk_state *s)
     int64_t steps = s->left;
     const int64_t n = s->n, width = 2 * n;
     const state_move *moves = s->moves;
-    const int64_t *ebuf = s->ebuf, *vbuf = s->vbuf;
-    const double *ubuf = s->ubuf;
+    const int64_t *ebuf = s->ebuf, *vbuf = s->vbuf, *ubuf = s->ubuf;
     const int64_t size = s->size;
     int64_t epos = s->pos[0], vpos = s->pos[1], upos = s->pos[2];
     const int64_t spacing = s->spacing;
@@ -257,16 +268,15 @@ __attribute__((aligned(64))) void walk_states(walk_state *s)
             break;
         }
         const state_move *move = moves + first + (perfect ? ebuf : vbuf)[pos];
-        const double ratio = move->accept;
-        const int64_t draw = !(ratio < 0.0);
+        const int64_t ratio = move->accept;
+        const int64_t draw = ratio >= 0;
         if (upos >= size && draw) {
             s->need = NEED_UNIT;
             break;
         }
-        const double u = ubuf[upos < size ? upos : size - 1];
         /* All ones when accepted. A plain `accept ? next : first` came out
          * as a branch, one mispredict on most annealed steps. */
-        const int64_t accept = -(int64_t)((ratio < 0.0) | (u < ratio));
+        const int64_t accept = -accepted(ratio, ubuf[upos < size ? upos : size - 1]);
         upos += draw;
         epos += perfect;
         vpos += !perfect;

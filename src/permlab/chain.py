@@ -224,8 +224,8 @@ def exact_stationary(n: int, wt: WeightTable) -> tuple[tuple[Matching, ...], np.
 
 
 # The acceptance_table entry of a move whose weight ratio is at least 1: it
-# is accepted without a unit draw. Every other entry is a ratio in [0, 1]
-# (or NaN, which rejects). It must be negative, not merely above 1; see
+# is accepted without a unit draw. Every other entry is a ratio in [0, 1].
+# It must have its sign bit set, and be the only entry that does; see
 # acceptance_table.
 NO_DRAW = -1.0
 
@@ -239,11 +239,16 @@ def acceptance_table(wt: WeightTable) -> array:
     weights. Its entry is ``NO_DRAW`` where delta >= 0.0, and otherwise
     exp(delta), the probability that the move is accepted, against one unit
     draw. A step consumes a unit draw exactly when its entry is not
-    ``NO_DRAW``. The compiled kernel reads a unit value on every step, to
-    need no branch on the entry; on a ``NO_DRAW`` step that value, stale or
-    never filled, decides nothing, and ``NO_DRAW`` stays negative for that
-    reason: a negative entry accepts whatever the value is, where one above
-    1 would reject a NaN. With nn = n * n, the 2 * nn + 6 * n^3 entries are:
+    ``NO_DRAW``. The compiled kernels compare the int64 bit patterns of the
+    entry and the unit value, which order as the doubles do where both are
+    non-negative, and take an entry's sign bit for ``NO_DRAW``. So a NaN
+    delta, from infinite weights, gives +0.0, not NaN, whose bit pattern
+    orders wrongly (x86's default NaN is negative): the step takes a draw
+    and rejects, on every kernel. The compiled kernels read a unit value on
+    every step, to need no branch on the entry; on a ``NO_DRAW`` step that
+    value, stale or never filled, decides nothing, since the sign bit
+    accepts whatever it is. With nn = n * n, the 2 * nn + 6 * n^3 entries
+    are:
 
     * drop the pair (u, v) of a perfect matching: [u * n + v];
     * complete the hole (hu, hv): [nn + hu * n + hv];
@@ -256,7 +261,7 @@ def acceptance_table(wt: WeightTable) -> array:
     one left (drop: plus the pair's; complete: minus the hole's), summed left
     to right in float64; numpy's elementwise operations round as the scalar
     ones do. exp is libm's, through ``math.exp``, and is never evaluated at
-    delta >= 0, where it could overflow.
+    delta >= 0, where it could overflow; a NaN delta is taken as -inf.
     """
     import numpy as np
 
@@ -265,19 +270,21 @@ def acceptance_table(wt: WeightTable) -> array:
     log_w = np.array(wt.log_w, dtype=np.float64).reshape(n, n)
     edge = np.array(wt.edge_present, dtype=np.int64).reshape(n, n)
     dk_terms = np.array([-1.0, 0.0, 1.0])[:, None, None, None] * log_lambda
-    deltas = [
-        (edge - 1) * log_lambda + log_w,
-        (1 - edge) * log_lambda - log_w,
-        dk_terms + log_w[None, :, :, None] - log_w[None, :, None, :],
-        dk_terms + log_w[None, :, None, :] - log_w[None, None, :, :],
-    ]
+    # Infinite weights make NaN deltas (inf - inf, 0 * inf), taken as -inf below.
+    with np.errstate(invalid="ignore"):
+        deltas = [
+            (edge - 1) * log_lambda + log_w,
+            (1 - edge) * log_lambda - log_w,
+            dk_terms + log_w[None, :, :, None] - log_w[None, :, None, :],
+            dk_terms + log_w[None, :, None, :] - log_w[None, None, :, :],
+        ]
     exp = math.exp
     return array(
         "d",
         [
             NO_DRAW if delta >= 0.0 else exp(delta)
             for part in deltas
-            for delta in part.ravel().tolist()
+            for delta in np.where(np.isnan(part), -np.inf, part).ravel().tolist()
         ],
     )
 
@@ -286,9 +293,11 @@ class _WalkState(ctypes.Structure):
     """The ``walk_state`` struct of _walk.c, which all three walk kernels
     read and write: ``walk`` and ``_python_walk`` read the acceptance table
     directly, ``walk_states`` the entries gathered from it into its table of
-    moves. With the arrays it points into, it is ChainSampler's only store
-    of the acceptance table, the matching, the hole, the non-instance pair
-    count and the tally. It points at the three draw blocks of a
+    moves. The compiled kernels read the entries and the unit draws as their
+    int64 bit patterns, which is why the table holds +0.0, not NaN, where a
+    delta is NaN (see ``acceptance_table``). With the arrays it points into,
+    it is ChainSampler's only store of the acceptance table, the matching,
+    the hole, the non-instance pair count and the tally. It points at the three draw blocks of a
     ``BufferedDraws`` and at its ``positions``, which never move."""
 
     _fields_ = [

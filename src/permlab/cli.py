@@ -28,7 +28,7 @@ import sys
 import time
 
 from . import feasibility as feas
-from .exact import RYSER_LIMIT, permanent_ryser
+from .exact import KERNEL_LIMIT, permanent_ryser
 from .fpras import estimate_permanent
 from .harness import (
     SCHEMA_VERSION,
@@ -110,11 +110,11 @@ def _parse_seed(text: str) -> int:
 
 def _parse_size(text: str) -> int:
     size = _positive_int(text, "size")
-    if size > RYSER_LIMIT:
+    if size > KERNEL_LIMIT:
         # Refused here, before gen writes anything: every instance gets its
         # exact permanent.
         raise argparse.ArgumentTypeError(
-            f"size must be at most {RYSER_LIMIT}, the largest n permanent_ryser takes, got {text!r}"
+            f"size must be at most {KERNEL_LIMIT}, the largest n permanent_ryser takes, got {text!r}"
         )
     return size
 

@@ -27,17 +27,16 @@ from . import _native
 from .matrix import Matrix
 
 NAIVE_LIMIT = 12
-# The largest n permanent_ryser takes, that of gray_code_subsets; its
-# 2^n - 1 subsets are out of reach long before.
-RYSER_LIMIT = 63
-# The largest n the compiled kernel takes. A {0,1} permanent counts
-# permutations, so 0 <= perm <= n!; up to this n the kernel's row values,
-# of magnitude at most n, multiply without overflow in its SSE2 lanes and
-# int64 factors (up to n = 24: three in int16, 24^3 < 2^15, six in int32
-# and twelve in int64, 24^12 < 2^56, with 128-bit block sums of at most
-# 2^15 terms, 2^15 24^24 < 2^127; above: two in int16, 34^2 < 2^15, four
-# in int32 and twelve in int64, 34^12 < 2^62), and its signed 192-bit sum
-# holds n! 2^(n-1) < 2^162 (see _ryser.c).
+# The largest n permanent_ryser and gray_code_subsets take: the compiled
+# kernel's, since above it only the Python loop could run, which would take
+# about a day at n = 35 (0.34 s at n = 18, O(n 2^n)). A {0,1} permanent
+# counts permutations, so 0 <= perm <= n!; up to this n the kernel's row
+# values, of magnitude at most n, multiply without overflow in its SSE2
+# lanes and int64 factors (up to n = 24: three in int16, 24^3 < 2^15, six in
+# int32 and twelve in int64, 24^12 < 2^56, with 128-bit block sums of at
+# most 2^15 terms, 2^15 24^24 < 2^127; above: two in int16, 34^2 < 2^15,
+# four in int32 and twelve in int64, 34^12 < 2^62), and its signed 192-bit
+# sum holds n! 2^(n-1) < 2^162 (see _ryser.c).
 KERNEL_LIMIT = 34
 
 
@@ -78,8 +77,8 @@ def gray_code_subsets(n: int) -> Iterator[tuple[int, int, int]]:
     flipped bit was set and -1 when it was cleared. Consecutive masks differ
     in exactly one bit, and the first mask is {0}.
     """
-    if not 1 <= n <= RYSER_LIMIT:
-        raise ValueError(f"n must be in [1, {RYSER_LIMIT}], got {n}")
+    if not 1 <= n <= KERNEL_LIMIT:
+        raise ValueError(f"n must be in [1, {KERNEL_LIMIT}], got {n}")
     prev = 0
     for k in range(1, 1 << n):
         mask = k ^ (k >> 1)
@@ -136,16 +135,16 @@ def permanent_ryser(m: Matrix) -> int:
     2^192 into the signed sum (-1)^(n-1) 2^(n-1) perm. Since
     n! 2^(n-1) < 2^162 for such n, that total is exact even where the sum
     of one range wraps, and the permanent is the total shifted right by
-    n - 1 with its sign fixed. At n = 1, above the limit, or without the
-    kernel, it runs plain Ryser as a Python loop over the 2^n - 1 nonempty
-    subsets, in arbitrary-precision ints; that loop is also the oracle the
-    kernel is tested against. It refuses n > ``RYSER_LIMIT`` (63).
+    n - 1 with its sign fixed. At n = 1, or without the kernel, it runs
+    plain Ryser as a Python loop over the 2^n - 1 nonempty subsets, in
+    arbitrary-precision ints; that loop is also the oracle the kernel is
+    tested against. It refuses n > ``KERNEL_LIMIT`` (34) before any work.
     """
-    if m.n > RYSER_LIMIT:
+    if m.n > KERNEL_LIMIT:
         raise ValueError(
-            f"permanent_ryser is limited to n <= {RYSER_LIMIT} (O(n 2^n) growth), got n = {m.n}"
+            f"permanent_ryser is limited to n <= {KERNEL_LIMIT} (O(n 2^n) growth), got n = {m.n}"
         )
-    kernel = _ryser_kernel() if 2 <= m.n <= KERNEL_LIMIT else None
+    kernel = _ryser_kernel() if m.n >= 2 else None
     if kernel is None:
         return _ryser_python(m)
     cols = array("q", itertools.chain.from_iterable(m.columns()))

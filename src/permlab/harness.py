@@ -5,7 +5,7 @@ instance's seed, ones count, and exact permanent. Trials pair a matrix with
 an error bound, relaxation factors, and a seed; each trial computes the
 exact permanent (Ryser), runs the estimator, and emits one TrialResult,
 built in one place for every outcome. A trial whose matrix cannot be read,
-whose matrix is too large for Ryser (n > 63), whose instance or epsilon the
+whose matrix is too large for Ryser (n > 34), whose instance or epsilon the
 estimator rejects, or whose run ends in a PhaseFailure has no estimate: its
 record has ``failed`` set, estimate -1.0, ``rel_error`` and ``within_bound``
 None and ``error`` saying why (``exact`` is 0 where Ryser refused), and the
@@ -35,7 +35,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .exact import RYSER_LIMIT, permanent_ryser
+from .exact import KERNEL_LIMIT, permanent_ryser
 from .fpras import estimate_permanent
 from .matrix import generate_random, load_matrix, save_matrix
 from .params import RelaxationFactors, check_epsilon
@@ -344,13 +344,13 @@ def generate_suite(
     seeds derive deterministically from the master seed and the instance
     index. Exact permanents are computed with Ryser and recorded; instances
     are never filtered on the permanent, a zero simply stays in the suite.
-    A size outside [1, ``RYSER_LIMIT``] raises ValueError before anything
+    A size outside [1, ``KERNEL_LIMIT``] raises ValueError before anything
     is written.
     """
     for n in sizes:
-        if not 1 <= n <= RYSER_LIMIT:
+        if not 1 <= n <= KERNEL_LIMIT:
             raise ValueError(
-                f"suite sizes must be in [1, {RYSER_LIMIT}], the n permanent_ryser takes, got {n}"
+                f"suite sizes must be in [1, {KERNEL_LIMIT}], the n permanent_ryser takes, got {n}"
             )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,6 +1,9 @@
 import functools
 import hashlib
+import itertools
 import math
+import struct
+import sys
 from array import array
 
 import numpy as np
@@ -348,10 +351,17 @@ def mixed_weights(m, log_lambda):
     )
 
 
-def walk_fingerprint(n, log_lambda, buffer_size):
-    """Hashes of the trajectory, the draw positions and the tallies of a mixed run."""
+def with_holes(wt, holes):
+    """``wt`` with the hole log-weights of the cells in ``holes`` replaced by its values."""
+    return wt.with_updates(log_w=[holes.get(cell, w) for cell, w in enumerate(wt.log_w)])
+
+
+def walk_fingerprint(n, log_lambda, buffer_size, holes=None):
+    """Hashes of the trajectory, the draw positions and the tallies of a
+    mixed run, whose hole weights ``holes`` overrides at both stages."""
+    holes = holes or {}
     m = generate_random(n, -(-3 * n * n // 4), seed=n)
-    wt = mixed_weights(m, log_lambda)
+    wt = with_holes(mixed_weights(m, log_lambda), holes)
     draws = BufferedDraws(7 * n, n, buffer_size=buffer_size)
     sampler = ChainSampler(wt, find_perfect_matching(m), draws)
     hashes = [hashlib.sha256() for _ in range(3)]
@@ -365,7 +375,10 @@ def walk_fingerprint(n, log_lambda, buffer_size):
     # Halfway, a second stage: a kernel left reading the first stage's
     # entries shows in the rest of the trajectory.
     sampler.set_weights(
-        wt.with_updates(log_lambda=log_lambda / 2 - 0.5, log_w=[2 * math.cos(5 * i) for i in range(n * n)])
+        with_holes(
+            wt.with_updates(log_lambda=log_lambda / 2 - 0.5, log_w=[2 * math.cos(5 * i) for i in range(n * n)]),
+            holes,
+        )
     )
     sampler.walk(5_000)
     trajectory.update(repr(sampler_state(sampler)).encode())
@@ -393,6 +406,124 @@ def test_compiled_walk_matches_python_walk(n, monkeypatch):
     # A host without cc runs the Python kernel on draws that numpy fills.
     monkeypatch.setattr("permlab.rng._refill_kernels", lambda: None)
     assert [walk_fingerprint(n, *setting) for setting in settings] == compiled
+
+
+# Two +inf hole weights in one row, a -inf and a NaN: moves between the
+# +inf holes have delta inf - inf, x86's default NaN, which is negative, and
+# every move to or from the NaN hole has a NaN delta too.
+NON_FINITE_HOLES = {1: math.inf, 2: math.inf, 6: -math.inf, 11: math.nan}
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_non_finite_weights_walk_alike_on_every_kernel(n, monkeypatch):
+    # A NaN delta gives a +0.0 entry, which takes a draw and rejects, as the
+    # float compare of the Python kernel and the reference step reject NaN.
+    # A NaN entry would decide otherwise on the compiled kernels' bit
+    # patterns: accept without a draw where its sign bit is set, and accept
+    # any draw where not.
+    wt = with_holes(mixed_weights(generate_random(n, -(-3 * n * n // 4), seed=n), -1.0), NON_FINITE_HOLES)
+    table = chain.acceptance_table(wt)
+    assert not any(math.isnan(entry) for entry in table)
+    assert 0.0 in table and chain.NO_DRAW in table
+    if chain._walk_kernel() is None:
+        pytest.skip("the compiled walk kernel cannot be built or loaded here")
+    settings = [(-1.0, 1 << 16, NON_FINITE_HOLES), (-1.0, 3, NON_FINITE_HOLES)]
+    compiled = [walk_fingerprint(n, *setting) for setting in settings]
+    monkeypatch.setattr(chain, "_state_walk_kernel", lambda: None)
+    assert [walk_fingerprint(n, *setting) for setting in settings] == compiled
+    monkeypatch.setattr(chain, "_walk_kernel", lambda: None)
+    assert [walk_fingerprint(n, *setting) for setting in settings] == compiled
+
+
+def bit_pattern(x):
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+# Hole log-weights whose entries are 1.0 (exp(-1e-17)), 0.5, subnormals
+# (exp(-720), and exp(-745), the smallest subnormal) and +0.0 (exp(-inf)),
+# besides NO_DRAW and their products with lambda = 1/2.
+TIE_HOLE_LOG_WEIGHTS = [0.0, -1e-17, -720.0, -math.inf, math.log(0.5), -745.0]
+
+
+def tie_units(table):
+    """Unit values on both sides of every entry of ``table`` but NO_DRAW and
+    on it, +0.0, subnormals and 1 - 2^-53: the values in [0, 1) at which a
+    compare of bit patterns could part from the float compare."""
+    entries = {entry for entry in table if entry >= 0.0}
+    near = {value for entry in entries for value in (math.nextafter(entry, -1.0), entry, math.nextafter(entry, 2.0))}
+    smallest = sys.float_info.min
+    edges = {0.0, 5e-324, 1e-310, smallest, math.nextafter(smallest, 0.0), 1 - 2**-53}
+    return sorted(value for value in near | edges if 0.0 <= value < 1.0)
+
+
+def test_bit_patterns_order_as_the_doubles_do():
+    # The compiled kernels' acceptance test, on the int64 bit patterns t of
+    # the entry and ub of the unit value: accepted when the sign bit of
+    # t | (ub - t), the difference taken mod 2^64, is set.
+    table = chain.acceptance_table(WeightTable(2, math.log(0.5), tuple(TIE_HOLE_LOG_WEIGHTS[:4]), (1, 0, 1, 1)))
+    units = tie_units(table)
+    entries = sorted(set(table))
+    assert entries[0] == chain.NO_DRAW and bit_pattern(chain.NO_DRAW) < 0
+    assert 0.0 in entries and 1.0 in entries and any(0.0 < e < sys.float_info.min for e in entries)
+    values = units + entries[1:]
+    assert all(bit_pattern(value) >= 0 for value in values)
+    for a, b in itertools.product(values, repeat=2):
+        assert (bit_pattern(a) < bit_pattern(b)) == (a < b)
+    for entry, u in itertools.product(entries, units + [math.nan]):
+        t, ub = bit_pattern(entry) % 2**64, bit_pattern(u) % 2**64
+        accepted = (t | (ub - t) % 2**64) >> 63
+        assert accepted == (entry == chain.NO_DRAW or u < entry)
+
+
+def scripted_units(draws, values):
+    """Make every unit refill of ``draws`` write the next ``size`` of
+    ``values``, taken in turn and over again."""
+    cycle = itertools.cycle(values)
+    block = draws.unit_buf.obj
+
+    def refill_unit():
+        block[:] = [next(cycle) for _ in range(draws.size)]
+        draws.positions[2] = 0
+        return draws.unit_buf
+
+    draws.refill_unit = refill_unit
+
+
+def tie_trajectory(n):
+    """The state and draw positions after each of 20,000 single steps on
+    the weights of ``TIE_HOLE_LOG_WEIGHTS``, with unit draws from ``tie_units``."""
+    m = generate_random(n, 3 * n * n // 4, seed=n)
+    log_w = list(itertools.islice(itertools.cycle(TIE_HOLE_LOG_WEIGHTS), n * n))
+    wt = WeightTable.initial(m).with_updates(log_lambda=math.log(0.5), log_w=log_w)
+    draws = BufferedDraws(n, n, buffer_size=5)
+    units = tie_units(chain.acceptance_table(wt))
+    np.random.Generator(np.random.PCG64(n)).shuffle(units)
+    scripted_units(draws, units)
+    sampler = ChainSampler(wt, find_perfect_matching(m), draws)
+    trajectory = []
+    for _ in range(20_000):
+        sampler.walk(1)
+        trajectory.append((sampler_state(sampler), draw_positions(draws)))
+    return trajectory
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_ties_and_edges_decide_alike_on_every_kernel(n, monkeypatch):
+    # A unit value equal to its entry rejects, on the bit patterns as on
+    # the doubles. The units sit on, above and below the entries, which
+    # include +0.0, 1.0 and subnormals, so ties and one-ulp misses are
+    # frequent.
+    if chain._walk_kernel() is None:
+        pytest.skip("the compiled walk kernel cannot be built or loaded here")
+    states = tie_trajectory(n)
+    monkeypatch.setattr(chain, "_state_walk_kernel", lambda: None)
+    compiled = tie_trajectory(n)
+    monkeypatch.setattr(chain, "_walk_kernel", lambda: None)
+    python = tie_trajectory(n)
+    for step_index, (a, b, c) in enumerate(zip(states, compiled, python)):
+        assert a == b == c, step_index
+    # The walk moves: at least a tenth of the steps change the state.
+    assert sum(a[0] != b[0] for a, b in zip(python, python[1:])) > 2_000
 
 
 def interrupt_the_fourth_refill(sampler, monkeypatch, refilled=False):

@@ -236,7 +236,12 @@ def test_trials_and_report_subcommands(tmp_path, capsys):
         (
             ["exact"],
             "64\n" + ("1" * 64 + "\n") * 64,
-            "permanent_ryser is limited to n <= 63 (O(n 2^n) growth), got n = 64\n",
+            "permanent_ryser is limited to n <= 34 (O(n 2^n) growth), got n = 64\n",
+        ),
+        (
+            ["exact"],
+            "35\n" + ("1" * 35 + "\n") * 35,
+            "permanent_ryser is limited to n <= 34 (O(n 2^n) growth), got n = 35\n",
         ),
         (["estimate"], "3\n101\n110\n101\n", "parameter formulas require n >= 4, got 3"),
         *(
@@ -264,6 +269,7 @@ def test_trials_and_report_subcommands(tmp_path, capsys):
         "report-not-ascii",
         "exact-not-ascii",
         "exact-n64",
+        "exact-n35",
         "undersized-not-quiet",
         "report-nan",
         "report-infinity",
@@ -400,7 +406,7 @@ def test_a_matrix_too_large_for_ryser_fails_one_trial_and_keeps_the_batch(tmp_pa
     assert (small["n"], small["exact"]) == (4, 24)
     assert large["n"] == 64
     assert large["failed"] is True
-    assert large["error"].startswith("permanent_ryser is limited to n <= 63")
+    assert large["error"].startswith("permanent_ryser is limited to n <= 34")
 
 
 @pytest.mark.parametrize(
@@ -469,11 +475,17 @@ def test_bad_density_argument(tmp_path, capsys, densities, message):
         (
             "--sizes",
             "4,64",
-            "argument --sizes: size must be at most 63, the largest n permanent_ryser takes, "
+            "argument --sizes: size must be at most 34, the largest n permanent_ryser takes, "
             "got '64'\n",
         ),
+        (
+            "--sizes",
+            "4,35",
+            "argument --sizes: size must be at most 34, the largest n permanent_ryser takes, "
+            "got '35'\n",
+        ),
     ],
-    ids=["count-zero", "count-negative", "size-not-int", "size-zero", "size-negative", "size-64"],
+    ids=["count-zero", "count-negative", "size-not-int", "size-zero", "size-negative", "size-64", "size-35"],
 )
 def test_bad_gen_count_or_size(tmp_path, capsys, option, value, message):
     with pytest.raises(SystemExit) as info:

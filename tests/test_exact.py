@@ -147,7 +147,7 @@ def test_kernel_limit_is_the_last_n_whose_factorial_fits_128_bits():
     assert 2**15 * 24**24 < 2**127
 
 
-def test_ryser_runs_the_kernel_up_to_the_limit_and_python_above_it(monkeypatch):
+def test_ryser_runs_the_kernel_at_every_n_from_2_to_the_limit(monkeypatch):
     calls = []
 
     # The kernel's sum is (-1)^(n-1) 2^(n-1) perm, mod 2^192. Each range
@@ -182,11 +182,12 @@ def test_ryser_runs_the_kernel_up_to_the_limit_and_python_above_it(monkeypatch):
         assert [start for _, start, _ in calls] == [0] + [end for _, _, end in calls[:-1]]
         assert calls[-1][2] == 1 << (n - 1)
         assert all(start % 2 == 0 == end % 2 and start < end for _, start, end in calls)
-    # n = 1, whose one subset makes no even range, and n above the limit
-    # never reach it.
+    # n = 1, whose one subset makes no even range, never reaches it, and n
+    # above the limit is refused before either loop.
     del calls[:]
-    for n in (1, KERNEL_LIMIT + 1):
-        assert permanent_ryser(Matrix.from_rows([[1] * n] * n)) == "python"
+    assert permanent_ryser(Matrix.from_rows([[1]])) == "python"
+    with pytest.raises(ValueError, match=rf"limited to n <= {KERNEL_LIMIT} .*, got n = {KERNEL_LIMIT + 1}$"):
+        permanent_ryser(Matrix.from_rows([[1] * (KERNEL_LIMIT + 1)] * (KERNEL_LIMIT + 1)))
     assert calls == []
 
 
@@ -347,18 +348,20 @@ def test_gray_sequence_distinctness_n16():
     assert len(masks) == 65535
 
 
-def test_ryser_refuses_n_above_63(monkeypatch):
+@pytest.mark.parametrize("n", [35, 64])
+def test_ryser_refuses_n_above_the_kernel_limit(monkeypatch, n):
+    # Above n = 34 only the Python loop could run, for about a day at n = 35.
     def no_work(*args):
-        raise AssertionError("permanent_ryser started work on n = 64")
+        raise AssertionError(f"permanent_ryser started work on n = {n}")
 
     monkeypatch.setattr(exact, "_ryser_python", no_work)
     monkeypatch.setattr(exact, "_ryser_kernel", no_work)
-    with pytest.raises(ValueError, match=r"permanent_ryser is limited to n <= 63 .*, got n = 64"):
-        permanent_ryser(Matrix.from_rows([[1] * 64] * 64))
+    with pytest.raises(ValueError, match=rf"permanent_ryser is limited to n <= 34 .*, got n = {n}$"):
+        permanent_ryser(Matrix.from_rows([[1] * n] * n))
 
 
 def test_gray_bounds():
     with pytest.raises(ValueError):
         list(gray_code_subsets(0))
     with pytest.raises(ValueError):
-        list(gray_code_subsets(64))
+        list(gray_code_subsets(KERNEL_LIMIT + 1))
