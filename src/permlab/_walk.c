@@ -1,22 +1,23 @@
 /* The compiled kernels of ChainSampler.walk: walk_states, which runs up to
- * n = chain.STATE_WALK_LIMIT (6), and walk, which runs above it.
+ * n = chain.STATE_WALK_LIMIT (6), and walk, which runs above it; and the
+ * draw refills of BufferedDraws, fill_bounded and fill_unit, at the end.
  * ChainSampler._python_walk in chain.py is the third kernel: the fallback
  * where the library cannot be built or loaded, and the oracle of the other
  * two. All three keep one contract: the same move rules, draw order and
  * spaced tally, step for step, on the state of one walk_state struct.
  *
- * No kernel does any floating-point arithmetic. Each step reads its move's
- * entry of the stage's acceptance table, which chain.acceptance_table fills
- * once per stage (layout in its docstring): NO_DRAW (-1.0) accepts without
- * a unit draw, and any other entry, a ratio in [0, 1], accepts when the
- * next unit draw, in [0, 1), is below it. The compiled kernels compare
- * the int64 bit patterns of the entry and the unit value, not the doubles:
- * non-negative doubles order as their bit patterns do, and of all the
- * entries only NO_DRAW has its sign bit set. A NaN's bit pattern would
- * order wrongly (x86's default NaN is negative), so chain.acceptance_table
- * writes +0.0 where the ratio is NaN; that entry takes a draw and rejects,
- * as a NaN does under the Python kernel's float compare. So every
- * acceptance decision is the same on all three.
+ * No walk kernel does any floating-point arithmetic. Each step reads its
+ * move's entry of the stage's acceptance table, which
+ * chain.acceptance_table fills once per stage (layout in its docstring):
+ * NO_DRAW (-1.0) accepts without a unit draw, and any other entry, a ratio
+ * in [0, 1], accepts when the next unit draw, in [0, 1), is below it. The
+ * compiled kernels compare the int64 bit patterns of the entry and the
+ * unit value, not the doubles: non-negative doubles order as their bit
+ * patterns do, and of all the entries only NO_DRAW has its sign bit set.
+ * A NaN's bit pattern would order wrongly (x86's default NaN is negative),
+ * so chain.acceptance_table writes +0.0 where the ratio is NaN; that entry
+ * takes a draw and rejects, as a NaN does under the Python kernel's float
+ * compare. So every acceptance decision is the same on all three.
  *
  * A unit draw is consumed exactly when the entry is not NO_DRAW. The
  * compiled kernels read a unit value on every step, at the read position
@@ -44,8 +45,83 @@
  * calls again. A step whose proposal draw has been read but whose
  * acceptance draw is missing is abandoned whole: the proposal draw is read
  * again on the next call.
+ *
+ * The refills are numpy's PCG64 and the two Generator methods the chain
+ * draws with, bit for bit. PCG64 is the 128-bit LCG state <- state *
+ * MULTIPLIER + inc, whose output is the XSL-RR permutation of the advanced
+ * state. numpy hands out 32-bit words in halves of one 64-bit output,
+ * carrying the unused high half in has_uint32/uinteger across calls, and so
+ * do the refills. fill_bounded is Generator.integers(0, high, size=count)
+ * for int64: the scalar-bound path of numpy's random_bounded_uint64_fill,
+ * which for high - 1 = rng < 2^32 - 1 draws each value with
+ * buffered_bounded_lemire_uint32 (Lemire's multiply-shift with rejection),
+ * and for rng == 0 writes zeros and consumes no draw. fill_unit is
+ * Generator.random(size=count): (next64 >> 11) * 2^-53.
+ *
+ * The step of PCG64 and the step of walk_states are two serial chains with
+ * no data in common, so walk_states runs the first alongside the second:
+ * while the generator's ring has room, each step also advances a register
+ * copy of the 128-bit state by one output and appends that output to the
+ * ring. The refills take the waiting outputs first and generate the rest
+ * directly. The output sequence does not depend on where an output was
+ * generated, so neither do the blocks. walk does not generate ahead: that
+ * made it 1-2 % slower at n = 8 and 16, and 6-9 % slower at n = 32 and 48.
  */
 #include <stdint.h>
+
+typedef unsigned __int128 u128;
+
+/* Raw outputs a generator's ring holds; rng._RING_WORDS is the same. */
+enum { RING_WORDS = 1 << 16 };
+
+typedef struct {
+    uint64_t state[2];    /* low and high 64-bit words */
+    uint64_t inc[2];
+    int64_t has_uint32;   /* a high half is waiting in uinteger */
+    uint64_t uinteger;
+    /* RING_WORDS outputs, or NULL: those at ring[head..tail) modulo
+     * RING_WORDS, oldest first, are the next outputs, and state is the one
+     * after the newest. head and tail only grow. */
+    uint64_t *ring;
+    int64_t head, tail;
+} pcg64_state;
+
+/* The 128-bit value of a low and a high 64-bit word. */
+static inline u128 u128_of(const uint64_t words[2])
+{
+    return ((u128)words[1] << 64) | words[0];
+}
+
+static inline u128 pcg_advance(u128 state, u128 inc)
+{
+    const u128 multiplier = ((u128)0x2360ED051FC65DA4ULL << 64) | 0x4385DF649FCCF645ULL;
+    return state * multiplier + inc;
+}
+
+static inline uint64_t pcg_output(u128 state)
+{
+    const uint64_t high = (uint64_t)(state >> 64);
+    const uint64_t word = high ^ (uint64_t)state;
+    const unsigned rot = (unsigned)(high >> 58);
+    return (word >> rot) | (word << ((64 - rot) & 63));
+}
+
+/* The next output, generated from the state; the ring must be empty. */
+static inline uint64_t next64(pcg64_state *s)
+{
+    const u128 state = pcg_advance(u128_of(s->state), u128_of(s->inc));
+    s->state[0] = (uint64_t)state;
+    s->state[1] = (uint64_t)(state >> 64);
+    return pcg_output(state);
+}
+
+/* The next output: the oldest one waiting in the ring, or a new one. */
+static inline uint64_t next64_ahead(pcg64_state *s)
+{
+    if (s->head != s->tail)
+        return s->ring[s->head++ & (RING_WORDS - 1)];
+    return next64(s);
+}
 
 enum { NEED_EDGE = 0, NEED_VERT = 1, NEED_UNIT = 2 };
 
@@ -90,6 +166,7 @@ typedef struct {
     const int64_t *states; /* each state's r2c, n per state, ascending */
     const int64_t *keys;  /* each state's tally key */
     int64_t nstates;
+    pcg64_state *rng;     /* the generator to run ahead, or NULL */
 } walk_state;
 
 /* Both kernels start on a cache line, so that where their loops fall, and
@@ -255,6 +332,14 @@ __attribute__((aligned(64))) void walk_states(walk_state *s)
     int64_t nseen = s->nseen;
     /* The state, as the index of its first move and as its key. */
     int64_t first = state_index(s) * width, key = s->keys[first / width];
+    /* The generator run ahead: its state, and the ring's tail, which may
+     * reach `full` (no ring: room for nothing). */
+    pcg64_state *const rng = s->rng;
+    uint64_t *const ring = rng ? rng->ring : 0;
+    const u128 inc = ring ? u128_of(rng->inc) : 0;
+    u128 state = ring ? u128_of(rng->state) : 0;
+    int64_t tail = ring ? rng->tail : 0;
+    const int64_t full = ring ? rng->head + RING_WORDS : 0;
 
     for (; steps > 0; steps--) {
         /* A perfect state's key is its k, at most n. The choice of draw
@@ -287,6 +372,11 @@ __attribute__((aligned(64))) void walk_states(walk_state *s)
                 seen[nseen++] = key;
             countdown = spacing;
         }
+        /* One output ahead per step taken, while the ring has room. */
+        if (tail < full) {
+            state = pcg_advance(state, inc);
+            ring[tail++ & (RING_WORDS - 1)] = pcg_output(state);
+        }
     }
 
     const int64_t *r2c = s->states + first / width * n;
@@ -307,4 +397,121 @@ __attribute__((aligned(64))) void walk_states(walk_state *s)
     s->countdown = countdown;
     s->nseen = nseen;
     s->left = steps;
+    if (ring) {
+        rng->state[0] = (uint64_t)state;
+        rng->state[1] = (uint64_t)(state >> 64);
+        rng->tail = tail;
+    }
+}
+
+static inline uint32_t next32(pcg64_state *s, int ahead)
+{
+    if (s->has_uint32) {
+        s->has_uint32 = 0;
+        return (uint32_t)s->uinteger;
+    }
+    uint64_t next = ahead ? next64_ahead(s) : next64(s);
+    s->has_uint32 = 1;
+    s->uinteger = next >> 32;
+    return (uint32_t)next;
+}
+
+/* One integer uniform on [0, rng_excl), by Lemire's multiply-shift with
+ * rejection, taking its 32-bit words from the ring first. */
+static inline int64_t bounded_ahead(pcg64_state *s, uint32_t rng_excl)
+{
+    uint64_t m = (uint64_t)next32(s, 1) * rng_excl;
+    uint32_t leftover = (uint32_t)m;
+    if (leftover < rng_excl) {
+        const uint32_t threshold = (UINT32_MAX - (rng_excl - 1)) % rng_excl;
+        while (leftover < threshold) {
+            m = (uint64_t)next32(s, 1) * rng_excl;
+            leftover = (uint32_t)m;
+        }
+    }
+    return (int64_t)(m >> 32);
+}
+
+/* Fills out[0..count) with integers uniform on [0, rng_excl) from the
+ * waiting outputs, until they or out run out, and returns how many it
+ * wrote. While no half is carried, an output makes two values, its low
+ * half first, unless either half reaches the rejection test; then, and for
+ * a last odd value, it makes one value by the exact path. Not inlined, so
+ * that fill_bounded's own loop compiles as it would without a ring. */
+static __attribute__((noinline)) int64_t
+bounded_waiting(pcg64_state *s, uint32_t rng_excl, int64_t *out, int64_t count)
+{
+    int64_t i = 0;
+    while (i < count && s->head != s->tail) {
+        if (!s->has_uint32) {
+            const uint64_t *ring = s->ring;
+            int64_t head = s->head;
+            const int64_t tail = s->tail;
+            for (; i + 1 < count && head != tail; head++, i += 2) {
+                const uint64_t word = ring[head & (RING_WORDS - 1)];
+                const uint64_t low = (word & UINT32_MAX) * rng_excl;
+                const uint64_t high = (word >> 32) * rng_excl;
+                if ((uint32_t)low < rng_excl || (uint32_t)high < rng_excl)
+                    break;
+                out[i] = (int64_t)(low >> 32);
+                out[i + 1] = (int64_t)(high >> 32);
+            }
+            s->head = head;
+            if (i == count || head == tail)
+                break;
+        }
+        out[i++] = bounded_ahead(s, rng_excl);
+    }
+    return i;
+}
+
+/* Fills out[0..count) with integers uniform on [0, high), for
+ * 1 <= high <= 2^32 - 1. */
+void fill_bounded(pcg64_state *s, int64_t high, int64_t *out, int64_t count)
+{
+    const uint32_t rng = (uint32_t)(high - 1);
+    if (rng == 0) {
+        for (int64_t i = 0; i < count; i++)
+            out[i] = 0;
+        return;
+    }
+    const uint32_t rng_excl = rng + 1;
+    /* numpy's loop itself, as it was before the ring: written out, not
+     * as bounded_ahead without the ring, because then gcc 12 stored
+     * has_uint32 late and the loop ran at 1.27 ns per value, not 1.01. */
+    for (int64_t i = bounded_waiting(s, rng_excl, out, count); i < count; i++) {
+        uint64_t m = (uint64_t)next32(s, 0) * rng_excl;
+        uint32_t leftover = (uint32_t)m;
+        if (leftover < rng_excl) {
+            const uint32_t threshold = (UINT32_MAX - rng) % rng_excl;
+            while (leftover < threshold) {
+                m = (uint64_t)next32(s, 0) * rng_excl;
+                leftover = (uint32_t)m;
+            }
+        }
+        out[i] = (int64_t)(m >> 32);
+    }
+}
+
+/* Fills out[0..count) with doubles uniform on [0, 1). */
+void fill_unit(pcg64_state *s, double *out, int64_t count)
+{
+    int64_t i = 0;
+    /* The waiting outputs, in at most two runs: to the ring's end, and
+     * from its start. */
+    while (i < count && s->head != s->tail) {
+        const int64_t start = s->head & (RING_WORDS - 1);
+        int64_t run = s->tail - s->head;
+        if (run > RING_WORDS - start)
+            run = RING_WORDS - start;
+        if (run > count - i)
+            run = count - i;
+        const uint64_t *words = s->ring + start;
+        for (int64_t j = 0; j < run; j++)
+            out[i + j] = (double)(words[j] >> 11) * (1.0 / 9007199254740992.0);
+        s->head += run;
+        i += run;
+    }
+    for (; i < count; i++)
+        out[i] = (double)(next64(s) >> 11) * (1.0 / 9007199254740992.0);
 }

@@ -298,7 +298,8 @@ class _WalkState(ctypes.Structure):
     delta is NaN (see ``acceptance_table``). With the arrays it points into,
     it is ChainSampler's only store of the acceptance table, the matching,
     the hole, the non-instance pair count and the tally. It points at the three draw blocks of a
-    ``BufferedDraws`` and at its ``positions``, which never move."""
+    ``BufferedDraws`` and at its ``positions``, which never move, and, for
+    ``walk_states``, at its generator (``BufferedDraws.generate_ahead``)."""
 
     _fields_ = [
         ("n", ctypes.c_int64),
@@ -325,6 +326,7 @@ class _WalkState(ctypes.Structure):
         ("states", ctypes.c_void_p),
         ("keys", ctypes.c_void_p),
         ("nstates", ctypes.c_int64),
+        ("rng", ctypes.c_void_p),
     ]
 
 
@@ -494,6 +496,7 @@ class ChainSampler:
             assignments = _state_graph(n)[0]
             st.moves, st.states, st.keys = (a.ctypes.data for a in (self._moves, assignments, self._keys))
             st.nstates = len(assignments)
+            st.rng = draws.generate_ahead()
         st.k = lambda_edges(start, wt)
         self.row_to_col = array("q", start.row_to_col())
         self.col_to_row = array("q", [-1] * n)
@@ -567,6 +570,8 @@ class ChainSampler:
         """
         if spacing < 1:
             raise ValueError(f"sample spacing must be at least 1, got {spacing}")
+        if samples < 0:
+            raise ValueError(f"samples must be nonnegative, got {samples}")
         st = self._state
         for key in self._seen[: st.nseen]:
             self._tallies[key] = 0
@@ -590,6 +595,8 @@ class ChainSampler:
         step is also counted in ``counts`` under the key
         (u * n + v + 1) * (n + 1) + k for hole (u, v), or k when perfect.
         """
+        if steps < 0:
+            raise ValueError(f"steps must be nonnegative, got {steps}")
         draws = self.draws
         st = self._state
         kernel = self._kernel()

@@ -17,10 +17,13 @@ Python kernel indexes the views.
 
 The blocks come from one of two sources that give the same values, bit for
 bit. Where the compiled kernels load (see _native.py), ``fill_bounded`` and
-``fill_unit`` of _rng.c fill them: a C port of PCG64 and of the numpy
+``fill_unit`` of _walk.c fill them: a C port of PCG64 and of the numpy
 ``Generator.integers(0, high)`` and ``Generator.random()`` algorithms,
-working on a copy of the seeded ``np.random.PCG64``'s state. Otherwise the
-numpy ``Generator`` itself fills them; it is also the oracle the C port is
+working on a copy of the seeded ``np.random.PCG64``'s state. A sampler that
+runs ``walk_states`` gives that state a ring (``generate_ahead``), which the
+kernel fills with the generator's next raw outputs as it walks, and the
+refills use those outputs before they generate more. Otherwise the numpy
+``Generator`` itself fills the blocks; it is also the oracle the C port is
 tested against. numpy is imported when the first ``BufferedDraws`` or
 ``generator`` is made, not with this module, so commands that draw nothing
 never load it.
@@ -43,21 +46,30 @@ RNG_ALGORITHM = "pcg64"
 
 _BUFFER_SIZE = 1 << 16
 
+# The RING_WORDS of _walk.c: raw outputs a generator's ring holds (512 KB).
+_RING_WORDS = 1 << 16
+
 
 class _PCG64State(ctypes.Structure):
-    """The ``pcg64_state`` struct of _rng.c: a PCG64 bit generator's ``.state``."""
+    """The ``pcg64_state`` struct of _walk.c: a PCG64 bit generator's
+    ``.state``, and the ring of its next raw outputs, ``ring[head..tail)``
+    modulo ``_RING_WORDS``, that ``walk_states`` generated ahead of it
+    (``ring`` is NULL until ``generate_ahead``)."""
 
     _fields_ = [
         ("state", ctypes.c_uint64 * 2),
         ("inc", ctypes.c_uint64 * 2),
         ("has_uint32", ctypes.c_int64),
         ("uinteger", ctypes.c_uint64),
+        ("ring", ctypes.c_void_p),
+        ("head", ctypes.c_int64),
+        ("tail", ctypes.c_int64),
     ]
 
 
 @functools.cache
 def _refill_kernels():
-    """``fill_bounded`` and ``fill_unit`` of _rng.c, or None when they cannot be
+    """``fill_bounded`` and ``fill_unit`` of _walk.c, or None when they cannot be
     built or loaded.
 
     ``BufferedDraws`` asks once, when it is made, and keeps its generator
@@ -100,7 +112,7 @@ class BufferedDraws:
 
     def __init__(self, seed: int, n: int, buffer_size: int = _BUFFER_SIZE):
         if not 1 <= n < 1 << 31:
-            # _rng.c draws vertex indices with 32-bit bounds.
+            # fill_bounded of _walk.c draws vertex indices with 32-bit bounds.
             raise ValueError(f"n must be in [1, 2^31), got {n}")
         if buffer_size < 1:
             # An empty refill would leave walk resuming forever.
@@ -133,6 +145,24 @@ class BufferedDraws:
     edge_pos = property(lambda self: self.positions[0])
     vert_pos = property(lambda self: self.positions[1])
     unit_pos = property(lambda self: self.positions[2])
+
+    def generate_ahead(self) -> int:
+        """The address of the generator's struct for ``walk_states`` to
+        generate ahead into, with its ring allocated on the first call; 0
+        when numpy's ``Generator`` fills the blocks."""
+        if self._kernels is None:
+            return 0
+        if not self._pcg.ring:
+            import numpy as np
+
+            self._ring = np.empty(_RING_WORDS, dtype=np.uint64)
+            self._pcg.ring = self._ring.ctypes.data
+        return ctypes.addressof(self._pcg)
+
+    @property
+    def ahead(self) -> int:
+        """Raw outputs generated ahead and not yet used by a refill."""
+        return 0 if self._kernels is None else self._pcg.tail - self._pcg.head
 
     def _bounded(self, block: np.ndarray, high: int) -> None:
         """Rewrite ``block`` with ``integers(0, high)``."""

@@ -675,6 +675,19 @@ def test_buffered_draws_refuse_an_empty_buffer():
             BufferedDraws(0, 2, buffer_size=size)
 
 
+def test_negative_step_and_sample_counts_are_refused(walk_kernel):
+    # Zero stays allowed: a stage's burn-in can be 0 steps.
+    m = banded_matrix(4)
+    sampler = ChainSampler(WeightTable.initial(m), find_perfect_matching(m), BufferedDraws(0, 4))
+    with pytest.raises(ValueError, match="steps must be nonnegative, got -3"):
+        sampler.walk(-3)
+    with pytest.raises(ValueError, match="samples must be nonnegative, got -5"):
+        sampler.tally(1, -5)
+    sampler.walk(0)
+    assert sampler.tally(1, 0) == []
+    assert sampler.steps_taken == 0 and sampler.spacing == 0
+
+
 def reference_table_index(state, x, dk, n):
     """Where acceptance_table's docstring puts the entry of the proposal that
     draw ``x`` makes from ``state``, whose non-instance pair count changes by ``dk``."""

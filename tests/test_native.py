@@ -40,7 +40,7 @@ def test_compiled_kernels_build_and_load_from_one_library(tmp_path, monkeypatch)
 
 
 def test_build_flags_keep_floating_point_results_exact():
-    # The unit draws of _rng.c are bit-identical to numpy's only while the
+    # The unit draws of _walk.c are bit-identical to numpy's only while the
     # compiler neither fuses nor reorders floating-point operations.
     assert "-ffp-contract=off" in _native._CC_ARGS
     for flag in ("-ffast-math", "-Ofast", "-funsafe-math-optimizations", "-march=native"):

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from permlab import _native, rng
+from permlab import Matrix, _native, chain, rng
 from permlab.rng import BufferedDraws
 
 # Every ordered pair of refill kinds (edge, vertex, unit) appears in this
@@ -10,10 +10,48 @@ from permlab.rng import BufferedDraws
 REFILL_SEQUENCE = "".join(a + b for a, b in itertools.product("evu", repeat=2))
 
 
-def refill_blocks(n, buffer_size):
+def ahead_walker(draws):
+    """A walk_states sampler at n = 4, on draws of its own, that generates
+    ahead into the generator of ``draws``: one output per step it takes,
+    while the ring has room."""
+    if chain._state_walk_kernel() is None:
+        pytest.skip("the walk_states kernel cannot be built or loaded here")
+    m = Matrix.from_rows([[1] * 4] * 4)
+    walker = chain.ChainSampler(chain.WeightTable.initial(m), chain.enumerate_states(4)[0], BufferedDraws(1, 4))
+    walker._state.rng = draws.generate_ahead()
+    return walker
+
+
+def refill_blocks(n, buffer_size, ahead=False):
+    """The blocks of REFILL_SEQUENCE, and with ``ahead`` the cases of waiting
+    outputs that the refills met: "used" (a refill took waiting outputs),
+    "carried" (one began with a half carried and outputs waiting), "part"
+    (one emptied the ring and generated more) and "wrap" (one took outputs
+    across the ring's end)."""
     draws = BufferedDraws(n, n, buffer_size=buffer_size)
     refill = {"e": draws.refill_edge, "v": draws.refill_vert, "u": draws.refill_unit}
-    return [bytes(refill[kind]()) for kind in REFILL_SEQUENCE]
+    walker = ahead_walker(draws) if ahead else None
+    blocks, cases = [], set()
+    for j, kind in enumerate(REFILL_SEQUENCE):
+        if walker is None:
+            blocks.append(bytes(refill[kind]()))
+            continue
+        waiting, steps = draws.ahead, (0, 1, buffer_size // 2, buffer_size + 1)[j % 4]
+        walker.walk(steps)
+        # One output per step, until the ring is full.
+        assert draws.ahead == min(waiting + steps, rng._RING_WORDS)
+        pcg = draws._pcg
+        head, tail, carried, state = pcg.head, pcg.tail, pcg.has_uint32, list(pcg.state)
+        blocks.append(bytes(refill[kind]()))
+        if pcg.head > head:
+            cases.add("used")
+            if carried:
+                cases.add("carried")
+            if pcg.head == tail and list(pcg.state) != state:
+                cases.add("part")
+            if head // rng._RING_WORDS != (pcg.head - 1) // rng._RING_WORDS:
+                cases.add("wrap")
+    return blocks, cases
 
 
 # n = 1 draws edge indices from integers(0, 1), which numpy fills without
@@ -27,9 +65,33 @@ def refill_blocks(n, buffer_size):
 def test_compiled_refills_match_the_numpy_generator(n, buffer_size, monkeypatch):
     if rng._refill_kernels() is None:
         pytest.skip("the compiled refill kernels cannot be built or loaded here")
-    compiled = refill_blocks(n, buffer_size)
+    compiled, _ = refill_blocks(n, buffer_size)
+    # Again with outputs that walk_states generated ahead waiting before
+    # each refill: none, one, half a block's worth or more than a block's.
+    ahead, cases = refill_blocks(n, buffer_size, ahead=True)
+    assert "used" in cases
+    if buffer_size % 2:
+        assert "carried" in cases
+    if buffer_size > 1:
+        assert "part" in cases
+    if buffer_size == 1 << 16:
+        assert "wrap" in cases
     monkeypatch.setattr(rng, "_refill_kernels", lambda: None)
-    assert refill_blocks(n, buffer_size) == compiled
+    assert refill_blocks(n, buffer_size)[0] == compiled == ahead
+
+
+def test_a_walk_on_states_leaves_outputs_waiting_that_the_next_refill_takes():
+    # A library that loads walk_states but never generates ahead gives the
+    # same blocks, only more slowly, so no fingerprint shows it; this does.
+    if chain._state_walk_kernel() is None or rng._refill_kernels() is None:
+        pytest.skip("the compiled kernels cannot be built or loaded here")
+    m = Matrix.from_rows([[1] * 4] * 4)
+    draws = BufferedDraws(5, 4)
+    chain.ChainSampler(chain.WeightTable.initial(m), chain.enumerate_states(4)[0], draws).walk(10_000)
+    waiting, head = draws.ahead, draws._pcg.head
+    assert waiting > 0
+    draws.refill_unit()
+    assert draws._pcg.head == head + waiting and draws.ahead == 0
 
 
 @pytest.mark.parametrize("fills", ["compiled", "numpy"])
