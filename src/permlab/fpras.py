@@ -4,9 +4,9 @@ The estimator cools the activity along the phase schedule. Each phase walks
 the chain at the current activity and hole weights, collects compressed
 sample statistics, refines the hole weights from the observed perfect and
 per-hole sample counts, advances the activity, and records the stage weight
-ratio. A final refinement stage at the terminal activity measures the
-fraction of samples that are perfect matchings of the instance itself. The
-estimate assembles, in log space,
+ratio. The final stage samples at the terminal activity like any other and
+reads the fraction of its samples that are perfect matchings of the
+instance itself. The estimate assembles, in log space,
 
     (n^2 + 1) * n!  *  Z_0 * Z_1 * ... * Z_{l-1}  *  Y
 
@@ -23,8 +23,10 @@ sampling walk, and ``PhaseStats`` is built once from the counts, in the
 order each (hole, k) was first seen. Recomputing a Z_i from a stored table
 reproduces the recorded value bit for bit.
 
-The stages' one outlet is ``on_stage``, which is handed one ``StageRecord``
-per completed stage and never stores it; this module does no I/O.
+Every stage, the final one included, is one ``sample_stage`` call that
+returns its table. The stages' one outlet is ``on_stage``, which is handed
+one ``StageRecord`` per completed stage and never stores it; this module
+does no I/O.
 
 A phase that leaves any hole position unsampled, or collects no perfect
 samples at all, has no defined weight update; the run then stops and reports
@@ -92,13 +94,13 @@ class PhaseStats:
 
 @dataclass(frozen=True)
 class StageRecord:
-    """What one completed stage saw. Stage i < l: the weights it sampled at,
-    its table and ln Z_i, taken against the next record's weights. Stage l:
-    its weights, None and ln Y."""
+    """What one completed stage saw: the weights it sampled at, its table
+    and its log ratio. For stage i < l that is ln Z_i, taken against the
+    next record's weights; for stage l it is ln Y, read from the table."""
 
     index: int
     weights: WeightTable
-    stats: PhaseStats | None
+    stats: PhaseStats
     log_ratio: float
 
 
@@ -196,48 +198,51 @@ def final_refinement(
     tau_init: int,
     tau_resample: int,
     num_samples: int,
-) -> float:
-    """Fraction of spaced samples that are perfect matchings of the instance.
+) -> PhaseStats:
+    """``run_phase`` for the final stage, whose table ``run_schedule`` reads Y from.
 
-    The fraction may be 0.0; ``run_schedule`` turns that into the final
-    stage's failure.
+    It stays a function of its own, and does not call ``run_phase``, so that
+    a wrapper of either name (a span tracer, say) sees only its own stages.
     """
+    stats = PhaseStats()
     sampler.walk(tau_init)
-    samples = sampler.tally(tau_resample, num_samples)
-    hits = sum(count for hole, k, count in samples if hole is None and k == 0)
-    return hits / num_samples
+    for hole, k, count in sampler.tally(tau_resample, num_samples):
+        stats.record(hole, k, float(count))
+    return stats
 
 
 def run_schedule(
     wt: WeightTable,
     lambdas,
-    sample_stage: Callable[[WeightTable], PhaseStats],
-    sample_final: Callable[[WeightTable], float],
+    sample_stage: Callable[[WeightTable, bool], PhaseStats],
     on_stage: Callable[[StageRecord], None] | None = None,
 ) -> tuple[float, list[float], float]:
     """Annealing driver shared by the sampled and exact paths.
 
-    Stage i samples at lambdas[i] via ``sample_stage(wt)``, updates the
-    weights, advances the activity to lambdas[i+1], and records ln Z_i.
-    ``sample_final`` runs at the terminal entry and returns the fraction Y
-    of instance-perfect samples, and ``on_stage`` gets each successful
+    ``sample_stage(wt, final)`` returns the table of one stage sampled at
+    ``wt``; ``final`` is True only for the terminal entry. Stage i samples
+    at lambdas[i], updates the weights, advances the activity to
+    lambdas[i+1], and records ln Z_i. The final stage's table gives Y, the
+    fraction of instance-perfect samples. ``on_stage`` gets each successful
     stage's record. Returns (ln estimate, [ln Z_i], Y). Raises PhaseFailure
     for an undefined weight update, and for Y = 0 as stage l.
     """
+    l = len(lambdas) - 1
     log_z: list[float] = []
-    for i in range(len(lambdas) - 1):
-        stats = sample_stage(wt)
+    for i in range(l):
+        stats = sample_stage(wt, False)
         updated = update_weights(stats, wt, phase=i)
         advanced = updated.with_updates(log_lambda=lambdas[i + 1])
         log_z.append(phase_ratio(stats, wt, advanced))
         if on_stage is not None:
             on_stage(StageRecord(i, wt, stats, log_z[-1]))
         wt = advanced
-    y_bar = sample_final(wt)
+    stats = sample_stage(wt, True)
+    y_bar = stats.perfect.get(0, 0.0) / stats.total
     if y_bar == 0.0:
-        raise PhaseFailure(len(lambdas) - 1, "no instance-perfect samples in the final stage")
+        raise PhaseFailure(l, "no instance-perfect samples in the final stage")
     if on_stage is not None:
-        on_stage(StageRecord(len(lambdas) - 1, wt, None, math.log(y_bar)))
+        on_stage(StageRecord(l, wt, stats, math.log(y_bar)))
     n = wt.n
     # The order of the terms is part of the seed-to-estimate mapping that
     # the golden pins fix bit for bit.
@@ -274,22 +279,18 @@ def estimate_permanent(
     draws = BufferedDraws(seed, m.n)
     sampler = ChainSampler(wt, start_matching, draws)
 
-    def sample_stage(stage_wt: WeightTable) -> PhaseStats:
+    def sample_stage(stage_wt: WeightTable, final: bool) -> PhaseStats:
         sampler.set_weights(stage_wt)
+        if final:
+            return final_refinement(
+                sampler, params.tau_init, params.tau_resample_final, params.samples_final
+            )
         return run_phase(
             sampler, params.tau_init, params.tau_resample_phase, params.samples_phase
         )
 
-    def sample_final(stage_wt: WeightTable) -> float:
-        sampler.set_weights(stage_wt)
-        return final_refinement(
-            sampler, params.tau_init, params.tau_resample_final, params.samples_final
-        )
-
     try:
-        log_value, log_z, y_bar = run_schedule(
-            wt, phase_schedule(m.n).lambdas, sample_stage, sample_final, on_stage
-        )
+        log_value, log_z, y_bar = run_schedule(wt, phase_schedule(m.n).lambdas, sample_stage, on_stage)
     except PhaseFailure as failure:
         return Estimate(
             value=-1.0,
@@ -346,23 +347,18 @@ def estimate_from_exact_distribution(m: Matrix) -> float:
 
     For n <= 6 (the sizes ``enumerate_states`` lists) this returns the
     permanent up to floating-point rounding, exercising the weight-update,
-    ratio, and assembly code with zero sampling noise. Y is the exact mass
-    of instance-perfect matchings in the final stage's stats, as
-    ``final_refinement`` reads it from the sampled ones. An instance with
-    no perfect matching returns 0.0 without running the pipeline, as
-    ``estimate_permanent`` does.
+    ratio, and assembly code with zero sampling noise. The final stage gets
+    the exact table too, so Y is the exact mass of instance-perfect
+    matchings. An instance with no perfect matching returns 0.0 without
+    running the pipeline, as ``estimate_permanent`` does.
     """
     if find_perfect_matching(m) is None:
         return 0.0
     wt = WeightTable.initial(m)
     classes = state_classes(wt)
 
-    def sample_stage(stage_wt: WeightTable) -> PhaseStats:
+    def sample_stage(stage_wt: WeightTable, final: bool) -> PhaseStats:
         return exact_distribution_stats(stage_wt, classes)
 
-    def sample_final(stage_wt: WeightTable) -> float:
-        stats = exact_distribution_stats(stage_wt, classes)
-        return stats.perfect.get(0, 0.0) / stats.total
-
-    log_value, _, _ = run_schedule(wt, phase_schedule(m.n).lambdas, sample_stage, sample_final)
+    log_value, _, _ = run_schedule(wt, phase_schedule(m.n).lambdas, sample_stage)
     return math.exp(log_value)

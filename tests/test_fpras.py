@@ -78,6 +78,20 @@ def replay_run_phase(sampler, tau_init, tau_resample, num_samples):
     return stats
 
 
+def assert_same_table(stats, expected):
+    # Insertion order matters: phase_ratio sums in it.
+    assert list(stats.perfect.items()) == list(expected.perfect.items())
+    assert list(stats.holes) == list(expected.holes)
+    for hole, table in expected.holes.items():
+        assert list(stats.holes[hole].items()) == list(table.items())
+    assert stats.total == expected.total
+
+
+def final_fraction(stats):
+    # Y as run_schedule reads it from the final stage's table.
+    return stats.perfect.get(0, 0.0) / stats.total
+
+
 def assert_same_walker(sampler, twin):
     assert sampler.state() == twin.state()
     assert sampler.lambda_count == twin.lambda_count
@@ -100,12 +114,7 @@ def test_run_phase_tally_matches_per_sample_replay(n, tau_resample, walk_kernel)
     stats = run_phase(sampler, 300, tau_resample, 3_000)
     expected = replay_run_phase(twin, 300, tau_resample, 3_000)
     assert len(expected.holes) > 1 and len(expected.perfect) > 1
-    # Insertion order matters: phase_ratio sums in it.
-    assert list(stats.perfect.items()) == list(expected.perfect.items())
-    assert list(stats.holes) == list(expected.holes)
-    for hole, table in expected.holes.items():
-        assert list(stats.holes[hole].items()) == list(table.items())
-    assert stats.total == expected.total
+    assert_same_table(stats, expected)
     assert_same_walker(sampler, twin)
 
     # A lower activity, as in the final stage, makes instance-perfect
@@ -113,14 +122,10 @@ def test_run_phase_tally_matches_per_sample_replay(n, tau_resample, walk_kernel)
     final_wt = wt.with_updates(log_lambda=-3.0)
     sampler.set_weights(final_wt)
     twin.set_weights(final_wt)
-    hits = 0
     final = final_refinement(sampler, 50, tau_resample, 2_000)
-    twin.walk(50)
-    for _ in range(2_000):
-        twin.walk(tau_resample)
-        hits += twin.hole() is None and twin.lambda_count == 0
-    assert 0 < hits < 2_000
-    assert final == hits / 2_000
+    expected = replay_run_phase(twin, 50, tau_resample, 2_000)
+    assert 0 < expected.perfect.get(0, 0.0) < 2_000
+    assert_same_table(final, expected)
     assert_same_walker(sampler, twin)
 
 
@@ -220,7 +225,7 @@ def test_final_refinement_all_perfect():
     m = all_ones(2)
     wt = WeightTable(2, 0.0, (-40.0,) * 4, (1,) * 4)
     sampler = ChainSampler(wt, find_perfect_matching(m), BufferedDraws(1, 2))
-    assert final_refinement(sampler, 50, 2, 200) == 1.0
+    assert final_fraction(final_refinement(sampler, 50, 2, 200)) == 1.0
 
 
 def test_final_refinement_failure_when_never_perfect():
@@ -229,7 +234,7 @@ def test_final_refinement_failure_when_never_perfect():
     wt = WeightTable(2, 0.0, (40.0,) * 4, (1,) * 4)
     start = Matching(2, frozenset({(1, 1)}), hole=(0, 0))
     sampler = ChainSampler(wt, start, BufferedDraws(1, 2))
-    assert final_refinement(sampler, 50, 2, 200) == 0.0
+    assert final_fraction(final_refinement(sampler, 50, 2, 200)) == 0.0
 
 
 def test_final_refinement_fraction_matches_stationary():
@@ -241,7 +246,7 @@ def test_final_refinement_fraction_matches_stationary():
     states, pi = exact_stationary(n, wt)
     exact_mass = sum(p for s, p in zip(states, pi) if s.is_perfect)
     sampler = ChainSampler(wt, find_perfect_matching(m), BufferedDraws(23, n))
-    y = final_refinement(sampler, 5_000, 3, 60_000)
+    y = final_fraction(final_refinement(sampler, 5_000, 3, 60_000))
     assert y == pytest.approx(exact_mass, rel=0.05)
 
 
@@ -312,8 +317,11 @@ def test_stage_records_reproduce_ratios_bitwise():
     m = generate_random(4, 12, seed=31)
     records = []
     estimate = estimate_permanent(m, 0.5, seed=12, params=FAST_PARAMS, on_stage=records.append)
-    l = FAST_PARAMS.l
-    assert [(r.index, r.stats is None) for r in records] == [(i, i == l) for i in range(l + 1)]
+    assert [r.index for r in records] == list(range(FAST_PARAMS.l + 1))
+    final = records[-1].stats
+    assert final.total == FAST_PARAMS.samples_final
+    log_y = math.log(final.perfect[0] / final.total)
+    assert log_y == records[-1].log_ratio == math.log(estimate.y_bar)
     for record, after in zip(records, records[1:]):
         assert phase_ratio(record.stats, record.weights, after.weights) == record.log_ratio
     log_z = [r.log_ratio for r in records[:-1]]
