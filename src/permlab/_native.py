@@ -28,9 +28,10 @@ from pathlib import Path
 # -O2, walk_states within 2 %.
 # No -ffast-math and no -march=native, and -ffp-contract=off: the kernels'
 # floating-point results must round exactly as the Python code they are
-# tested against. Today the only such result is the unit draw of fill_unit
-# in _walk.c, one product by a power of two that no fused multiply-add
-# could change; the flag stays for any expression added later.
+# tested against. Today the only such results are the thresholds of
+# acceptance_thresholds in _walk.c: libm's exp, then a product by 2^53 and a
+# ceiling, both exact, which no fused multiply-add could change; the flag
+# stays for any expression added later.
 _CC_ARGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
 
 

@@ -1,6 +1,7 @@
 /* The compiled kernels of ChainSampler.walk: walk_states, which runs up to
- * n = chain.STATE_WALK_LIMIT (6), and walk, which runs above it; and the
- * draw refills of BufferedDraws, fill_bounded and fill_unit, at the end.
+ * n = chain.STATE_WALK_LIMIT (6), and walk, which runs above it; and, at the
+ * end, the draw refills of BufferedDraws, fill_bounded and fill_unit, and
+ * acceptance_thresholds, which builds the acceptance table.
  * ChainSampler._python_walk in chain.py is the third kernel: the fallback
  * where the library cannot be built or loaded, and the oracle of the other
  * two. All three keep one contract: the same move rules, draw order and
@@ -8,22 +9,20 @@
  *
  * No walk kernel does any floating-point arithmetic. Each step reads its
  * move's entry of the stage's acceptance table, which
- * chain.acceptance_table fills once per stage (layout in its docstring):
- * NO_DRAW (-1.0) accepts without a unit draw, and any other entry, a ratio
- * in [0, 1], accepts when the next unit draw, in [0, 1), is below it. The
- * compiled kernels compare the int64 bit patterns of the entry and the
- * unit value, not the doubles: non-negative doubles order as their bit
- * patterns do, and of all the entries only NO_DRAW has its sign bit set.
- * A NaN's bit pattern would order wrongly (x86's default NaN is negative),
- * so chain.acceptance_table writes +0.0 where the ratio is NaN; that entry
- * takes a draw and rejects, as a NaN does under the Python kernel's float
- * compare. So every acceptance decision is the same on all three.
+ * chain.acceptance_table fills once per stage (layout in its docstring),
+ * through acceptance_thresholds below: NO_DRAW (-1) accepts without a unit
+ * draw, and any other entry, a threshold T in [0, 2^53], accepts when the
+ * next unit draw u, a 53-bit integer, is below it. u < T holds exactly when
+ * the reference chain's u * 2^-53 < exp(delta) does (see
+ * acceptance_thresholds), so every acceptance decision is the same on all
+ * three kernels and on the reference step.
  *
  * A unit draw is consumed exactly when the entry is not NO_DRAW. The
  * compiled kernels read a unit value on every step, at the read position
- * clamped into the block, so that they need no branch on the entry; on a
- * NO_DRAW step that value decides nothing, since the entry's sign bit
- * accepts whatever it is, a stale or never-filled (NaN) value included.
+ * clamped into the block, so that they need no branch on the entry, and
+ * compare it with the entry unsigned; on a NO_DRAW step that value decides
+ * nothing, since NO_DRAW is then 2^64 - 1, above any unit value, a stale
+ * one or the 0 of a never-filled block included.
  *
  * walk_states walks the (n + 1)! states of chain.enumerate_states by index,
  * on a table of one state_move per state and draw (the edge index from a
@@ -56,7 +55,8 @@
  * which for high - 1 = rng < 2^32 - 1 draws each value with
  * buffered_bounded_lemire_uint32 (Lemire's multiply-shift with rejection),
  * and for rng == 0 writes zeros and consumes no draw. fill_unit is
- * Generator.random(size=count): (next64 >> 11) * 2^-53.
+ * Generator.random(size=count) before its scaling: it stores next64 >> 11,
+ * which numpy multiplies by 2^-53.
  *
  * The step of PCG64 and the step of walk_states are two serial chains with
  * no data in common, so walk_states runs the first alongside the second:
@@ -67,7 +67,9 @@
  * generated, so neither do the blocks. walk does not generate ahead: that
  * made it 1-2 % slower at n = 8 and 16, and 6-9 % slower at n = 32 and 48.
  */
+#include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 typedef unsigned __int128 u128;
 
@@ -129,27 +131,17 @@ enum { NEED_EDGE = 0, NEED_VERT = 1, NEED_UNIT = 2 };
  * proposes, as the index of that state's first move (its index times 2n) and
  * as its tally key. */
 typedef struct {
-    int64_t accept; /* the double's bit pattern */
+    int64_t accept;
     int32_t next, key;
 } state_move;
-
-/* 1 when a step whose entry has bit pattern t and whose unit value has bit
- * pattern ub is accepted: t is NO_DRAW, the one entry with its sign bit
- * set, or ub < t, both non-negative, which is when the unsigned difference
- * ub - t wraps past 2^63. */
-static inline int64_t accepted(int64_t t, int64_t ub)
-{
-    return ((uint64_t)t | ((uint64_t)ub - (uint64_t)t)) >> 63;
-}
 
 typedef struct {
     int64_t n;
     const int64_t *edge;  /* n * n instance matrix, row-major, 0 or 1 */
-    /* 2 n^2 + 6 n^3 acceptance entries, doubles read as their bit
-     * patterns, as are the unit draws. */
-    const int64_t *accept;
+    const int64_t *accept; /* 2 n^2 + 6 n^3 acceptance entries */
     int64_t *r2c, *c2r;   /* assignments, -1 at the hole row and column */
-    const int64_t *ebuf, *vbuf, *ubuf; /* the draw blocks */
+    const int64_t *ebuf, *vbuf; /* the draw blocks: edge and vertex indices, */
+    const uint64_t *ubuf; /* and unit draws */
     int64_t size;         /* draws per block */
     int64_t *pos;         /* read positions in ebuf, vbuf and ubuf */
     int64_t left;         /* steps still to take */
@@ -185,7 +177,8 @@ __attribute__((aligned(64))) void walk(walk_state *s)
     const int64_t *column_moves = drops + 2 * nn + 4 * cube;
     int64_t *r2c = s->r2c, *c2r = s->c2r;
     int64_t hu = s->hu, hv = s->hv, k = s->k;
-    const int64_t *ebuf = s->ebuf, *vbuf = s->vbuf, *ubuf = s->ubuf;
+    const int64_t *ebuf = s->ebuf, *vbuf = s->vbuf;
+    const uint64_t *ubuf = s->ubuf;
     const int64_t size = s->size;
     int64_t epos = s->pos[0], vpos = s->pos[1], upos = s->pos[2];
     const int64_t spacing = s->spacing;
@@ -244,7 +237,7 @@ __attribute__((aligned(64))) void walk(walk_state *s)
             s->need = NEED_UNIT;
             break;
         }
-        const int64_t accept = accepted(ratio, ubuf[upos < size ? upos : size - 1]);
+        const int64_t accept = ubuf[upos < size ? upos : size - 1] < (uint64_t)ratio;
         upos += draw;
         if (move == 0)
             epos++;
@@ -323,7 +316,8 @@ __attribute__((aligned(64))) void walk_states(walk_state *s)
     int64_t steps = s->left;
     const int64_t n = s->n, width = 2 * n;
     const state_move *moves = s->moves;
-    const int64_t *ebuf = s->ebuf, *vbuf = s->vbuf, *ubuf = s->ubuf;
+    const int64_t *ebuf = s->ebuf, *vbuf = s->vbuf;
+    const uint64_t *ubuf = s->ubuf;
     const int64_t size = s->size;
     int64_t epos = s->pos[0], vpos = s->pos[1], upos = s->pos[2];
     const int64_t spacing = s->spacing;
@@ -361,7 +355,7 @@ __attribute__((aligned(64))) void walk_states(walk_state *s)
         }
         /* All ones when accepted. A plain `accept ? next : first` came out
          * as a branch, one mispredict on most annealed steps. */
-        const int64_t accept = -accepted(ratio, ubuf[upos < size ? upos : size - 1]);
+        const int64_t accept = -(int64_t)(ubuf[upos < size ? upos : size - 1] < (uint64_t)ratio);
         upos += draw;
         epos += perfect;
         vpos += !perfect;
@@ -493,8 +487,8 @@ void fill_bounded(pcg64_state *s, int64_t high, int64_t *out, int64_t count)
     }
 }
 
-/* Fills out[0..count) with doubles uniform on [0, 1). */
-void fill_unit(pcg64_state *s, double *out, int64_t count)
+/* Fills out[0..count) with unit draws: integers uniform on [0, 2^53). */
+void fill_unit(pcg64_state *s, uint64_t *out, int64_t count)
 {
     int64_t i = 0;
     /* The waiting outputs, in at most two runs: to the ring's end, and
@@ -508,10 +502,45 @@ void fill_unit(pcg64_state *s, double *out, int64_t count)
             run = count - i;
         const uint64_t *words = s->ring + start;
         for (int64_t j = 0; j < run; j++)
-            out[i + j] = (double)(words[j] >> 11) * (1.0 / 9007199254740992.0);
+            out[i + j] = words[j] >> 11;
         s->head += run;
         i += run;
     }
     for (; i < count; i++)
-        out[i] = (double)(next64(s) >> 11) * (1.0 / 9007199254740992.0);
+        out[i] = next64(s) >> 11;
+}
+
+/* The acceptance entry of a move accepted without a unit draw: chain.NO_DRAW. */
+enum { NO_DRAW = -1 };
+
+/* Rewrites count log-weight differences delta, doubles, in place as their
+ * acceptance entries, int64: NO_DRAW where delta >= 0, 0 where delta is
+ * NaN, and otherwise T = ceil(2^53 exp(delta)), with libm's exp, the one
+ * math.exp calls. chain.acceptance_table's list comprehension is the same
+ * rule in Python, and its oracle.
+ *
+ * For a unit draw u, an integer in [0, 2^53), u < T holds exactly when
+ * u * 2^-53 < exp(delta), the reference step's test: x = 2^53 exp(delta)
+ * is exact (a power-of-two scaling of a double in [0, 1], subnormals
+ * included), and an integer is below the ceiling of a real exactly when it
+ * is below the real. So T is 0 where exp(delta) is 0, 1 where it is a
+ * subnormal or below 2^-53, and 2^53 where it is 1.0. The ceiling is the
+ * truncation of x, plus 1 where that is below x, both exact for x in
+ * [0, 2^53]: calls to ldexp and ceil took a third of the pass. */
+void acceptance_thresholds(void *table, int64_t count)
+{
+    char *entry = table;
+    for (int64_t i = 0; i < count; i++, entry += sizeof(int64_t)) {
+        double delta;
+        memcpy(&delta, entry, sizeof delta);
+        int64_t t = NO_DRAW;
+        if (isnan(delta)) {
+            t = 0;
+        } else if (delta < 0.0) {
+            const double x = exp(delta) * 0x1p53;
+            t = (int64_t)x;
+            t += (double)t < x;
+        }
+        memcpy(entry, &t, sizeof t);
+    }
 }

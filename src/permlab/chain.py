@@ -224,31 +224,38 @@ def exact_stationary(n: int, wt: WeightTable) -> tuple[tuple[Matching, ...], np.
 
 
 # The acceptance_table entry of a move whose weight ratio is at least 1: it
-# is accepted without a unit draw. Every other entry is a ratio in [0, 1].
-# It must have its sign bit set, and be the only entry that does; see
-# acceptance_table.
-NO_DRAW = -1.0
+# is accepted without a unit draw. Every other entry is a threshold in
+# [0, 2^53], which the compiled kernels compare unsigned with the unit draw,
+# so NO_DRAW is above every draw there; see acceptance_table.
+NO_DRAW = -1
 
 
-def acceptance_table(wt: WeightTable) -> array:
-    """The acceptance entry of every move of one stage, as ``walk`` and
-    ``_python_walk`` read it; ``walk_states`` reads entries gathered from it.
+@functools.cache
+def _threshold_kernel():
+    """The compiled ``acceptance_thresholds`` of _walk.c, or None when it
+    cannot be built or loaded; ``acceptance_table`` then builds its entries
+    in Python."""
+    return _native.kernel("acceptance_thresholds", ctypes.c_void_p, ctypes.c_int64)
+
+
+def acceptance_table(wt: WeightTable) -> np.ndarray:
+    """The acceptance entry of every move of one stage, int64, as ``walk``
+    and ``_python_walk`` read it; ``walk_states`` reads entries gathered
+    from it.
 
     A move's log-weight difference delta depends only on the hole, the moved
     index, the change dk in the non-instance pair count and the stage's
-    weights. Its entry is ``NO_DRAW`` where delta >= 0.0, and otherwise
-    exp(delta), the probability that the move is accepted, against one unit
-    draw. A step consumes a unit draw exactly when its entry is not
-    ``NO_DRAW``. The compiled kernels compare the int64 bit patterns of the
-    entry and the unit value, which order as the doubles do where both are
-    non-negative, and take an entry's sign bit for ``NO_DRAW``. So a NaN
-    delta, from infinite weights, gives +0.0, not NaN, whose bit pattern
-    orders wrongly (x86's default NaN is negative): the step takes a draw
-    and rejects, on every kernel. The compiled kernels read a unit value on
-    every step, to need no branch on the entry; on a ``NO_DRAW`` step that
-    value, stale or never filled, decides nothing, since the sign bit
-    accepts whatever it is. With nn = n * n, the 2 * nn + 6 * n^3 entries
-    are:
+    weights. Its entry is ``NO_DRAW`` where delta >= 0.0, 0 where delta is
+    NaN (infinite weights make it), and otherwise the threshold
+    T = ceil(2^53 exp(delta)). A step consumes a unit draw exactly when its
+    entry is not ``NO_DRAW``, and accepts when the draw u, a 53-bit integer
+    (``BufferedDraws``), is below T. That holds exactly when the reference
+    ``step``'s u * 2^-53 < exp(delta) does, so a NaN delta rejects, as it
+    does there (_walk.c, ``acceptance_thresholds``). The compiled kernels
+    read a unit value on every step, to need no branch on the entry, and
+    compare it unsigned; on a ``NO_DRAW`` step that value, stale or never
+    filled, decides nothing, since ``NO_DRAW`` is then above every draw.
+    With nn = n * n, the 2 * nn + 6 * n^3 entries are:
 
     * drop the pair (u, v) of a perfect matching: [u * n + v];
     * complete the hole (hu, hv): [nn + hu * n + hv];
@@ -260,8 +267,11 @@ def acceptance_table(wt: WeightTable) -> array:
     delta is dk * ln(lambda) plus the hole log-weight moved to, minus the
     one left (drop: plus the pair's; complete: minus the hole's), summed left
     to right in float64; numpy's elementwise operations round as the scalar
-    ones do. exp is libm's, through ``math.exp``, and is never evaluated at
-    delta >= 0, where it could overflow; a NaN delta is taken as -inf.
+    ones do. The entries are built from the deltas in one pass, by
+    ``acceptance_thresholds`` of _walk.c where the library loads and by the
+    list comprehension below, its oracle, where not. Both take exp from
+    libm, the C one directly and the Python one through ``math.exp``, and
+    never evaluate it at delta >= 0, where it could overflow.
     """
     import numpy as np
 
@@ -270,22 +280,33 @@ def acceptance_table(wt: WeightTable) -> array:
     log_w = np.array(wt.log_w, dtype=np.float64).reshape(n, n)
     edge = np.array(wt.edge_present, dtype=np.int64).reshape(n, n)
     dk_terms = np.array([-1.0, 0.0, 1.0])[:, None, None, None] * log_lambda
-    # Infinite weights make NaN deltas (inf - inf, 0 * inf), taken as -inf below.
+    # The four parts, each computed into its place in one array: temporaries
+    # of the table's size tripled this at n = 64.
+    nn, cube = n * n, n**3
+    deltas = np.empty(2 * nn + 6 * cube)
+    drops, completions = (deltas[start : start + nn].reshape(n, n) for start in (0, nn))
+    row_moves, column_moves = (
+        deltas[start : start + 3 * cube].reshape(3, n, n, n) for start in (2 * nn, 2 * nn + 3 * cube)
+    )
+    # Infinite weights make NaN deltas (inf - inf, 0 * inf).
     with np.errstate(invalid="ignore"):
-        deltas = [
-            (edge - 1) * log_lambda + log_w,
-            (1 - edge) * log_lambda - log_w,
-            dk_terms + log_w[None, :, :, None] - log_w[None, :, None, :],
-            dk_terms + log_w[None, :, None, :] - log_w[None, None, :, :],
-        ]
-    exp = math.exp
-    return array(
-        "d",
+        np.add((edge - 1) * log_lambda, log_w, out=drops)
+        np.subtract((1 - edge) * log_lambda, log_w, out=completions)
+        np.add(dk_terms, log_w[None, :, :, None], out=row_moves)
+        np.subtract(row_moves, log_w[None, :, None, :], out=row_moves)
+        np.add(dk_terms, log_w[None, :, None, :], out=column_moves)
+        np.subtract(column_moves, log_w[None, None, :, :], out=column_moves)
+    build = _threshold_kernel()
+    if build is not None:
+        build(deltas.ctypes.data, len(deltas))
+        return deltas.view(np.int64)
+    exp, ceil, ldexp = math.exp, math.ceil, math.ldexp
+    return np.array(
         [
-            NO_DRAW if delta >= 0.0 else exp(delta)
-            for part in deltas
-            for delta in np.where(np.isnan(part), -np.inf, part).ravel().tolist()
+            NO_DRAW if delta >= 0.0 else 0 if delta != delta else ceil(ldexp(exp(delta), 53))
+            for delta in deltas.tolist()
         ],
+        dtype=np.int64,
     )
 
 
@@ -293,13 +314,13 @@ class _WalkState(ctypes.Structure):
     """The ``walk_state`` struct of _walk.c, which all three walk kernels
     read and write: ``walk`` and ``_python_walk`` read the acceptance table
     directly, ``walk_states`` the entries gathered from it into its table of
-    moves. The compiled kernels read the entries and the unit draws as their
-    int64 bit patterns, which is why the table holds +0.0, not NaN, where a
-    delta is NaN (see ``acceptance_table``). With the arrays it points into,
-    it is ChainSampler's only store of the acceptance table, the matching,
-    the hole, the non-instance pair count and the tally. It points at the three draw blocks of a
-    ``BufferedDraws`` and at its ``positions``, which never move, and, for
-    ``walk_states``, at its generator (``BufferedDraws.generate_ahead``)."""
+    moves. All three compare the int64 entries with the 53-bit integer unit
+    draws, the compiled kernels unsigned (see ``acceptance_table``). With the
+    arrays it points into, it is ChainSampler's only store of the acceptance
+    table, the matching, the hole, the non-instance pair count and the
+    tally. It points at the three draw blocks of a ``BufferedDraws`` and at
+    its ``positions``, which never move, and, for ``walk_states``, at its
+    generator (``BufferedDraws.generate_ahead``)."""
 
     _fields_ = [
         ("n", ctypes.c_int64),
@@ -363,7 +384,7 @@ def _state_walk_kernel():
 
 # The state_move struct of _walk.c: a move's acceptance entry, and the
 # proposed state's first move and tally key.
-_STATE_MOVE = [("accept", "<f8"), ("next", "<i4"), ("key", "<i4")]
+_STATE_MOVE = [("accept", "<i8"), ("next", "<i4"), ("key", "<i4")]
 
 
 @functools.cache
@@ -485,9 +506,8 @@ class ChainSampler:
         hu, hv = (-1, -1) if start.hole is None else start.hole
         st = self._state = _WalkState(n=n, hu=hu, hv=hv, countdown=-1)
         self._edges = array("q", wt.edge_present)
-        # The first set_weights checks the tables and sizes the acceptance
-        # table before it is pinned below; later stages rewrite it in place.
-        self._accept = array("d")
+        # Pinned below; every set_weights rewrites it in place.
+        self._accept = array("q", bytes(8 * (2 * n * n + 6 * n**3)))
         self._moves = None
         self.set_weights(wt)
         if n <= STATE_WALK_LIMIT and _state_walk_kernel() is not None:
@@ -547,12 +567,13 @@ class ChainSampler:
             raise ValueError(f"weight table needs {n * n} entries per table")
         if wt.n != self.n or array("q", wt.edge_present) != self._edges:
             raise ValueError("weight table belongs to a different instance")
-        self._accept[:] = acceptance_table(wt)
-        if self._moves is not None:
-            import numpy as np
+        import numpy as np
 
+        table = np.frombuffer(self._accept, dtype=np.int64)
+        table[:] = acceptance_table(wt)
+        if self._moves is not None:
             # Once per stage, not on every kernel call.
-            self._moves["accept"] = np.frombuffer(self._accept)[self._entries]
+            self._moves["accept"] = table[self._entries]
 
     def state(self) -> Matching:
         pairs = frozenset((u, v) for u, v in enumerate(self.row_to_col) if v >= 0)
@@ -660,7 +681,7 @@ class ChainSampler:
                     v = r2c[u]
                     dk = edge[u * n + v] - 1
                     ratio = table[u * n + v]
-                    if ratio < 0.0:
+                    if ratio < 0:
                         accept = True
                     else:
                         accept = ubuf[ui] < ratio
@@ -678,7 +699,7 @@ class ChainSampler:
                         # Hole row or hole column: complete the hole pair.
                         dk = 1 - edge[hu * n + hv]
                         ratio = table[nn + hu * n + hv]
-                        if ratio < 0.0:
+                        if ratio < 0:
                             accept = True
                         else:
                             accept = ubuf[ui] < ratio
@@ -694,7 +715,7 @@ class ChainSampler:
                         base = x * n
                         dk = edge[base + z] - edge[base + hv]
                         ratio = table[row_moves + dk * cube + hu * nn + z * n + hv]
-                        if ratio < 0.0:
+                        if ratio < 0:
                             accept = True
                         else:
                             accept = ubuf[ui] < ratio
@@ -711,7 +732,7 @@ class ChainSampler:
                         w = c2r[xc]
                         dk = edge[w * n + xc] - edge[hu * n + xc]
                         ratio = table[column_moves + dk * cube + w * nn + hu * n + hv]
-                        if ratio < 0.0:
+                        if ratio < 0:
                             accept = True
                         else:
                             accept = ubuf[ui] < ratio

@@ -6,27 +6,33 @@ identifier ("pcg64") is recorded in generated manifests and trial output.
 
 The chain consumes three kinds of draws: an edge index uniform on [0, n) when
 the current matching is perfect, a vertex index uniform on [0, 2n) when it is
-near-perfect, and a unit float for the acceptance filter (drawn only when the
-proposal ratio is below 1). ``BufferedDraws`` pre-generates each kind in
+near-perfect, and a unit draw for the acceptance filter (drawn only when the
+proposal ratio is below 1). A unit draw is the integer u = raw >> 11, uniform
+on [0, 2^53), of one raw 64-bit PCG64 output: numpy's ``Generator.random()``
+before its scaling by 2^-53, which the walk kernels compare with the integer
+thresholds of ``chain.acceptance_table`` and ``BufferedDraws.unit`` scales
+for the reference chain. ``BufferedDraws`` pre-generates each kind in
 blocks, which makes per-step cost small while keeping the consumed stream a
-pure function of the seed. Each kind has one int64 or float64 block and one
-memoryview of it, both made once; a refill rewrites the block in place, so
-it never moves: the sampler points its compiled kernel at the blocks, and at
-the three read positions in ``BufferedDraws.positions``, once, and its
-Python kernel indexes the views.
+pure function of the seed. Each kind has one int64 or uint64 block and one
+memoryview of it, both made once and zeroed, so that a compiled kernel's
+clamped read of a block never filled reads 0; a refill rewrites the block in
+place, so it never moves: the sampler points its compiled kernel at the
+blocks, and at the three read positions in ``BufferedDraws.positions``,
+once, and its Python kernel indexes the views.
 
 The blocks come from one of two sources that give the same values, bit for
 bit. Where the compiled kernels load (see _native.py), ``fill_bounded`` and
 ``fill_unit`` of _walk.c fill them: a C port of PCG64 and of the numpy
-``Generator.integers(0, high)`` and ``Generator.random()`` algorithms,
-working on a copy of the seeded ``np.random.PCG64``'s state. A sampler that
-runs ``walk_states`` gives that state a ring (``generate_ahead``), which the
-kernel fills with the generator's next raw outputs as it walks, and the
-refills use those outputs before they generate more. Otherwise the numpy
-``Generator`` itself fills the blocks; it is also the oracle the C port is
-tested against. numpy is imported when the first ``BufferedDraws`` or
-``generator`` is made, not with this module, so commands that draw nothing
-never load it.
+``Generator.integers(0, high)`` and unscaled ``Generator.random()``
+algorithms, working on a copy of the seeded ``np.random.PCG64``'s state. A
+sampler that runs ``walk_states`` gives that state a ring
+(``generate_ahead``), which the kernel fills with the generator's next raw
+outputs as it walks, and the refills use those outputs before they generate
+more. Otherwise the numpy ``Generator`` itself fills the blocks, the unit
+block from its bit generator's ``random_raw() >> 11``; numpy is also the
+oracle the C port is tested against. numpy is imported when the first
+``BufferedDraws`` or ``generator`` is made, not with this module, so
+commands that draw nothing never load it.
 """
 
 from __future__ import annotations
@@ -100,9 +106,9 @@ def _words(value: int) -> tuple[int, int]:
 class BufferedDraws:
     """Three block-buffered draw streams over one seeded PCG64 generator.
 
-    Each stream reads one block of ``size`` int64 or float64 draws through
-    one memoryview, ``edge_buf``, ``vert_buf`` or ``unit_buf``, made once;
-    indexing it yields a Python ``int`` or ``float`` without copying the
+    Each stream reads one block of ``size`` draws through one memoryview,
+    ``edge_buf``, ``vert_buf`` or ``unit_buf`` (int64, int64 and uint64),
+    made once; indexing it yields a Python ``int`` without copying the
     block. A refill rewrites the block in place, sets its read position to 0
     and returns that same view. The read positions in the edge, vertex and
     unit blocks are the three slots of ``positions``, their only store.
@@ -136,9 +142,9 @@ class BufferedDraws:
                 state["has_uint32"],
                 state["uinteger"],
             )
-        self.edge_buf = memoryview(np.empty(buffer_size, dtype=np.int64))
-        self.vert_buf = memoryview(np.empty(buffer_size, dtype=np.int64))
-        self.unit_buf = memoryview(np.empty(buffer_size, dtype=np.float64))
+        self.edge_buf = memoryview(np.zeros(buffer_size, dtype=np.int64))
+        self.vert_buf = memoryview(np.zeros(buffer_size, dtype=np.int64))
+        self.unit_buf = memoryview(np.zeros(buffer_size, dtype=np.uint64))
         # Every block starts used up, which triggers a lazy refill on first use.
         self.positions = array("q", [buffer_size] * 3)
 
@@ -184,7 +190,8 @@ class BufferedDraws:
     def refill_unit(self) -> memoryview:
         block = self.unit_buf.obj
         if self._kernels is None:
-            self._gen.random(out=block)
+            # The integers that Generator.random(size) scales by 2^-53.
+            block[:] = self._gen.bit_generator.random_raw(self.size) >> 11
         else:
             self._kernels[1](self._pcg, block.ctypes.data, self.size)
         self.positions[2] = 0
@@ -207,8 +214,10 @@ class BufferedDraws:
         return self._next(1, self.vert_buf, self.refill_vert)
 
     def unit(self) -> float:
-        """Uniform float in [0, 1) for the acceptance filter."""
-        return self._next(2, self.unit_buf, self.refill_unit)
+        """Uniform float in [0, 1) for the reference chain's acceptance
+        filter: the next unit draw times 2^-53, exactly the value that
+        ``Generator.random()`` makes of the same output."""
+        return self._next(2, self.unit_buf, self.refill_unit) * 2**-53
 
 
 def generator(seed: int) -> np.random.Generator:

@@ -2,7 +2,6 @@ import functools
 import hashlib
 import itertools
 import math
-import struct
 import sys
 from array import array
 
@@ -316,10 +315,11 @@ def test_walk_matches_reference_step_across_refills(walk_kernel, buffer_size):
     start = find_perfect_matching(m)
     sampler = ChainSampler(wt, start, BufferedDraws(42, 5, buffer_size=buffer_size))
     # The compiled kernel reads a unit value on every step, also when no
-    # draw is due and the block is used up or was never filled. A NaN there
-    # rejects any move it decides, so the trajectory shows if one ever does;
-    # the draw positions show a step without a draw that stops for a refill.
-    sampler.draws.unit_buf.obj[:] = math.nan
+    # draw is due and the block is used up or was never filled. 2^53, above
+    # every threshold, rejects any move it decides, so the trajectory shows
+    # if one ever does; the draw positions show a step without a draw that
+    # stops for a refill.
+    sampler.draws.unit_buf.obj[:] = 2**53
     draws = BufferedDraws(42, 5, buffer_size=buffer_size)
     current = start
     for length in [1, 2, 3, 5, 13, 16, 17, 64, 200] * 40:
@@ -386,9 +386,10 @@ def walk_fingerprint(n, log_lambda, buffer_size, holes=None):
     return [h.hexdigest() for h in hashes]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8, 16])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8, 16, 32])
 def test_compiled_walk_matches_python_walk(n, monkeypatch):
-    # At n = 1 an edge draw consumes no generator output.
+    # At n = 1 an edge draw consumes no generator output. At n = 32 the
+    # thresholds reach sizes that no benchmark workload walks.
     if chain._walk_kernel() is None:
         pytest.skip("the compiled walk kernel cannot be built or loaded here")
     settings = [
@@ -403,28 +404,26 @@ def test_compiled_walk_matches_python_walk(n, monkeypatch):
     assert [walk_fingerprint(n, *setting) for setting in settings] == compiled
     monkeypatch.setattr(chain, "_walk_kernel", lambda: None)
     assert [walk_fingerprint(n, *setting) for setting in settings] == compiled
-    # A host without cc runs the Python kernel on draws that numpy fills.
+    # A host without cc runs the Python kernel on draws that numpy fills,
+    # with tables that Python builds.
     monkeypatch.setattr("permlab.rng._refill_kernels", lambda: None)
+    monkeypatch.setattr(chain, "_threshold_kernel", lambda: None)
     assert [walk_fingerprint(n, *setting) for setting in settings] == compiled
 
 
 # Two +inf hole weights in one row, a -inf and a NaN: moves between the
-# +inf holes have delta inf - inf, x86's default NaN, which is negative, and
-# every move to or from the NaN hole has a NaN delta too.
+# +inf holes have delta inf - inf, and every move to or from the NaN hole
+# has a NaN delta too.
 NON_FINITE_HOLES = {1: math.inf, 2: math.inf, 6: -math.inf, 11: math.nan}
 
 
 @pytest.mark.parametrize("n", [4, 8])
 def test_non_finite_weights_walk_alike_on_every_kernel(n, monkeypatch):
-    # A NaN delta gives a +0.0 entry, which takes a draw and rejects, as the
-    # float compare of the Python kernel and the reference step reject NaN.
-    # A NaN entry would decide otherwise on the compiled kernels' bit
-    # patterns: accept without a draw where its sign bit is set, and accept
-    # any draw where not.
+    # A NaN delta gives a 0 entry, which takes a draw and rejects, as the
+    # reference step's float compare with a NaN ratio rejects.
     wt = with_holes(mixed_weights(generate_random(n, -(-3 * n * n // 4), seed=n), -1.0), NON_FINITE_HOLES)
     table = chain.acceptance_table(wt)
-    assert not any(math.isnan(entry) for entry in table)
-    assert 0.0 in table and chain.NO_DRAW in table
+    assert 0 in table and chain.NO_DRAW in table
     if chain._walk_kernel() is None:
         pytest.skip("the compiled walk kernel cannot be built or loaded here")
     settings = [(-1.0, 1 << 16, NON_FINITE_HOLES), (-1.0, 3, NON_FINITE_HOLES)]
@@ -435,44 +434,98 @@ def test_non_finite_weights_walk_alike_on_every_kernel(n, monkeypatch):
     assert [walk_fingerprint(n, *setting) for setting in settings] == compiled
 
 
-def bit_pattern(x):
-    return struct.unpack("<q", struct.pack("<d", x))[0]
+UNIT_RANGE = 2**53
 
 
-# Hole log-weights whose entries are 1.0 (exp(-1e-17)), 0.5, subnormals
-# (exp(-720), and exp(-745), the smallest subnormal) and +0.0 (exp(-inf)),
-# besides NO_DRAW and their products with lambda = 1/2.
+def threshold(r):
+    """The acceptance entry of a ratio r = exp(delta) in [0, 1]: ceil(2^53 r)."""
+    return math.ceil(math.ldexp(r, 53))
+
+
+def units_around(t):
+    """The unit draws 0, t - 1, t, t + 1 and 2^53 - 1 that lie in [0, 2^53)."""
+    return sorted(u for u in {0, t - 1, t, t + 1, UNIT_RANGE - 1} if 0 <= u < UNIT_RANGE)
+
+
+# Ratios at which an integer threshold could part from the float compare:
+# 0, subnormals, the least normal and its lower neighbour, k * 2^-53 with
+# both neighbours, 1 - 2^-53 and 1.0.
+EDGE_RATIOS = sorted(
+    {0.0, 5e-324, 1e-310, sys.float_info.min, math.nextafter(sys.float_info.min, 0.0), 1 - 2**-53, 1.0}
+    | {
+        value
+        for k in (1, 2, 3, 1000, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 2)
+        for value in (math.nextafter(k * 2**-53, 0.0), k * 2**-53, math.nextafter(k * 2**-53, 2.0))
+    }
+)
+
+
+def test_integer_thresholds_decide_as_the_float_compare(monkeypatch):
+    # The reference step accepts when u * 2^-53 < r; every walk kernel when
+    # u < T, the compiled ones unsigned, so NO_DRAW (2^64 - 1 there)
+    # accepts every draw.
+    for r in EDGE_RATIOS:
+        t = threshold(r)
+        for u in units_around(t):
+            assert (u < t) == (u * 2**-53 < r), (r, u)
+    assert all(u < chain.NO_DRAW % 2**64 for u in units_around(0))
+    # Through the tables: an instance with every edge present has drop
+    # entries of delta = the hole log-weight, so ratio exp(delta).
+    n = 6
+    log_w = [math.log(r) if r > 0.0 else -math.inf for r in EDGE_RATIOS] + [-1e-17, -720.0, -745.0, math.nan]
+    log_w += [-0.5] * (n * n - len(log_w))
+    wt = WeightTable(n, -1.0, tuple(log_w), (1,) * (n * n))
+    tables = [chain.acceptance_table(wt)]
+    monkeypatch.setattr(chain, "_threshold_kernel", lambda: None)
+    tables.append(chain.acceptance_table(wt))
+    for table in tables:
+        assert {0, 1, UNIT_RANGE, chain.NO_DRAW} <= set(table[: n * n].tolist())
+        for delta, t in zip(log_w, table.tolist()):
+            if delta >= 0.0:
+                assert t == chain.NO_DRAW
+                continue
+            r = math.exp(delta)
+            assert t == (0 if math.isnan(r) else threshold(r))
+            for u in units_around(t):
+                assert (u < t) == (u * 2**-53 < r), (delta, u)
+
+
+def builder_weights(n):
+    """Hole log-weights of both signs whose deltas include -0.0, NaN (an
+    infinite weight less itself), and exp underflowing to 0 (-800) and to
+    a subnormal (-720); lambda = 1/2 and a sparse instance."""
+    generator = np.random.Generator(np.random.PCG64(n))
+    log_w = generator.uniform(-3.0, 3.0, size=n * n)
+    log_w[:5] = [-0.0, math.inf, 0.0, -720.0, -800.0]
+    edges = tuple(int(x) for x in generator.integers(0, 2, size=n * n))
+    return WeightTable(n, math.log(0.5), tuple(float(x) for x in log_w), edges)
+
+
+@pytest.mark.parametrize("n", [4, 16, 64])
+def test_compiled_thresholds_match_the_python_builder_byte_for_byte(n, monkeypatch):
+    if chain._threshold_kernel() is None:
+        pytest.skip("the compiled threshold builder cannot be built or loaded here")
+    wt = builder_weights(n)
+    compiled = chain.acceptance_table(wt)
+    monkeypatch.setattr(chain, "_threshold_kernel", lambda: None)
+    python = chain.acceptance_table(wt)
+    assert compiled.dtype == python.dtype == np.int64
+    assert compiled.tobytes() == python.tobytes()
+    assert {0, 1, chain.NO_DRAW} <= set(compiled.tolist())
+    assert compiled.min() == chain.NO_DRAW and compiled.max() <= UNIT_RANGE
+
+
+# Hole log-weights whose entries are 2^53 (exp(-1e-17) = 1.0), 2^52 (0.5), 1
+# (the subnormals exp(-720) and exp(-745)) and 0 (exp(-inf)), besides
+# NO_DRAW and their products with lambda = 1/2.
 TIE_HOLE_LOG_WEIGHTS = [0.0, -1e-17, -720.0, -math.inf, math.log(0.5), -745.0]
 
 
 def tie_units(table):
-    """Unit values on both sides of every entry of ``table`` but NO_DRAW and
-    on it, +0.0, subnormals and 1 - 2^-53: the values in [0, 1) at which a
-    compare of bit patterns could part from the float compare."""
-    entries = {entry for entry in table if entry >= 0.0}
-    near = {value for entry in entries for value in (math.nextafter(entry, -1.0), entry, math.nextafter(entry, 2.0))}
-    smallest = sys.float_info.min
-    edges = {0.0, 5e-324, 1e-310, smallest, math.nextafter(smallest, 0.0), 1 - 2**-53}
-    return sorted(value for value in near | edges if 0.0 <= value < 1.0)
-
-
-def test_bit_patterns_order_as_the_doubles_do():
-    # The compiled kernels' acceptance test, on the int64 bit patterns t of
-    # the entry and ub of the unit value: accepted when the sign bit of
-    # t | (ub - t), the difference taken mod 2^64, is set.
-    table = chain.acceptance_table(WeightTable(2, math.log(0.5), tuple(TIE_HOLE_LOG_WEIGHTS[:4]), (1, 0, 1, 1)))
-    units = tie_units(table)
-    entries = sorted(set(table))
-    assert entries[0] == chain.NO_DRAW and bit_pattern(chain.NO_DRAW) < 0
-    assert 0.0 in entries and 1.0 in entries and any(0.0 < e < sys.float_info.min for e in entries)
-    values = units + entries[1:]
-    assert all(bit_pattern(value) >= 0 for value in values)
-    for a, b in itertools.product(values, repeat=2):
-        assert (bit_pattern(a) < bit_pattern(b)) == (a < b)
-    for entry, u in itertools.product(entries, units + [math.nan]):
-        t, ub = bit_pattern(entry) % 2**64, bit_pattern(u) % 2**64
-        accepted = (t | (ub - t) % 2**64) >> 63
-        assert accepted == (entry == chain.NO_DRAW or u < entry)
+    """The unit draws 0, T - 1, T, T + 1 and 2^53 - 1 around every entry T
+    of ``table`` but NO_DRAW: the draws at which the integer test could part
+    from the reference step's float compare."""
+    return sorted({u for t in set(table.tolist()) - {chain.NO_DRAW} for u in units_around(t)})
 
 
 def scripted_units(draws, values):
@@ -509,10 +562,13 @@ def tie_trajectory(n):
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_ties_and_edges_decide_alike_on_every_kernel(n, monkeypatch):
-    # A unit value equal to its entry rejects, on the bit patterns as on
-    # the doubles. The units sit on, above and below the entries, which
-    # include +0.0, 1.0 and subnormals, so ties and one-ulp misses are
-    # frequent.
+    # A unit draw equal to its threshold rejects, as does one whose scaled
+    # value equals its ratio. The draws sit on, above and below the
+    # thresholds, which include 0, 1, 2^52 and 2^53, so ties and one-unit
+    # misses are frequent. (The reference step is no oracle here: it sums
+    # its delta in another order, which at these weights moves some ratios
+    # by an ulp; test_integer_thresholds_decide_as_the_float_compare checks
+    # the integer test against its float compare.)
     if chain._walk_kernel() is None:
         pytest.skip("the compiled walk kernel cannot be built or loaded here")
     states = tie_trajectory(n)
@@ -580,7 +636,7 @@ def interrupt_a_table_read(sampler, monkeypatch):
     """Make the Python kernel's 1999th read of the acceptance table raise,
     in the middle of a kernel call: the 15th step of the 125th of a loop of
     16-step walks."""
-    table = InterruptingTable("d", sampler._accept)
+    table = InterruptingTable("q", sampler._accept)
     table.reads = 1999
     monkeypatch.setattr(sampler, "_accept", table)
 
@@ -723,4 +779,4 @@ def test_acceptance_table_matches_the_reference_chain(log_lambda):
             if abs(difference) >= 1e-12:
                 assert (entry == chain.NO_DRAW) == (difference >= 0.0)
             if entry != chain.NO_DRAW:
-                assert entry == pytest.approx(math.exp(difference), rel=1e-12, abs=0.0)
+                assert entry == pytest.approx(threshold(math.exp(difference)), rel=1e-12, abs=1.0)

@@ -12,6 +12,7 @@ def kernel_lookups():
     return [
         chain._walk_kernel.__wrapped__,
         chain._state_walk_kernel.__wrapped__,
+        chain._threshold_kernel.__wrapped__,
         exact._ryser_kernel.__wrapped__,
         rng._refill_kernels.__wrapped__,
     ]
@@ -40,8 +41,9 @@ def test_compiled_kernels_build_and_load_from_one_library(tmp_path, monkeypatch)
 
 
 def test_build_flags_keep_floating_point_results_exact():
-    # The unit draws of _walk.c are bit-identical to numpy's only while the
-    # compiler neither fuses nor reorders floating-point operations.
+    # The acceptance thresholds of _walk.c are bit-identical to Python's
+    # only while the compiler neither fuses nor reorders floating-point
+    # operations.
     assert "-ffp-contract=off" in _native._CC_ARGS
     for flag in ("-ffast-math", "-Ofast", "-funsafe-math-optimizations", "-march=native"):
         assert flag not in _native._CC_ARGS
@@ -52,7 +54,7 @@ def test_kernels_are_none_when_the_cache_cannot_be_written(tmp_path, monkeypatch
     home.write_text("a file, not a directory")
     monkeypatch.setenv("HOME", str(home))
     monkeypatch.setattr(_native, "library", _native.load_library)
-    assert [lookup() for lookup in kernel_lookups()] == [None] * 4
+    assert [lookup() for lookup in kernel_lookups()] == [None] * 5
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc) on PATH")
@@ -82,8 +84,8 @@ def test_a_library_built_without_sse2_has_no_ryser_and_the_other_kernels(tmp_pat
     monkeypatch.setenv("HOME", str(tmp_path))
     monkeypatch.setattr(_native, "_CC_ARGS", (*_native._CC_ARGS, "-U__SSE2__"))
     monkeypatch.setattr(_native, "library", _native.load_library)
-    walk, walk_states, ryser, refill = (lookup() for lookup in kernel_lookups())
+    walk, walk_states, thresholds, ryser, refill = (lookup() for lookup in kernel_lookups())
     assert ryser is None
-    assert walk is not None and walk_states is not None and refill is not None
+    assert all(kernel is not None for kernel in (walk, walk_states, thresholds, refill))
     monkeypatch.setattr(exact, "_ryser_kernel", exact._ryser_kernel.__wrapped__)
     assert exact.permanent_ryser(Matrix.from_rows([[1] * 5] * 5)) == 120

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from permlab import Matrix, _native, chain, rng
@@ -78,6 +79,31 @@ def test_compiled_refills_match_the_numpy_generator(n, buffer_size, monkeypatch)
         assert "wrap" in cases
     monkeypatch.setattr(rng, "_refill_kernels", lambda: None)
     assert refill_blocks(n, buffer_size)[0] == compiled == ahead
+
+
+@pytest.mark.parametrize("fills", ["compiled", "ahead", "numpy"])
+def test_unit_draws_scale_to_the_numpy_generators_random(fills, monkeypatch):
+    # A unit draw is the integer that Generator.random() scales by 2^-53:
+    # unit() must give numpy's value, value for value, whether the compiled
+    # refill generates its outputs, takes them from the ring, or numpy fills
+    # the block.
+    if fills == "numpy":
+        monkeypatch.setattr(rng, "_refill_kernels", lambda: None)
+    elif rng._refill_kernels() is None:
+        pytest.skip("the compiled refill kernels cannot be built or loaded here")
+    size, blocks = 1000, 6
+    draws = BufferedDraws(11, 4, buffer_size=size)
+    walker = ahead_walker(draws) if fills == "ahead" else None
+    units = []
+    for block in range(blocks):
+        if walker is not None:
+            walker.walk((0, 300, 2 * size)[block % 3])
+        units += [draws.unit() for _ in range(size)]
+    if walker is not None:
+        assert draws._pcg.head > 0
+    expected = np.random.Generator(np.random.PCG64(11)).random(size * blocks)
+    assert units == expected.tolist()
+    assert all(0 <= u < 2**53 for u in draws.unit_buf)
 
 
 def test_a_walk_on_states_leaves_outputs_waiting_that_the_next_refill_takes():
