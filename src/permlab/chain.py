@@ -125,14 +125,15 @@ def propose(matching: Matching, draws) -> Matching:
 
 
 def step(state: Matching, wt: WeightTable, draws: BufferedDraws) -> Matching:
-    """One Metropolis transition; returns the new state (possibly the old)."""
+    """One Metropolis transition, with delta summed as in ``acceptance_table``;
+    returns the new state (possibly the old)."""
     proposal = propose(state, draws)
-    delta = log_weight(proposal, wt) - log_weight(state, wt)
-    if delta >= 0.0:
-        return proposal
-    if draws.unit() < math.exp(delta):
-        return proposal
-    return state
+    delta = (lambda_edges(proposal, wt) - lambda_edges(state, wt)) * wt.log_lambda
+    if proposal.hole is not None:
+        delta += wt.hole_log_w(*proposal.hole)
+    if state.hole is not None:
+        delta -= wt.hole_log_w(*state.hole)
+    return proposal if delta >= 0.0 or draws.unit() < math.exp(delta) else state
 
 
 @functools.cache
@@ -316,11 +317,12 @@ class _WalkState(ctypes.Structure):
     directly, ``walk_states`` the entries gathered from it into its table of
     moves. All three compare the int64 entries with the 53-bit integer unit
     draws, the compiled kernels unsigned (see ``acceptance_table``). With the
-    arrays it points into, it is ChainSampler's only store of the acceptance
-    table, the matching, the hole, the non-instance pair count and the
-    tally. It points at the three draw blocks of a ``BufferedDraws`` and at
-    its ``positions``, which never move, and, for ``walk_states``, at its
-    generator (``BufferedDraws.generate_ahead``)."""
+    arrays it points into, among them the one ``acceptance_table`` returned,
+    it is ChainSampler's only store of the acceptance table, the matching,
+    the hole, the non-instance pair count and the tally. It points at the
+    three draw blocks of a ``BufferedDraws`` and at its ``positions``, which
+    never move, and, for ``walk_states``, at its generator
+    (``BufferedDraws.generate_ahead``)."""
 
     _fields_ = [
         ("n", ctypes.c_int64),
@@ -453,12 +455,11 @@ class ChainSampler:
 
     The whole chain state lives in one ``_WalkState`` struct and the arrays
     it points into: the instance matrix, the stage's ``acceptance_table``
-    (rebuilt by ``set_weights``), the matching as paired row/column
+    (kept as ``set_weights`` built it), the matching as paired row/column
     assignment arrays (int64 ``array`` objects), the hole, the non-instance
     pair count (kept incrementally), the per-key sample counts and, for
-    ``walk_states``, its table. Draws are
-    consumed from a BufferedDraws in exactly the same order as the reference
-    ``step`` function, so short trajectories of the two are interchangeable.
+    ``walk_states``, its table. It takes the reference ``step``'s draws in
+    its order, and so its trajectory.
 
     Spaced samples are tallied inside ``walk`` itself: while ``spacing`` is
     positive, the state after every ``spacing``-th step is counted under a
@@ -506,17 +507,14 @@ class ChainSampler:
         hu, hv = (-1, -1) if start.hole is None else start.hole
         st = self._state = _WalkState(n=n, hu=hu, hv=hv, countdown=-1)
         self._edges = array("q", wt.edge_present)
-        # Pinned below; every set_weights rewrites it in place.
-        self._accept = array("q", bytes(8 * (2 * n * n + 6 * n**3)))
         self._moves = None
-        self.set_weights(wt)
         if n <= STATE_WALK_LIMIT and _state_walk_kernel() is not None:
             self._keys, self._moves, self._entries = _state_walk_table(wt)
-            self.set_weights(wt)  # again, to fill the table's entries
             assignments = _state_graph(n)[0]
             st.moves, st.states, st.keys = (a.ctypes.data for a in (self._moves, assignments, self._keys))
             st.nstates = len(assignments)
             st.rng = draws.generate_ahead()
+        self.set_weights(wt)
         st.k = lambda_edges(start, wt)
         self.row_to_col = array("q", start.row_to_col())
         self.col_to_row = array("q", [-1] * n)
@@ -524,14 +522,14 @@ class ChainSampler:
             self.col_to_row[v] = u
         # Per-key sample counts and first-seen keys, indexed by the key of
         # walk's docstring, which is below (n * n + 1) * (n + 1).
-        self._tallies = array("q", bytes(8 * (n * n + 1) * (n + 1)))
+        self._tallies = array("q", [0]) * ((n * n + 1) * (n + 1))
         self._seen = array("q", self._tallies)
         # The arrays the struct points into stay exported through _pinned, so
-        # none can be resized or freed under it; the draw blocks stay
-        # exported through their views in draws.
-        arrays = self._edges, self._accept, self.row_to_col, self.col_to_row, self._tallies, self._seen
+        # none can be resized or freed under it; the draw blocks and the
+        # acceptance table stay exported through their views.
+        arrays = self._edges, self.row_to_col, self.col_to_row, self._tallies, self._seen
         self._pinned = [_native.pin(a) for a in (*arrays, draws.positions)]
-        st.edge, st.accept, st.r2c, st.c2r, st.counts, st.seen, st.pos = map(ctypes.addressof, self._pinned)
+        st.edge, st.r2c, st.c2r, st.counts, st.seen, st.pos = map(ctypes.addressof, self._pinned)
         st.ebuf, st.vbuf, st.ubuf = map(_native.address, (draws.edge_buf, draws.vert_buf, draws.unit_buf))
         st.size = draws.size
 
@@ -559,21 +557,19 @@ class ChainSampler:
         return {key: tallies[key] for key in self._seen[: self._state.nseen]}
 
     def set_weights(self, wt: WeightTable) -> None:
-        """Swap in the next stage's activity and hole weights, as its acceptance
-        table and, where the sampler runs ``walk_states``, that kernel's entries."""
+        """Swap in the next stage's activity and hole weights: build their
+        acceptance table once, keep it and, for ``walk_states``, gather its entries."""
         # The kernels index the tables without bounds checks.
         n = self.n
         if len(wt.edge_present) != n * n or len(wt.log_w) != n * n:
             raise ValueError(f"weight table needs {n * n} entries per table")
         if wt.n != self.n or array("q", wt.edge_present) != self._edges:
             raise ValueError("weight table belongs to a different instance")
-        import numpy as np
-
-        table = np.frombuffer(self._accept, dtype=np.int64)
-        table[:] = acceptance_table(wt)
+        self._accept = memoryview(acceptance_table(wt))
+        self._state.accept = _native.address(self._accept)
         if self._moves is not None:
             # Once per stage, not on every kernel call.
-            self._moves["accept"] = table[self._entries]
+            self._moves["accept"] = self._accept.obj[self._entries]
 
     def state(self) -> Matching:
         pairs = frozenset((u, v) for u, v in enumerate(self.row_to_col) if v >= 0)

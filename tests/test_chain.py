@@ -254,6 +254,43 @@ def test_sampler_rejects_a_weight_table_of_the_wrong_size():
         sampler.set_weights(short)
 
 
+@pytest.mark.parametrize("n", [4, 8])
+def test_a_sampler_builds_one_acceptance_table_per_stage(n, monkeypatch):
+    # The sampler keeps the table that acceptance_table returns, and at
+    # n <= 6 fills walk_states' entries from the same one.
+    tables = []
+    build = chain.acceptance_table
+
+    def spy(wt):
+        tables.append(wt)
+        return build(wt)
+
+    monkeypatch.setattr(chain, "acceptance_table", spy)
+    m = banded_matrix(n)
+    wt = mixed_weights(m, -0.7)
+    sampler = ChainSampler(wt, find_perfect_matching(m), BufferedDraws(0, n))
+    assert tables == [wt]
+    sampler.set_weights(wt.with_updates(log_lambda=-1.0))
+    assert len(tables) == 2
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_a_sampler_runs_the_kernel_for_its_size(n, monkeypatch):
+    # The three kernels take the same steps, so a wrong choice would show
+    # only as lost speed.
+    if chain._walk_kernel() is None or chain._state_walk_kernel() is None:
+        pytest.skip("the compiled walk kernels cannot be built or loaded here")
+    m = banded_matrix(n)
+
+    def kernel():
+        return ChainSampler(WeightTable.initial(m), find_perfect_matching(m), BufferedDraws(0, n))._kernel()
+
+    assert kernel() is (chain._state_walk_kernel() if n <= 6 else chain._walk_kernel())
+    monkeypatch.setattr(chain, "_state_walk_kernel", lambda: None)
+    monkeypatch.setattr(chain, "_walk_kernel", lambda: None)
+    assert kernel().__func__ is ChainSampler._python_walk
+
+
 def test_sampler_incremental_count_matches_recount():
     m = generate_random(4, 9, seed=2)
     pm = find_perfect_matching(m)
@@ -542,9 +579,10 @@ def scripted_units(draws, values):
     draws.refill_unit = refill_unit
 
 
-def tie_trajectory(n):
+def tie_trajectory(n, reference=False):
     """The state and draw positions after each of 20,000 single steps on
-    the weights of ``TIE_HOLE_LOG_WEIGHTS``, with unit draws from ``tie_units``."""
+    the weights of ``TIE_HOLE_LOG_WEIGHTS``, with unit draws from
+    ``tie_units``: steps of ``walk``, or of ``step`` with ``reference``."""
     m = generate_random(n, 3 * n * n // 4, seed=n)
     log_w = list(itertools.islice(itertools.cycle(TIE_HOLE_LOG_WEIGHTS), n * n))
     wt = WeightTable.initial(m).with_updates(log_lambda=math.log(0.5), log_w=log_w)
@@ -552,8 +590,14 @@ def tie_trajectory(n):
     units = tie_units(chain.acceptance_table(wt))
     np.random.Generator(np.random.PCG64(n)).shuffle(units)
     scripted_units(draws, units)
-    sampler = ChainSampler(wt, find_perfect_matching(m), draws)
+    state = find_perfect_matching(m)
     trajectory = []
+    if reference:
+        for _ in range(20_000):
+            state = step(state, wt, draws)
+            trajectory.append(((state.row_to_col(), state.hole, lambda_edges(state, wt)), draw_positions(draws)))
+        return trajectory
+    sampler = ChainSampler(wt, state, draws)
     for _ in range(20_000):
         sampler.walk(1)
         trajectory.append((sampler_state(sampler), draw_positions(draws)))
@@ -565,10 +609,8 @@ def test_ties_and_edges_decide_alike_on_every_kernel(n, monkeypatch):
     # A unit draw equal to its threshold rejects, as does one whose scaled
     # value equals its ratio. The draws sit on, above and below the
     # thresholds, which include 0, 1, 2^52 and 2^53, so ties and one-unit
-    # misses are frequent. (The reference step is no oracle here: it sums
-    # its delta in another order, which at these weights moves some ratios
-    # by an ulp; test_integer_thresholds_decide_as_the_float_compare checks
-    # the integer test against its float compare.)
+    # misses are frequent. The reference step, which sums each delta as
+    # the table does, takes the same steps on the same draws.
     if chain._walk_kernel() is None:
         pytest.skip("the compiled walk kernel cannot be built or loaded here")
     states = tie_trajectory(n)
@@ -576,8 +618,9 @@ def test_ties_and_edges_decide_alike_on_every_kernel(n, monkeypatch):
     compiled = tie_trajectory(n)
     monkeypatch.setattr(chain, "_walk_kernel", lambda: None)
     python = tie_trajectory(n)
-    for step_index, (a, b, c) in enumerate(zip(states, compiled, python)):
-        assert a == b == c, step_index
+    reference = tie_trajectory(n, reference=True)
+    for step_index, (a, b, c, d) in enumerate(zip(states, compiled, python, reference)):
+        assert a == b == c == d, step_index
     # The walk moves: at least a tenth of the steps change the state.
     assert sum(a[0] != b[0] for a, b in zip(python, python[1:])) > 2_000
 

@@ -554,6 +554,15 @@ def test_feasibility_refuses_a_rate_that_is_not_finite(capsys, rate):
     assert err == f"permlab: error: steps_per_second must be positive and finite, got {rate}\n"
 
 
+@pytest.mark.parametrize("n", ["10001", "14300"])
+def test_feasibility_refuses_an_n_above_the_scan_limit(capsys, n):
+    # At n = 14300, n * 2^n would have more digits than str() prints.
+    code, out, err = run_cli(capsys, "feasibility", "--n", n)
+    assert code == 1
+    assert out == ""
+    assert err == f"permlab: error: --n must be at most 10000, the crossover scan's limit, got {n}\n"
+
+
 def test_feasibility_refuses_a_rate_whose_projection_overflows(capsys):
     code, out, err = run_cli(capsys, "feasibility", "--n", "68", "--rate", "1e-300")
     assert code == 1
