@@ -18,20 +18,21 @@
  * three kernels and on the reference step.
  *
  * A unit draw is consumed exactly when the entry is not NO_DRAW. The
- * compiled kernels read a unit value on every step, at the read position
- * clamped into the block, so that they need no branch on the entry, and
- * compare it with the entry unsigned; on a NO_DRAW step that value decides
- * nothing, since NO_DRAW is then 2^64 - 1, above any unit value, a stale
- * one or the 0 of a never-filled block included.
+ * compiled kernels read a unit value on every step, at the read position,
+ * so that they need no branch on the entry, and compare it with the entry
+ * unsigned; on a NO_DRAW step that value decides nothing, since NO_DRAW is
+ * then 2^64 - 1, above any unit value: a stale one, or the 0 that
+ * BufferedDraws keeps one entry past the unit block's end, which a NO_DRAW
+ * step at a used-up block reads.
  *
  * walk_states walks the (n + 1)! states of chain.enumerate_states by index,
  * on a table of one state_move per state and draw (the edge index from a
  * perfect state, the vertex index otherwise): the state that the reference
  * propose makes, from chain.state_moves, and the move's acceptance entry,
  * which ChainSampler.set_weights gathers from the acceptance table. So a step
- * is one table read, the unit-draw test, and a masked select of the next
- * state with no branch on the outcome. It finds the state in r2c on entry
- * and writes r2c, c2r, the hole and k back on return.
+ * is one table read, the unit-draw test, and a select of the next state
+ * with no branch on the outcome (select_accepted). It finds the state in
+ * r2c on entry and writes r2c, c2r, the hole and k back on return.
  *
  * The struct points at the three draw blocks of a BufferedDraws, each of
  * `size` draws, and at its `positions`: the read positions in the edge,
@@ -128,8 +129,8 @@ static inline uint64_t next64_ahead(pcg64_state *s)
 enum { NEED_EDGE = 0, NEED_VERT = 1, NEED_UNIT = 2 };
 
 /* One move of walk_states' table: its acceptance entry, and the state it
- * proposes, as the index of that state's first move (its index times 2n) and
- * as its tally key. */
+ * proposes, as the byte offset of that state's first move in the table (its
+ * index times 2n times 16) and as its tally key. */
 typedef struct {
     int64_t accept;
     int32_t next, key;
@@ -237,7 +238,7 @@ __attribute__((aligned(64))) void walk(walk_state *s)
             s->need = NEED_UNIT;
             break;
         }
-        const int64_t accept = ubuf[upos < size ? upos : size - 1] < (uint64_t)ratio;
+        const int64_t accept = ubuf[upos] < (uint64_t)ratio;
         upos += draw;
         if (move == 0)
             epos++;
@@ -310,11 +311,34 @@ static int64_t state_index(const walk_state *s)
     return lo;
 }
 
+/* *first and *key become next and next_key where the unit draw u is
+ * below the entry t, compared unsigned. On x86-64 a cmp and two cmovb: a
+ * C ternary, even with __builtin_expect_with_probability at 0.5, came out
+ * of gcc 12 as branches, which mispredict on most annealed steps, and the
+ * mask select below puts a cmp/sbb/and/xor on the loop's serial chain. */
+static inline void select_accepted(uint64_t u, uint64_t t, int64_t *first, int64_t *key,
+                                   int64_t next, int64_t next_key)
+{
+#if defined(__x86_64__)
+    __asm__("cmpq %[t], %[u]\n\t"
+            "cmovbq %[next], %[first]\n\t"
+            "cmovbq %[next_key], %[key]"
+            : [first] "+r"(*first), [key] "+r"(*key)
+            : [u] "rm"(u), [t] "r"(t), [next] "r"(next), [next_key] "r"(next_key)
+            : "cc");
+#else
+    const int64_t accept = -(int64_t)(u < t); /* all ones when accepted */
+    *first ^= (*first ^ next) & accept;
+    *key ^= (*key ^ next_key) & accept;
+#endif
+}
+
 /* walk on the enumerated states; see the top of this file. */
 __attribute__((aligned(64))) void walk_states(walk_state *s)
 {
     int64_t steps = s->left;
-    const int64_t n = s->n, width = 2 * n;
+    /* The bytes of one state's 2n moves. */
+    const int64_t n = s->n, state_bytes = 2 * n * (int64_t)sizeof(state_move);
     const state_move *moves = s->moves;
     const int64_t *ebuf = s->ebuf, *vbuf = s->vbuf;
     const uint64_t *ubuf = s->ubuf;
@@ -324,8 +348,9 @@ __attribute__((aligned(64))) void walk_states(walk_state *s)
     int64_t countdown = s->countdown;
     int64_t *counts = s->counts, *seen = s->seen;
     int64_t nseen = s->nseen;
-    /* The state, as the index of its first move and as its key. */
-    int64_t first = state_index(s) * width, key = s->keys[first / width];
+    /* The state, as the byte offset of its first move and as its key. */
+    const int64_t index = state_index(s);
+    int64_t first = index * state_bytes, key = s->keys[index];
     /* The generator run ahead: its state, and the ring's tail, which may
      * reach `full` (no ring: room for nothing). */
     pcg64_state *const rng = s->rng;
@@ -346,21 +371,22 @@ __attribute__((aligned(64))) void walk_states(walk_state *s)
             s->need = perfect ? NEED_EDGE : NEED_VERT;
             break;
         }
-        const state_move *move = moves + first + (perfect ? ebuf : vbuf)[pos];
+        /* The draw's part of the address, formed before the state's, so
+         * that one add is on the serial chain, not two; the empty asm keeps
+         * gcc from reassociating the sum. */
+        const char *row = (const char *)(moves + (perfect ? ebuf : vbuf)[pos]);
+        __asm__("" : "+r"(row));
+        const state_move *move = (const state_move *)(row + first);
         const int64_t ratio = move->accept;
         const int64_t draw = ratio >= 0;
         if (upos >= size && draw) {
             s->need = NEED_UNIT;
             break;
         }
-        /* All ones when accepted. A plain `accept ? next : first` came out
-         * as a branch, one mispredict on most annealed steps. */
-        const int64_t accept = -(int64_t)(ubuf[upos < size ? upos : size - 1] < (uint64_t)ratio);
+        select_accepted(ubuf[upos], (uint64_t)ratio, &first, &key, move->next, move->key);
         upos += draw;
         epos += perfect;
         vpos += !perfect;
-        first ^= (first ^ move->next) & accept;
-        key ^= (key ^ move->key) & accept;
         if (--countdown == 0) {
             if (counts[key]++ == 0)
                 seen[nseen++] = key;
@@ -373,7 +399,7 @@ __attribute__((aligned(64))) void walk_states(walk_state *s)
         }
     }
 
-    const int64_t *r2c = s->states + first / width * n;
+    const int64_t *r2c = s->states + first / state_bytes * n;
     const int64_t cell = key / (n + 1);
     for (int64_t v = 0; v < n; v++)
         s->c2r[v] = -1;

@@ -254,8 +254,8 @@ def acceptance_table(wt: WeightTable) -> np.ndarray:
     ``step``'s u * 2^-53 < exp(delta) does, so a NaN delta rejects, as it
     does there (_walk.c, ``acceptance_thresholds``). The compiled kernels
     read a unit value on every step, to need no branch on the entry, and
-    compare it unsigned; on a ``NO_DRAW`` step that value, stale or never
-    filled, decides nothing, since ``NO_DRAW`` is then above every draw.
+    compare it unsigned; on a ``NO_DRAW`` step that value, whatever it is,
+    decides nothing, since ``NO_DRAW`` is then above every draw.
     With nn = n * n, the 2 * nn + 6 * n^3 entries are:
 
     * drop the pair (u, v) of a perfect matching: [u * n + v];
@@ -316,7 +316,7 @@ class _WalkState(ctypes.Structure):
     read and write: ``walk`` and ``_python_walk`` read the acceptance table
     directly, ``walk_states`` the entries gathered from it into its table of
     moves. All three compare the int64 entries with the 53-bit integer unit
-    draws, the compiled kernels unsigned (see ``acceptance_table``). With the
+    draws, the compiled kernels unsigned (``acceptance_table``). With the
     arrays it points into, among them the one ``acceptance_table`` returned,
     it is ChainSampler's only store of the acceptance table, the matching,
     the hole, the non-instance pair count and the tally. It points at the
@@ -385,7 +385,7 @@ def _state_walk_kernel():
 
 
 # The state_move struct of _walk.c: a move's acceptance entry, and the
-# proposed state's first move and tally key.
+# proposed state's first move (in bytes) and tally key.
 _STATE_MOVE = [("accept", "<i8"), ("next", "<i4"), ("key", "<i4")]
 
 
@@ -445,7 +445,7 @@ def _state_walk_table(wt: WeightTable):
         2 * nn + 3 * cube + (dk + 1) * cube + hu1 * nn + hu0 * n + hv0,
     )
     moves = np.zeros(len(after), dtype=_STATE_MOVE)
-    moves["next"] = after * (2 * n)
+    moves["next"] = after * 2 * n * moves.itemsize
     moves["key"] = keys[after]
     return keys, moves, entries
 
@@ -456,7 +456,7 @@ class ChainSampler:
     The whole chain state lives in one ``_WalkState`` struct and the arrays
     it points into: the instance matrix, the stage's ``acceptance_table``
     (kept as ``set_weights`` built it), the matching as paired row/column
-    assignment arrays (int64 ``array`` objects), the hole, the non-instance
+    assignment arrays (int64 ``array``s), the hole, the non-instance
     pair count (kept incrementally), the per-key sample counts and, for
     ``walk_states``, its table. It takes the reference ``step``'s draws in
     its order, and so its trajectory.
@@ -480,10 +480,10 @@ class ChainSampler:
     at its ``positions``: the blocks are refilled in place and never move,
     and the Python kernel reads them in place through their one view each.
     A kernel takes the struct, with the steps left in it, and never
-    refills a block: before a step whose next draw is in a used-up block, it
+    refills a block: before a step whose next draw is in a used-up block it
     sets ``need`` and stores the state, the positions and the steps still to
     take (an already-read proposal draw stays unconsumed). ``walk`` then
-    calls the ``BufferedDraws`` refill itself and resumes the kernel, so
+    calls the ``BufferedDraws`` refill and resumes the kernel, so
     refills happen lazily, in consumption order, from ``walk``'s own frame,
     and control comes back to the interpreter (signals, Ctrl-C) at least
     once per block.

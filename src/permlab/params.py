@@ -219,18 +219,20 @@ def compute_params(n: int, epsilon: float) -> SamplingParams:
 
     delta_phase = min(1 / (8 * n2p1), epsilon / (20 * l))
     delta_final = epsilon / 20
-
-    tau_init = math.ceil(poly * (lf + math.log(n2p1)))
-    tau_resample_phase = math.ceil(poly * math.log(1 / delta_phase))
-    tau_resample_final = math.ceil(poly * math.log(1 / delta_final))
-
-    weight_bound = math.ceil(WEIGHT_SAMPLE_CONSTANT * n2p1 * math.log(12 * l * n2p1))
+    # Checked before the taus: every epsilon at which 1 / delta_phase or
+    # 1 / delta_final overflows or divides by 0 fails it.
     counting_denominator = (epsilon * epsilon / 300.0 + 1.0) ** (1.0 / l) - 1.0
     if counting_denominator <= 0:
         raise ValueError(
             f"epsilon {epsilon} is too small for n = {n}: (1 + epsilon^2/300)^(1/{l}) "
             "rounds to 1, so the per-phase counting bound has no finite value"
         )
+
+    tau_init = math.ceil(poly * (lf + math.log(n2p1)))
+    tau_resample_phase = math.ceil(poly * math.log(1 / delta_phase))
+    tau_resample_final = math.ceil(poly * math.log(1 / delta_final))
+
+    weight_bound = math.ceil(WEIGHT_SAMPLE_CONSTANT * n2p1 * math.log(12 * l * n2p1))
     counting_bound = math.ceil(9.0 / counting_denominator)
     samples_phase = max(weight_bound, counting_bound)
     samples_final = math.ceil((1200 * n * n + 900) / (epsilon * epsilon))

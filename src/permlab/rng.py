@@ -6,33 +6,33 @@ identifier ("pcg64") is recorded in generated manifests and trial output.
 
 The chain consumes three kinds of draws: an edge index uniform on [0, n) when
 the current matching is perfect, a vertex index uniform on [0, 2n) when it is
-near-perfect, and a unit draw for the acceptance filter (drawn only when the
+near-perfect, and a unit draw for the acceptance filter (only when the
 proposal ratio is below 1). A unit draw is the integer u = raw >> 11, uniform
 on [0, 2^53), of one raw 64-bit PCG64 output: numpy's ``Generator.random()``
 before its scaling by 2^-53, which the walk kernels compare with the integer
 thresholds of ``chain.acceptance_table`` and ``BufferedDraws.unit`` scales
 for the reference chain. ``BufferedDraws`` pre-generates each kind in
-blocks, which makes per-step cost small while keeping the consumed stream a
-pure function of the seed. Each kind has one int64 or uint64 block and one
-memoryview of it, both made once and zeroed, so that a compiled kernel's
-clamped read of a block never filled reads 0; a refill rewrites the block in
-place, so it never moves: the sampler points its compiled kernel at the
-blocks, and at the three read positions in ``BufferedDraws.positions``,
-once, and its Python kernel indexes the views.
+blocks, cheap per step, while the consumed stream stays a pure function of
+the seed. Each kind has one int64 or uint64 block and one memoryview of it,
+both made once and zeroed, the unit block with a spare zero past its end
+that the compiled kernels read and no refill writes. A refill rewrites a
+block in place, so it never moves: the sampler points its compiled kernel
+at the blocks, and at the three read positions in
+``BufferedDraws.positions``, once, and its Python kernel indexes the views.
 
 The blocks come from one of two sources that give the same values, bit for
 bit. Where the compiled kernels load (see _native.py), ``fill_bounded`` and
 ``fill_unit`` of _walk.c fill them: a C port of PCG64 and of the numpy
 ``Generator.integers(0, high)`` and unscaled ``Generator.random()``
-algorithms, working on a copy of the seeded ``np.random.PCG64``'s state. A
+algorithms, on a copy of the seeded ``np.random.PCG64``'s state. A
 sampler that runs ``walk_states`` gives that state a ring
 (``generate_ahead``), which the kernel fills with the generator's next raw
 outputs as it walks, and the refills use those outputs before they generate
 more. Otherwise the numpy ``Generator`` itself fills the blocks, the unit
 block from its bit generator's ``random_raw() >> 11``; numpy is also the
-oracle the C port is tested against. numpy is imported when the first
-``BufferedDraws`` or ``generator`` is made, not with this module, so
-commands that draw nothing never load it.
+oracle the C port is tested against. numpy is imported by the first
+``BufferedDraws`` or ``generator``, not with this module, so commands that
+draw nothing never load it.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ class BufferedDraws:
             )
         self.edge_buf = memoryview(np.zeros(buffer_size, dtype=np.int64))
         self.vert_buf = memoryview(np.zeros(buffer_size, dtype=np.int64))
-        self.unit_buf = memoryview(np.zeros(buffer_size, dtype=np.uint64))
+        self.unit_buf = memoryview(np.zeros(buffer_size + 1, dtype=np.uint64)[:buffer_size])
         # Every block starts used up, which triggers a lazy refill on first use.
         self.positions = array("q", [buffer_size] * 3)
 

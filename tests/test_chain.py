@@ -352,11 +352,12 @@ def test_walk_matches_reference_step_across_refills(walk_kernel, buffer_size):
     start = find_perfect_matching(m)
     sampler = ChainSampler(wt, start, BufferedDraws(42, 5, buffer_size=buffer_size))
     # The compiled kernel reads a unit value on every step, also when no
-    # draw is due and the block is used up or was never filled. 2^53, above
-    # every threshold, rejects any move it decides, so the trajectory shows
-    # if one ever does; the draw positions show a step without a draw that
-    # stops for a refill.
-    sampler.draws.unit_buf.obj[:] = 2**53
+    # draw is due and the block is used up or was never filled, where it
+    # reads the spare entry past the block's end. 2^53 in the block and in
+    # that entry, above every threshold, rejects any move it decides, so the
+    # trajectory shows if one ever does; the draw positions show a step
+    # without a draw that stops for a refill.
+    sampler.draws.unit_buf.obj.base[:] = 2**53
     draws = BufferedDraws(42, 5, buffer_size=buffer_size)
     current = start
     for length in [1, 2, 3, 5, 13, 16, 17, 64, 200] * 40:

@@ -356,8 +356,9 @@ def test_bad_trials_config_prints_one_line(tmp_path, capsys, config, message):
     [
         (["feasibility", "--n", "68", "--epsilon", "1e-5"], "epsilon 1e-05 is too small for n = 68"),
         (["params", "--n", "4", "--epsilon", "1e-7"], "epsilon 1e-07 is too small for n = 4"),
+        (["crossover", "--epsilon", "1e-320"], "epsilon 1e-320 is too small for n = 4"),
     ],
-    ids=["feasibility", "params"],
+    ids=["feasibility", "params", "crossover-subnormal"],
 )
 def test_too_small_epsilon_prints_one_line(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

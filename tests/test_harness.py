@@ -240,6 +240,20 @@ def test_undersized_instance_fails_without_losing_the_batch(tmp_path):
     assert large.error.startswith("phase ")
 
 
+def test_a_subnormal_epsilon_fails_each_trial_without_losing_the_batch(tmp_path):
+    # 1 / delta_phase overflows at this epsilon; each trial is one failed
+    # record, not a traceback that loses the batch.
+    generate_suite([4], [(3, 4)], 2, seed=0, out_dir=tmp_path)
+    configs = configs_from_manifest(tmp_path / "manifest.json", epsilon=1e-320, relax=RELAX_FAST_FAIL, base_seed=0)
+    results = list(run_trials(configs, workers=1))
+    assert len(results) == 2
+    for result in results:
+        assert result.failed
+        assert result.estimate == -1.0
+        assert result.steps_taken == 0
+        assert result.error.startswith("epsilon 1e-320 is too small for n = 4: ")
+
+
 def test_a_matrix_too_large_for_ryser_fails_without_losing_the_batch(tmp_path):
     # Ryser refuses n = 35, which its Python loop would take a day over;
     # that trial is recorded as failed, and the one before it keeps its

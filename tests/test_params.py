@@ -103,6 +103,11 @@ def test_domain_errors():
     # (1 + eps^2/300)^(1/l) rounds to 1, so the counting bound would divide by 0.
     with pytest.raises(ValueError, match="epsilon 1e-07 is too small for n = 4"):
         compute_params(4, 1e-7)
+    # Here 1 / delta_phase is inf, or (5e-324) delta_phase is 0: the same
+    # refusal, before any tau is computed.
+    for epsilon in (1e-320, 2.2e-308, 5e-324):
+        with pytest.raises(ValueError, match=f"epsilon {epsilon} is too small for n = 4"):
+            compute_params(4, epsilon)
 
 
 def test_delta_phase_upper_bound():

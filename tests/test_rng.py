@@ -120,6 +120,33 @@ def test_a_walk_on_states_leaves_outputs_waiting_that_the_next_refill_takes():
     assert draws._pcg.head == head + waiting and draws.ahead == 0
 
 
+@pytest.mark.parametrize("fills", ["compiled", "ahead", "numpy"])
+def test_no_refill_writes_the_spare_entry_past_the_unit_block(fills, monkeypatch):
+    # The compiled kernels read the unit block at its read position on every
+    # step, so a step that takes no unit draw from a used-up block reads one
+    # entry past its end: the block's array has that entry, zeroed, and no
+    # refill, generated, from the ring or by numpy, ever writes it.
+    if fills == "numpy":
+        monkeypatch.setattr(rng, "_refill_kernels", lambda: None)
+    elif rng._refill_kernels() is None:
+        pytest.skip("the compiled refill kernels cannot be built or loaded here")
+    for size in (1, 3, 50):
+        draws = BufferedDraws(7, 4, buffer_size=size)
+        walker = ahead_walker(draws) if fills == "ahead" else None
+        block = draws.unit_buf.obj
+        spare = block.base
+        assert len(draws.unit_buf) == len(block) == size and len(spare) == size + 1
+        assert spare.ctypes.data == block.ctypes.data and spare[size] == 0
+        spare[size] = 2**64 - 2
+        for _ in range(4):
+            if walker is not None:
+                walker.walk(size + 1)
+            draws.refill_unit()
+            draws.refill_edge()
+            draws.refill_vert()
+            assert spare[size] == 2**64 - 2
+
+
 @pytest.mark.parametrize("fills", ["compiled", "numpy"])
 def test_refills_rewrite_their_blocks_in_place(fills, monkeypatch):
     # A sampler points its compiled kernel at each block once, when it is
