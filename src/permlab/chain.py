@@ -36,7 +36,7 @@ import functools
 import itertools
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from . import _native
@@ -361,8 +361,8 @@ _NEED_EDGE, _NEED_VERT, _NEED_UNIT = 0, 1, 2
 def _walk_kernel():
     """The compiled ``walk`` of _walk.c, or None when it cannot be built or loaded.
 
-    ``ChainSampler.walk`` asks for it on every call and runs the Python
-    kernel on None.
+    A ``ChainSampler`` that does not run ``walk_states`` asks for it when
+    it is made, and runs the Python kernel on None.
     """
     return _native.kernel("walk", ctypes.POINTER(_WalkState))
 
@@ -379,7 +379,7 @@ def _state_walk_kernel():
     """The compiled ``walk_states`` of _walk.c, or None when it cannot be built or loaded.
 
     A ``ChainSampler`` at n <= ``STATE_WALK_LIMIT`` asks for it when it is
-    made, to build the kernel's table, and on every ``walk`` call.
+    made, and then builds the kernel's table.
     """
     return _native.kernel("walk_states", ctypes.POINTER(_WalkState))
 
@@ -413,7 +413,7 @@ def _state_graph(n: int):
 def _state_walk_table(wt: WeightTable):
     """The tables ``walk_states`` reads for one instance, but for the entries.
 
-    Returns each state's tally key (``walk``'s key of its hole and k), the
+    Returns each state's tally key (``tally``'s key of its hole and k), the
     ``_STATE_MOVE`` array of every (state, draw) with its proposal filled
     in, and the index of each move's entry in ``acceptance_table``, which
     ``set_weights`` gathers into it. A move's entry is fixed by the holes of
@@ -450,6 +450,35 @@ def _state_walk_table(wt: WeightTable):
     return keys, moves, entries
 
 
+@dataclass
+class PhaseStats:
+    """Compressed sample table for one stage.
+
+    ``perfect`` maps a non-instance pair count k to the number of perfect
+    samples seen with that k; ``holes`` maps a hole position to the same
+    kind of table for near-perfect samples. Counts are floats so that an
+    exact distribution can stand in for sampled frequencies.
+    """
+
+    perfect: dict[int, float] = field(default_factory=dict)
+    holes: dict[tuple[int, int], dict[int, float]] = field(default_factory=dict)
+    total: float = 0.0
+
+    def record(self, hole: tuple[int, int] | None, k: int, weight: float = 1.0) -> None:
+        if hole is None:
+            table = self.perfect
+        else:
+            table = self.holes.setdefault(hole, {})
+        table[k] = table.get(k, 0.0) + weight
+        self.total += weight
+
+    def perfect_count(self) -> float:
+        return sum(self.perfect.values())
+
+    def hole_count(self, hole: tuple[int, int]) -> float:
+        return sum(self.holes.get(hole, {}).values())
+
+
 class ChainSampler:
     """Mutable walker used by the estimator's inner loop.
 
@@ -461,20 +490,20 @@ class ChainSampler:
     ``walk_states``, its table. It takes the reference ``step``'s draws in
     its order, and so its trajectory.
 
-    Spaced samples are tallied inside ``walk`` itself: while ``spacing`` is
-    positive, the state after every ``spacing``-th step is counted under a
-    key for its hole and non-instance pair count, so a whole stage of
-    samples is one ``walk`` call. ``tally`` sets this up and decodes the
-    counts.
+    ``tally`` is the one way to sample: it has the kernels count the state
+    after every ``spacing``-th step of one ``walk`` call under a key for its
+    hole and non-instance pair count, and returns the stage's ``PhaseStats``
+    decoded from those counts. Outside ``tally``, ``walk`` counts nothing.
 
     ``walk`` is one loop over three kernels with one contract, which take
-    the same steps on the same draws, bit for bit. Where the library of
-    _walk.c can be built and loaded, a sampler at n <= ``STATE_WALK_LIMIT``
-    runs ``walk_states``, which steps through the states of
-    ``enumerate_states`` on a table of their moves (``_state_walk_table``,
-    whose entries ``set_weights`` gathers from the acceptance table), and a
-    larger one runs ``walk``. Without the library every sampler runs
-    ``_python_walk``, which is also the oracle of the other two.
+    the same steps on the same draws, bit for bit. The sampler chooses its
+    kernel when it is made. Where the library of _walk.c can be built and
+    loaded, a sampler at n <= ``STATE_WALK_LIMIT`` runs ``walk_states``,
+    which steps through the states of ``enumerate_states`` on a table of
+    their moves (``_state_walk_table``, whose entries ``set_weights``
+    gathers from the acceptance table), and a larger one runs ``walk``.
+    Without the library every sampler runs ``_python_walk``, which is also
+    the oracle of the other two.
 
     The struct points, once, at the draw blocks of the ``BufferedDraws`` and
     at its ``positions``: the blocks are refilled in place and never move,
@@ -488,12 +517,13 @@ class ChainSampler:
     and control comes back to the interpreter (signals, Ctrl-C) at least
     once per block.
 
-    An exception raised while ``walk`` runs leaves the sampler at the steps,
-    draws and samples its kernels have stored: ``walk`` takes
-    ``steps_taken`` from the struct as it unwinds. The Python kernel stores
-    its work once, after its step loop, so an exception inside that loop
-    leaves the sampler as the call found it; only one during that final
-    store can leave it part-written.
+    An exception raised while ``walk`` runs leaves the sampler at the steps
+    and draws its kernels have stored: ``walk`` takes ``steps_taken`` from
+    the struct as it unwinds. The samples of an interrupted ``tally`` are
+    dropped; the next ``tally`` starts from empty counts. The Python kernel
+    stores its work once, after its step loop, so an exception inside that
+    loop leaves the sampler as the call found it; only one during that
+    final store can leave it part-written.
     """
 
     def __init__(self, wt: WeightTable, start: Matching, draws: BufferedDraws):
@@ -508,12 +538,15 @@ class ChainSampler:
         st = self._state = _WalkState(n=n, hu=hu, hv=hv, countdown=-1)
         self._edges = array("q", wt.edge_present)
         self._moves = None
-        if n <= STATE_WALK_LIMIT and _state_walk_kernel() is not None:
+        kernel = _state_walk_kernel() if n <= STATE_WALK_LIMIT else None
+        if kernel is not None:
             self._keys, self._moves, self._entries = _state_walk_table(wt)
             assignments = _state_graph(n)[0]
             st.moves, st.states, st.keys = (a.ctypes.data for a in (self._moves, assignments, self._keys))
             st.nstates = len(assignments)
             st.rng = draws.generate_ahead()
+        # The kernel that every walk call runs.
+        self._kernel = kernel or _walk_kernel() or self._python_walk
         self.set_weights(wt)
         st.k = lambda_edges(start, wt)
         self.row_to_col = array("q", start.row_to_col())
@@ -521,7 +554,7 @@ class ChainSampler:
         for u, v in start.pairs:
             self.col_to_row[v] = u
         # Per-key sample counts and first-seen keys, indexed by the key of
-        # walk's docstring, which is below (n * n + 1) * (n + 1).
+        # tally's docstring, which is below (n * n + 1) * (n + 1).
         self._tallies = array("q", [0]) * ((n * n + 1) * (n + 1))
         self._seen = array("q", self._tallies)
         # The arrays the struct points into stay exported through _pinned, so
@@ -536,25 +569,6 @@ class ChainSampler:
     @property
     def lambda_count(self) -> int:
         return self._state.k
-
-    @property
-    def spacing(self) -> int:
-        """Steps between tallied samples; 0 while nothing is tallied.
-
-        Setting it restarts the countdown to the next sample.
-        """
-        return self._state.spacing
-
-    @spacing.setter
-    def spacing(self, spacing: int) -> None:
-        self._state.spacing = spacing
-        self._state.countdown = spacing if spacing > 0 else -1
-
-    @property
-    def counts(self) -> dict[int, int]:
-        """Sample counts by key, in first-seen order, since the last ``tally`` began."""
-        tallies = self._tallies
-        return {key: tallies[key] for key in self._seen[: self._state.nseen]}
 
     def set_weights(self, wt: WeightTable) -> None:
         """Swap in the next stage's activity and hole weights: build their
@@ -579,44 +593,43 @@ class ChainSampler:
         st = self._state
         return None if st.hu < 0 else (st.hu, st.hv)
 
-    def tally(self, spacing: int, samples: int) -> list[tuple[tuple[int, int] | None, int, int]]:
-        """Take ``samples`` samples ``spacing`` steps apart in one ``walk`` call.
+    def tally(self, spacing: int, samples: int) -> PhaseStats:
+        """Take ``samples`` samples ``spacing`` steps apart in one ``walk``
+        call and return their table.
 
-        Returns (hole or None, non-instance pair count k, count) for each
-        distinct sampled (hole, k), in the order each was first seen.
+        The kernels count the state after every ``spacing``-th step under
+        the key (u * n + v + 1) * (n + 1) + k for hole (u, v), or k when
+        perfect, and list each key as it is first seen; the table is decoded
+        from them in that order.
         """
         if spacing < 1:
             raise ValueError(f"sample spacing must be at least 1, got {spacing}")
         if samples < 0:
             raise ValueError(f"samples must be nonnegative, got {samples}")
         st = self._state
-        for key in self._seen[: st.nseen]:
-            self._tallies[key] = 0
+        tallies, seen = self._tallies, self._seen
+        for key in seen[: st.nseen]:
+            tallies[key] = 0
         st.nseen = 0
-        self.spacing = spacing
+        st.spacing = st.countdown = spacing
         try:
             self.walk(spacing * samples)
         finally:
-            self.spacing = 0
+            st.spacing, st.countdown = 0, -1
         n = self.n
-        out = []
-        for key, count in self.counts.items():
+        stats = PhaseStats()
+        for key in seen[: st.nseen]:
             cell, k = divmod(key, n + 1)
-            out.append((None if cell == 0 else divmod(cell - 1, n), k, count))
-        return out
+            stats.record(None if cell == 0 else divmod(cell - 1, n), k, float(tallies[key]))
+        return stats
 
     def walk(self, steps: int) -> None:
-        """Advance the chain by ``steps`` Metropolis transitions.
-
-        While ``spacing`` is positive, the state after every ``spacing``-th
-        step is also counted in ``counts`` under the key
-        (u * n + v + 1) * (n + 1) + k for hole (u, v), or k when perfect.
-        """
+        """Advance the chain by ``steps`` Metropolis transitions."""
         if steps < 0:
             raise ValueError(f"steps must be nonnegative, got {steps}")
         draws = self.draws
         st = self._state
-        kernel = self._kernel()
+        kernel = self._kernel
         st.left = steps
         try:
             kernel(st)
@@ -628,10 +641,6 @@ class ChainSampler:
             # when an exception cut this loop short (a signal handler run as
             # a kernel call returns, a refill that raises).
             self.steps_taken += steps - st.left
-
-    def _kernel(self):
-        """The kernel that the next ``walk`` call runs."""
-        return (self._moves is not None and _state_walk_kernel()) or _walk_kernel() or self._python_walk
 
     def _python_walk(self, st: _WalkState) -> None:
         """The ``walk`` of _walk.c in Python: the same contract, step for step.

@@ -297,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--relax",
         type=_parse_relax,
-        default=RelaxationFactors.identity(),
+        default=RelaxationFactors(),
         help="four divisors: s_phase,t_phase,s_final,t_final",
     )
     p.add_argument("--seed", type=_parse_seed, default=0)

@@ -17,11 +17,12 @@ final perfect-matching fraction.
 Samples are never stored individually. A sample is fully described for both
 the weight update and the ratio Z_i by its hole position (or none) and its
 count of matched non-instance pairs, so each stage keeps only a table of
-counts keyed by those two values. The counting happens inside the chain's
-``walk`` loop (``ChainSampler.tally``): a stage is one burn-in walk and one
-sampling walk, and ``PhaseStats`` is built once from the counts, in the
-order each (hole, k) was first seen. Recomputing a Z_i from a stored table
-reproduces the recorded value bit for bit.
+counts keyed by those two values, a ``PhaseStats``. A stage is one burn-in
+``walk`` and one ``ChainSampler.tally``, the one place that samples are
+counted: its kernels count them inside the sampling walk, and it returns
+the stage's ``PhaseStats``, decoded once from the counts in the order each
+(hole, k) was first seen. Recomputing a Z_i from a stored table reproduces
+the recorded value bit for bit.
 
 Every stage, the final one included, is one ``sample_stage`` call that
 returns its table. The stages' one outlet is ``on_stage``, which is handed
@@ -38,10 +39,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
-from .chain import ChainSampler, WeightTable, enumerate_states, lambda_edges
+from .chain import ChainSampler, PhaseStats, WeightTable, enumerate_states, lambda_edges
 from .matrix import Matrix, find_perfect_matching
 from .params import (
     RelaxationFactors,
@@ -61,35 +62,6 @@ class PhaseFailure(Exception):
         super().__init__(f"phase {phase}: {reason}")
         self.phase = phase
         self.reason = reason
-
-
-@dataclass
-class PhaseStats:
-    """Compressed sample table for one stage.
-
-    ``perfect`` maps a non-instance pair count k to the number of perfect
-    samples seen with that k; ``holes`` maps a hole position to the same
-    kind of table for near-perfect samples. Counts are floats so that an
-    exact distribution can stand in for sampled frequencies.
-    """
-
-    perfect: dict[int, float] = field(default_factory=dict)
-    holes: dict[tuple[int, int], dict[int, float]] = field(default_factory=dict)
-    total: float = 0.0
-
-    def record(self, hole: tuple[int, int] | None, k: int, weight: float = 1.0) -> None:
-        if hole is None:
-            table = self.perfect
-        else:
-            table = self.holes.setdefault(hole, {})
-        table[k] = table.get(k, 0.0) + weight
-        self.total += weight
-
-    def perfect_count(self) -> float:
-        return sum(self.perfect.values())
-
-    def hole_count(self, hole: tuple[int, int]) -> float:
-        return sum(self.holes.get(hole, {}).values())
 
 
 @dataclass(frozen=True)
@@ -141,11 +113,8 @@ def run_phase(
     returns the compressed sample table. The sampler is left standing on
     the final state, which seeds the next stage.
     """
-    stats = PhaseStats()
     sampler.walk(tau_init)
-    for hole, k, count in sampler.tally(tau_resample, num_samples):
-        stats.record(hole, k, float(count))
-    return stats
+    return sampler.tally(tau_resample, num_samples)
 
 
 def update_weights(stats: PhaseStats, wt: WeightTable, phase: int = 0) -> WeightTable:
@@ -204,11 +173,8 @@ def final_refinement(
     It stays a function of its own, and does not call ``run_phase``, so that
     a wrapper of either name (a span tracer, say) sees only its own stages.
     """
-    stats = PhaseStats()
     sampler.walk(tau_init)
-    for hole, k, count in sampler.tally(tau_resample, num_samples):
-        stats.record(hole, k, float(count))
-    return stats
+    return sampler.tally(tau_resample, num_samples)
 
 
 def run_schedule(
@@ -268,7 +234,7 @@ def estimate_permanent(
     ``params`` overrides the computed sampling parameters (relaxation is
     still applied); it exists for tests and calibration runs.
     """
-    relax = relax or RelaxationFactors.identity()
+    relax = relax or RelaxationFactors()
     start_matching = find_perfect_matching(m)
     if start_matching is None:
         return Estimate(value=0.0, log_value=None, z_ratios=(), y_bar=None, steps_taken=0)

@@ -6,7 +6,8 @@ an error bound, relaxation factors, and a seed; each trial computes the
 exact permanent (Ryser), runs the estimator, and emits one TrialResult,
 built in one place for every outcome. A trial whose matrix cannot be read,
 whose matrix is too large for Ryser (n > 34), whose instance or epsilon the
-estimator rejects, or whose run ends in a PhaseFailure has no estimate: its
+estimator rejects, whose run ends in a PhaseFailure, or whose exact or
+estimator run raises any other exception has no estimate: its
 record has ``failed`` set, estimate -1.0, ``rel_error`` and ``within_bound``
 None and ``error`` saying why (``exact`` is 0 where Ryser refused), and the
 batch goes on.
@@ -181,8 +182,9 @@ def run_single_trial(config: TrialConfig) -> TrialResult:
     """One matrix: exact permanent, then a timed estimator run.
 
     Every outcome is one record. A trial without an estimate has estimate
-    -1.0, ``failed`` set and ``error`` saying why; its steps and wall time
-    stay 0 where the estimator was never run or rejected the instance.
+    -1.0, ``failed`` set and ``error`` saying why (an exception other than
+    ``ValueError`` as "<TypeName>: <message>"); its steps and wall time stay
+    0 where the estimator was never run, rejected the instance or raised.
     """
     m, exact, value, steps, wall, error = None, 0, -1.0, 0, 0.0, None
     try:
@@ -196,6 +198,9 @@ def run_single_trial(config: TrialConfig) -> TrialResult:
             estimate = estimate_permanent(m, config.epsilon, config.relax, config.seed)
         except ValueError as exc:
             error = str(exc)
+        except Exception as exc:
+            # Any other fault fails this trial, not the batch.
+            error = f"{type(exc).__name__}: {exc}"
         else:
             wall = time.perf_counter() - started
             value, steps = estimate.value, estimate.steps_taken

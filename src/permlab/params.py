@@ -151,10 +151,6 @@ class RelaxationFactors:
                 raise ValueError(f"relaxation factor {field.name} must be >= 1, got {value}")
 
     @classmethod
-    def identity(cls) -> "RelaxationFactors":
-        return cls(1, 1, 1, 1)
-
-    @classmethod
     def from_sequence(cls, values) -> "RelaxationFactors":
         """Factors from four finite numbers in field order; ValueError otherwise."""
         names = [f.name for f in fields(cls)]

@@ -283,7 +283,7 @@ def test_a_sampler_runs_the_kernel_for_its_size(n, monkeypatch):
     m = banded_matrix(n)
 
     def kernel():
-        return ChainSampler(WeightTable.initial(m), find_perfect_matching(m), BufferedDraws(0, n))._kernel()
+        return ChainSampler(WeightTable.initial(m), find_perfect_matching(m), BufferedDraws(0, n))._kernel
 
     assert kernel() is (chain._state_walk_kernel() if n <= 6 else chain._walk_kernel())
     monkeypatch.setattr(chain, "_state_walk_kernel", lambda: None)
@@ -395,8 +395,8 @@ def with_holes(wt, holes):
 
 
 def walk_fingerprint(n, log_lambda, buffer_size, holes=None):
-    """Hashes of the trajectory, the draw positions and the tallies of a
-    mixed run, whose hole weights ``holes`` overrides at both stages."""
+    """Hashes of the trajectory, the draw positions and the tallied tables
+    of a mixed run, whose hole weights ``holes`` overrides at both stages."""
     holes = holes or {}
     m = generate_random(n, -(-3 * n * n // 4), seed=n)
     wt = with_holes(mixed_weights(m, log_lambda), holes)
@@ -653,7 +653,7 @@ def interrupt_the_fourth_refill(sampler, monkeypatch, refilled=False):
 def interrupt_the_fourth_kernel_return(sampler, monkeypatch):
     """Make the sampler's fourth kernel call raise just after the kernel
     returns, as a signal handler that CPython runs then would."""
-    kernel = sampler._kernel()
+    kernel = sampler._kernel
     calls = 0
 
     def interrupting(st):
@@ -663,7 +663,7 @@ def interrupt_the_fourth_kernel_return(sampler, monkeypatch):
         if calls == 4:
             raise KeyboardInterrupt
 
-    monkeypatch.setattr(sampler, "_kernel", lambda: interrupting)
+    monkeypatch.setattr(sampler, "_kernel", interrupting)
 
 
 class InterruptingTable(array):
@@ -711,15 +711,16 @@ INTERRUPTS = {
 )
 def test_interrupted_walk_keeps_the_steps_and_samples_it_took(walk_kernel, interrupt, monkeypatch):
     # An exception raised while walk runs leaves the sampler exactly where
-    # its kernels last stored it, with the samples taken so far counted and
-    # nothing carried into the next tally: in a long tally, in a loop of
-    # 16-step walks and in a loop of single steps.
+    # its kernels last stored it, where a twin that walks the same steps
+    # stands, and carries nothing into the next tally: in a long tally, in
+    # a loop of 16-step walks and in a loop of single steps.
     m = banded_matrix(5)
     wt = mixed_weights(m, -0.7)
 
     def assert_same_chain(sampler, twin):
         assert sampler_state(sampler) == sampler_state(twin)
         assert draw_positions(sampler.draws) == draw_positions(twin.draws)
+        assert sampler.steps_taken == twin.steps_taken
         sampler.state().validate()
 
     def tally(sampler):
@@ -733,7 +734,7 @@ def test_interrupted_walk_keeps_the_steps_and_samples_it_took(walk_kernel, inter
         for _ in range(3_000):
             sampler.walk(1)
 
-    for run, spacing in [(tally, 3), (walk_16, 0), (walk_1, 0)]:
+    for run in (tally, walk_16, walk_1):
         sampler, twin = (
             ChainSampler(wt, find_perfect_matching(m), BufferedDraws(3, 5, buffer_size=50))
             for _ in range(2)
@@ -743,10 +744,7 @@ def test_interrupted_walk_keeps_the_steps_and_samples_it_took(walk_kernel, inter
             run(sampler)
         taken = sampler.steps_taken
         assert 0 < taken < 3_000
-        twin.spacing = spacing
         twin.walk(taken)
-        twin.spacing = 0
-        assert sampler.counts == twin.counts
         if interrupt in ("refill-return", "table-read"):
             # The sampler has refilled a buffer, or given up a Python kernel
             # call that came right after a refill, which the twin, stopping
@@ -761,11 +759,31 @@ def test_interrupted_walk_keeps_the_steps_and_samples_it_took(walk_kernel, inter
         assert_same_chain(sampler, twin)
         samples = sampler.tally(3, 100)
         assert samples == twin.tally(3, 100)
-        assert sum(count for _, _, count in samples) == 100
+        assert samples.total == 100
         for _ in range(10):
             sampler.walk(10)
             twin.walk(10)
             assert_same_chain(sampler, twin)
+
+
+def test_a_tally_after_an_interrupted_tally_counts_only_its_own_samples(walk_kernel, monkeypatch):
+    # The interrupted tally counted samples that nothing can read; the next
+    # tally drops them and matches a twin that never tallied before it.
+    m = banded_matrix(5)
+    wt = mixed_weights(m, -0.7)
+    sampler, twin = (
+        ChainSampler(wt, find_perfect_matching(m), BufferedDraws(3, 5, buffer_size=50)) for _ in range(2)
+    )
+    interrupt_the_fourth_refill(sampler, monkeypatch)
+    with pytest.raises(KeyboardInterrupt):
+        sampler.tally(3, 1_000)
+    # At least one sample was counted before the interrupt.
+    assert 3 <= sampler.steps_taken < 3_000
+    twin.walk(sampler.steps_taken)
+    stats, expected = sampler.tally(3, 500), twin.tally(3, 500)
+    assert stats.total == 500
+    # The same tables, in the same insertion order.
+    assert repr(stats) == repr(expected)
 
 
 def test_buffered_draws_refuse_an_empty_buffer():
@@ -784,8 +802,8 @@ def test_negative_step_and_sample_counts_are_refused(walk_kernel):
     with pytest.raises(ValueError, match="samples must be nonnegative, got -5"):
         sampler.tally(1, -5)
     sampler.walk(0)
-    assert sampler.tally(1, 0) == []
-    assert sampler.steps_taken == 0 and sampler.spacing == 0
+    assert sampler.tally(1, 0).total == 0
+    assert sampler.steps_taken == 0
 
 
 def reference_table_index(state, x, dk, n):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from permlab import Matrix, save_matrix
+from permlab import Matrix, harness, save_matrix
 from permlab.cli import main
 from permlab.params import phase_schedule
 
@@ -390,6 +390,36 @@ def test_too_small_epsilon_fails_each_trial_and_keeps_the_batch(tmp_path, capsys
         assert record["estimate"] == -1.0
         assert record["steps_taken"] == 0
         assert record["error"].startswith("epsilon 1e-09 is too small for n = 4: ")
+
+
+def test_an_unexpected_exception_fails_one_trial_and_keeps_the_batch(tmp_path, capsys, monkeypatch):
+    # One worker, so that the patched estimator is the one that runs.
+    save_matrix(Matrix.from_rows([[1] * 4] * 4), tmp_path / "a.pmat")
+    save_matrix(Matrix.from_rows([[1] * 4] * 4), tmp_path / "b.pmat")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"matrices": [{"path": "a.pmat"}, {"path": "b.pmat"}]}))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"epsilon": 0.5, "relax": [300000, 1, 300000, 1]}))
+    estimate = harness.estimate_permanent
+
+    def faulty(m, epsilon, relax, seed):
+        if seed == 0:
+            raise RuntimeError("no kernel")
+        return estimate(m, epsilon, relax, seed)
+
+    monkeypatch.setattr(harness, "estimate_permanent", faulty)
+    results = tmp_path / "results.jsonl"
+    code, out, err = run_cli(
+        capsys, "trials", str(manifest), str(config), "--workers", "1", "--out", str(results)
+    )
+    assert code == 0
+    assert json.loads(out)["trials"] == 2
+    failed, ran = (json.loads(line) for line in results.read_text().splitlines())
+    assert failed["failed"] is True
+    assert failed["error"] == "RuntimeError: no kernel"
+    assert failed["exact"] == 24
+    assert ran["steps_taken"] > 0
+    assert ran["error"] != failed["error"]
 
 
 def test_a_matrix_too_large_for_ryser_fails_one_trial_and_keeps_the_batch(tmp_path, capsys):

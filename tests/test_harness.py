@@ -123,7 +123,7 @@ def test_aggregate_empty_rejected():
 
 def test_trial_config_refuses_epsilon_outside_0_1():
     with pytest.raises(ValueError, match=r"^epsilon must be in \(0, 1\], got 0\.0$"):
-        TrialConfig("m.pmat", epsilon=0.0, relax=RelaxationFactors.identity(), seed=0)
+        TrialConfig("m.pmat", epsilon=0.0, relax=RelaxationFactors(), seed=0)
 
 
 def test_ones_for_density():
@@ -207,7 +207,7 @@ def test_run_trial_failure_records(tmp_path):
 
 
 def test_run_trial_unreadable_file():
-    config = TrialConfig("/nonexistent/nowhere.pmat", epsilon=0.5, relax=RelaxationFactors.identity(), seed=0)
+    config = TrialConfig("/nonexistent/nowhere.pmat", epsilon=0.5, relax=RelaxationFactors(), seed=0)
     result = run_single_trial(config)
     assert result.failed
     assert result.error is not None
@@ -254,6 +254,29 @@ def test_a_subnormal_epsilon_fails_each_trial_without_losing_the_batch(tmp_path)
         assert result.error.startswith("epsilon 1e-320 is too small for n = 4: ")
 
 
+def test_an_unexpected_exception_fails_one_trial_without_losing_the_batch(tmp_path, monkeypatch):
+    # An exception that is not a ValueError is one failed record too, named
+    # by its type; the trial after it runs.
+    generate_suite([4], [(3, 4)], 2, seed=0, out_dir=tmp_path)
+    configs = configs_from_manifest(tmp_path / "manifest.json", epsilon=0.5, relax=RELAX_FAST_FAIL, base_seed=0)
+
+    def estimate(m, epsilon, relax, seed):
+        if seed == configs[0].seed:
+            raise RuntimeError("no kernel")
+        return estimate_permanent(m, epsilon, relax, seed)
+
+    monkeypatch.setattr(harness, "estimate_permanent", estimate)
+    first, second = run_trials(configs, workers=1)
+    assert first.failed
+    assert first.error == "RuntimeError: no kernel"
+    assert first.estimate == -1.0
+    assert first.exact == permanent_naive(load_matrix(configs[0].matrix_path))
+    assert first.steps_taken == 0
+    assert first.wall_seconds == 0.0
+    assert second.steps_taken > 0
+    assert second.error.startswith("phase ")
+
+
 def test_a_matrix_too_large_for_ryser_fails_without_losing_the_batch(tmp_path):
     # Ryser refuses n = 35, which its Python loop would take a day over;
     # that trial is recorded as failed, and the one before it keeps its
@@ -279,7 +302,7 @@ def test_zero_permanent_trial_is_benign(tmp_path):
     zero = Matrix.from_rows([[0] * 4] * 4)
     path = tmp_path / "zero.pmat"
     save_matrix(zero, path)
-    config = TrialConfig(str(path), epsilon=0.5, relax=RelaxationFactors.identity(), seed=0)
+    config = TrialConfig(str(path), epsilon=0.5, relax=RelaxationFactors(), seed=0)
     result = run_single_trial(config)
     assert not result.failed
     assert result.exact == 0
@@ -430,7 +453,7 @@ def test_configs_from_manifest(tmp_path):
     configs = configs_from_manifest(
         tmp_path / "manifest.json",
         epsilon=0.5,
-        relax=RelaxationFactors.identity(),
+        relax=RelaxationFactors(),
         base_seed=100,
         label="round",
     )

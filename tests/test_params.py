@@ -157,7 +157,7 @@ def test_samples_final_nonincreasing_in_epsilon():
 
 def test_relaxation_identity():
     params = compute_params(4, 0.5)
-    assert apply_relaxation(params, RelaxationFactors.identity()) == params
+    assert apply_relaxation(params, RelaxationFactors()) == params
 
 
 def test_relaxation_divides_and_floors():
