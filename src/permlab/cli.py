@@ -11,11 +11,14 @@ Subcommands:
   trials       run a batch of trials from a manifest and a config file
   report       aggregate a results file into per-size summary rows
 
-Every JSON document printed or written carries a schema_version field. Bad
-input (an unreadable or malformed file, an unsupported size) prints one
-``permlab: error: ...`` line on stderr and exits with status 1. A stdout
-whose reader has gone (``permlab params --n 4 | head -c 50``) also exits
-with status 1, with nothing on stderr.
+Every JSON document printed or written carries a schema_version field, and
+none holds a number JSON cannot spell. Bad input (an unreadable or
+malformed file, an unsupported size) prints one ``permlab: error: ...``
+line on stderr and exits with status 1; a trials config entry is read as a
+TrialConfig by harness.from_record, the check of results lines, so its
+line names the entry and every bad key. A stdout whose reader has gone
+(``permlab params --n 4 | head -c 50``) also exits with status 1, with
+nothing on stderr.
 """
 
 from __future__ import annotations
@@ -32,10 +35,11 @@ from .exact import KERNEL_LIMIT, permanent_ryser
 from .fpras import estimate_permanent
 from .harness import (
     SCHEMA_VERSION,
-    _json_value_fits,
+    TrialConfig,
     aggregate,
     configs_from_manifest,
     default_workers,
+    from_record,
     generate_suite,
     read_results,
     run_trials,
@@ -43,24 +47,14 @@ from .harness import (
     write_summary_csv,
 )
 from .matrix import load_matrix
-from .params import RelaxationFactors, check_epsilon, compute_params, phase_schedule
-from .rng import RNG_ALGORITHM, check_seed
-
-# Keys of one trials config entry; only epsilon is required. The scalar keys
-# have the JSON types below, checked as TrialResult's fields are; relax is
-# checked by RelaxationFactors.from_sequence.
-TRIAL_KEYS = ("epsilon", "relax", "seed", "label")
-TRIAL_TYPES = (
-    ("epsilon", "float", "a number"),
-    ("seed", "int", "an int"),
-    ("label", "str", "a string"),
-)
+from .params import RelaxationFactors, compute_params, phase_schedule
+from .rng import RNG_ALGORITHM
 
 
 def _emit(payload: dict) -> None:
     payload.setdefault("schema_version", SCHEMA_VERSION)
-    json.dump(payload, sys.stdout, sort_keys=True)
-    sys.stdout.write("\n")
+    # One write, so that a value JSON cannot spell prints nothing at all.
+    sys.stdout.write(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _parse_relax(text: str) -> RelaxationFactors:
@@ -223,31 +217,12 @@ def cmd_trials(args) -> int:
     entries = raw if isinstance(raw, list) else [raw]
     configs = []
     for index, entry in enumerate(entries):
-        where = f"trials config entry {index}"
-        if not isinstance(entry, dict):
-            raise ValueError(f"{where}: expected a JSON object, got {entry!r}")
-        for key in entry:
-            if key not in TRIAL_KEYS:
-                raise ValueError(f"{where}, key {key!r}: unknown; keys are {', '.join(TRIAL_KEYS)}")
-        if "epsilon" not in entry:
-            raise ValueError(f"{where}, key 'epsilon': required")
-        for key, annotation, what in TRIAL_TYPES:
-            if key in entry and not _json_value_fits(entry[key], annotation):
-                raise ValueError(f"{where}, key {key!r}: must be {what}, got {entry[key]!r}")
-        check_seed(entry.get("seed", 0), f"{where}, key 'seed':")
-        check_epsilon(entry["epsilon"], f"{where}, key 'epsilon':")
         try:
-            relax = RelaxationFactors.from_sequence(entry.get("relax", [1, 1, 1, 1]))
+            trial = from_record(TrialConfig, entry, matrix_path="")
         except ValueError as exc:
-            raise ValueError(f"{where}, key 'relax': {exc}") from None
-        configs.extend(
-            configs_from_manifest(
-                args.manifest,
-                epsilon=entry["epsilon"],
-                relax=relax,
-                base_seed=entry.get("seed", 0),
-                label=entry.get("label", ""),
-            )
+            raise ValueError(f"trials config entry {index}: {exc}") from None
+        configs += configs_from_manifest(
+            args.manifest, trial.epsilon, trial.relax, trial.seed, trial.label
         )
     count = write_results(run_trials(configs, workers=workers), args.out)
     _emit({"trials": count, "out": args.out})

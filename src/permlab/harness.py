@@ -13,7 +13,8 @@ None and ``error`` saying why (``exact`` is 0 where Ryser refused), and the
 batch goes on.
 Results persist as JSON Lines, one record per line, written afresh on each
 run; a CSV export, whose columns are SummaryRow's fields, serves
-table-building.
+table-building. ``from_record`` checks every JSON record of trial settings:
+a results line as a TrialResult, a trials config entry as a TrialConfig.
 
 Error accounting: a trial's relative error is max(estimate/exact,
 exact/estimate) - 1, the multiplicative form matching the estimator's
@@ -29,6 +30,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, astuple, dataclass, fields
@@ -40,7 +42,7 @@ from .exact import KERNEL_LIMIT, permanent_ryser
 from .fpras import estimate_permanent
 from .matrix import generate_random, load_matrix, save_matrix
 from .params import RelaxationFactors, check_epsilon
-from .rng import RNG_ALGORITHM
+from .rng import RNG_ALGORITHM, check_seed
 
 SCHEMA_VERSION = "2"
 
@@ -63,14 +65,18 @@ def default_workers() -> int:
 
 @dataclass(frozen=True)
 class TrialConfig:
+    """One trial's settings, which a trials config entry gives but for
+    ``matrix_path``; refuses a bad ``epsilon`` or ``seed``."""
+
     matrix_path: str
     epsilon: float
-    relax: RelaxationFactors
-    seed: int
+    relax: RelaxationFactors = RelaxationFactors()
+    seed: int = 0
     label: str = ""
 
     def __post_init__(self) -> None:
         check_epsilon(self.epsilon)
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -97,7 +103,7 @@ class TrialResult:
         record = asdict(self)
         record["relax"] = astuple(self.relax)
         record["schema_version"] = SCHEMA_VERSION
-        return json.dumps(record, sort_keys=True)
+        return json.dumps(record, sort_keys=True, allow_nan=False)
 
     @classmethod
     def from_json(cls, line: str) -> "TrialResult":
@@ -105,58 +111,61 @@ class TrialResult:
 
         A line without ``schema_version`` is taken as the current version.
         """
-        record = json.loads(line, parse_constant=_refuse_constant)
-        if not isinstance(record, dict):
-            raise ValueError(f"expected a JSON object, got {record!r}")
-        version = record.pop("schema_version", SCHEMA_VERSION)
-        if version != SCHEMA_VERSION:
-            raise ValueError(f"schema_version must be {SCHEMA_VERSION!r}, got {version!r}")
-        known = fields(cls)
-        missing = [f.name for f in known if f.default is MISSING and f.name not in record]
-        unknown = sorted(record.keys() - {f.name for f in known})
-        problems = []
-        if missing:
-            problems.append("missing keys " + ", ".join(missing))
-        if unknown:
-            problems.append("unknown keys " + ", ".join(unknown))
-        problems += [
-            f"{f.name} must be {f.type}, got {record[f.name]!r}"
-            for f in known
-            if f.name in record and f.name != "relax" and not _json_value_fits(record[f.name], f.type)
-        ]
-        if "epsilon" in record and _json_value_fits(record["epsilon"], "float"):
+        record = json.loads(line)
+        if isinstance(record, dict):
+            version = record.pop("schema_version", SCHEMA_VERSION)
+            if version != SCHEMA_VERSION:
+                raise ValueError(f"schema_version must be {SCHEMA_VERSION!r}, got {version!r}")
+        return from_record(cls, record)
+
+
+def from_record(cls, record, **supplied):
+    """Dataclass ``cls`` from a parsed JSON object (its relax converted in
+    place) and the ``supplied`` fields; one ValueError names every missing or
+    unknown key and every value that fails its field's JSON type or check."""
+    if not isinstance(record, dict):
+        raise ValueError(f"expected a JSON object, got {record!r}")
+    known = [f for f in fields(cls) if f.name not in supplied]
+    missing = [f.name for f in known if f.default is MISSING and f.name not in record]
+    unknown = sorted(record.keys() - {f.name for f in known})
+    problems = ["missing keys " + ", ".join(missing)] if missing else []
+    if unknown:
+        problems.append("unknown keys " + ", ".join(unknown))
+    for f in known:
+        if f.name in record:
+            value = record[f.name]
             try:
-                check_epsilon(record["epsilon"])
+                if f.name == "relax":
+                    record["relax"] = RelaxationFactors.from_sequence(value)
+                elif not _json_value_fits(value, f.type):
+                    problems.append(f"{f.name} must be {f.type}, got {value!r}")
+                elif f.name in _VALUE_CHECKS:
+                    _VALUE_CHECKS[f.name](value)
             except ValueError as exc:
                 problems.append(str(exc))
-        if "relax" in record:
-            try:
-                record["relax"] = RelaxationFactors.from_sequence(record["relax"])
-            except ValueError as exc:
-                problems.append(str(exc))
-        if problems:
-            raise ValueError("; ".join(problems))
-        return cls(**record)
+    if problems:
+        raise ValueError("; ".join(problems))
+    return cls(**record, **supplied)
 
 
-def _refuse_constant(name: str):
-    # json.loads takes NaN and Infinity, which JSON itself cannot spell.
-    raise ValueError(f"{name} is not a JSON number")
-
-
-# JSON value types for the annotations of TrialResult's fields.
-_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str, "None": type(None)}
+# JSON value types for the annotations of the checked fields, and the checks
+# that values of the named fields pass besides.
+_JSON_TYPES = {"int": int, "float": float, "bool": bool, "str": str, "None": type(None)}
+_VALUE_CHECKS = {"epsilon": check_epsilon, "seed": check_seed}
 
 
 def _json_value_fits(value, annotation: str) -> bool:
     """Whether a parsed JSON value fits an annotation such as ``float | None``.
 
     A JSON true or false is a Python bool, which is an int too, so it fits
-    only ``bool``.
+    only ``bool``. A ``float`` must be finite: json.loads takes NaN,
+    Infinity and an overflowing 1e999, which JSON cannot spell.
     """
     names = annotation.split(" | ")
     if isinstance(value, bool):
         return "bool" in names
+    if "float" in names and isinstance(value, (int, float)):
+        return abs(value) <= sys.float_info.max
     return any(isinstance(value, _JSON_TYPES[name]) for name in names)
 
 
@@ -286,7 +295,8 @@ def aggregate(results: Sequence[TrialResult]) -> list[SummaryRow]:
 
     Failures are excluded from the error mean and the out-of-bound count and
     reported separately. Trials whose error is undefined for benign reasons
-    (exact permanent zero) contribute to neither.
+    (exact permanent zero) contribute to neither. A mean past the float
+    range raises ValueError.
     """
     if not results:
         raise ValueError("no results to aggregate")
@@ -303,13 +313,21 @@ def aggregate(results: Sequence[TrialResult]) -> list[SummaryRow]:
             SummaryRow(
                 group=key,
                 trials=len(bucket),
-                mean_rel_error=(sum(errors) / len(errors)) if errors else None,
+                mean_rel_error=_mean(errors, key, "mean_rel_error") if errors else None,
                 misestimates=misses,
                 failures=failures,
-                mean_wall_seconds=sum(r.wall_seconds for r in bucket) / len(bucket),
+                mean_wall_seconds=_mean([r.wall_seconds for r in bucket], key, "mean_wall_seconds"),
             )
         )
     return rows
+
+
+def _mean(values: list, group: int, name: str) -> float:
+    # Summed as floats, so a sum past the float range is inf, not an OverflowError.
+    mean = sum(map(float, values)) / len(values)
+    if not abs(mean) <= sys.float_info.max:
+        raise ValueError(f"group {group}: {name} is {mean}, which JSON cannot spell")
+    return mean
 
 
 def write_summary_csv(rows: Sequence[SummaryRow], path) -> None:
@@ -388,7 +406,7 @@ def generate_suite(
         "matrices": entries,
     }
     with open(out_dir / "manifest.json", "w", encoding="ascii") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return manifest
 
@@ -402,7 +420,8 @@ def configs_from_manifest(
 ) -> list[TrialConfig]:
     """One TrialConfig per manifest instance, with derived per-trial seeds.
 
-    A malformed manifest raises ValueError, naming the file and the entry.
+    A malformed manifest, or a setting TrialConfig refuses, raises
+    ValueError before any trial runs; the former names the file and entry.
     """
     manifest_path = Path(manifest_path)
     where = f"manifest {manifest_path}"
@@ -414,20 +433,14 @@ def configs_from_manifest(
     entries = manifest.get("matrices") if isinstance(manifest, dict) else None
     if not isinstance(entries, list):
         raise ValueError(f"{where}: expected an object with a 'matrices' list")
-    paths = [entry.get("path") if isinstance(entry, dict) else None for entry in entries]
-    for i, path in enumerate(paths):
+    configs = []
+    for i, entry in enumerate(entries):
+        path = entry.get("path") if isinstance(entry, dict) else None
         if not isinstance(path, str):
             raise ValueError(
                 f"{where}, matrices entry {i}: expected an object with a string 'path', "
-                f"got {entries[i]!r}"
+                f"got {entry!r}"
             )
-    return [
-        TrialConfig(
-            matrix_path=str(manifest_path.parent / path),
-            epsilon=epsilon,
-            relax=relax,
-            seed=base_seed + i,
-            label=label,
-        )
-        for i, path in enumerate(paths)
-    ]
+        path = str(manifest_path.parent / path)
+        configs.append(TrialConfig(path, epsilon, relax, base_seed + i, label))
+    return configs

@@ -178,23 +178,34 @@ def generate_random(n: int, ones: int, seed: int) -> Matrix:
 def find_perfect_matching(m: Matrix) -> Matching | None:
     """A perfect matching using only 1-entries of m, or None.
 
-    Augmenting-path search over rows in index order, so the witness is
-    deterministic for a given matrix.
+    Augmenting-path search over rows in index order, each trying its ones
+    in column order, so the witness is deterministic for a given matrix. The
+    path is a list, not a recursion, so any n works.
     """
     n = m.n
+    ones = [[v for v, cell in enumerate(row) if cell] for row in m.rows]
     col_owner = [-1] * n
-
-    def augment(u: int, visited: list[bool]) -> bool:
-        for v in range(n):
-            if m.rows[u][v] and not visited[v]:
-                visited[v] = True
-                if col_owner[v] < 0 or augment(col_owner[v], visited):
-                    col_owner[v] = u
-                    return True
-        return False
-
-    for u in range(n):
-        if not augment(u, [False] * n):
+    for root in range(n):
+        visited = [False] * n
+        # Each row on the path: [row, index of its next untried one, column taken].
+        path = [[root, 0, -1]]
+        while path:
+            step = path[-1]
+            row_ones, i = ones[step[0]], step[1]
+            while i < len(row_ones) and visited[row_ones[i]]:
+                i += 1
+            if i == len(row_ones):
+                path.pop()
+                continue
+            v = step[2] = row_ones[i]
+            step[1] = i + 1
+            if col_owner[v] < 0:
+                for u, _, w in path:
+                    col_owner[w] = u
+                break
+            visited[v] = True
+            path.append([col_owner[v], 0, -1])
+        else:
             return None
     pairs = frozenset((col_owner[v], v) for v in range(n))
     return Matching(n, pairs, None)

@@ -13,6 +13,12 @@ from permlab.params import phase_schedule
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
+VALID_RESULTS_RECORD = {
+    "n": 4, "ones_count": 12, "seed": 0, "exact": 9, "estimate": 9.0, "rel_error": 0.0,
+    "failed": False, "within_bound": True, "steps_taken": 1, "wall_seconds": 0.1,
+    "epsilon": 0.5, "relax": [1, 1, 1, 1],
+}
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -125,6 +131,17 @@ def test_estimate_prints_one_line_per_completed_stage(tmp_path, capsys):
 def test_estimate_without_a_perfect_matching_prints_no_stage(tmp_path, capsys):
     path = tmp_path / "zero.pmat"
     save_matrix(Matrix.from_rows([[0]]), path)
+    code, out, err = run_cli(capsys, "estimate", str(path))
+    assert (code, json.loads(out)["value"], err) == (0, 0.0, "")
+
+
+def test_estimate_without_a_perfect_matching_past_the_recursion_limit(tmp_path, capsys):
+    # Only the singular matrix: a nonsingular one this size would build an
+    # acceptance table of 48 n^3 bytes.
+    n = sys.getrecursionlimit() + 100
+    rows = [[1 if v in (u - 1, u) else 0 for v in range(n)] for u in range(n - 1)]
+    path = tmp_path / "bidiagonal.pmat"
+    save_matrix(Matrix.from_rows(rows + [[0] * n]), path)
     code, out, err = run_cli(capsys, "estimate", str(path))
     assert (code, json.loads(out)["value"], err) == (0, 0.0, "")
 
@@ -249,10 +266,22 @@ def test_trials_and_report_subcommands(tmp_path, capsys):
                 ["report"],
                 '{"n": 4, "ones_count": 12, "seed": 0, "exact": 9, "estimate": 9.0, '
                 '"rel_error": 0.0, "failed": false, "within_bound": true, "steps_taken": 1, '
-                f'"wall_seconds": {constant}}}\n',
-                f"input.pmat, line 1: {constant} is not a JSON number",
+                f'"epsilon": 0.5, "relax": [1, 1, 1, 1], "wall_seconds": {constant}}}\n',
+                f"input.pmat, line 1: wall_seconds must be float, got {value}",
             )
-            for constant in ("NaN", "Infinity", "-Infinity")
+            for constant, value in (("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"))
+        ),
+        (
+            # A literal past the float range parses to inf.
+            ["report"],
+            json.dumps(VALID_RESULTS_RECORD).replace('"wall_seconds": 0.1', '"wall_seconds": 1e999')
+            + "\n",
+            "input.pmat, line 1: wall_seconds must be float, got inf\n",
+        ),
+        (
+            ["report"],
+            (json.dumps({**VALID_RESULTS_RECORD, "rel_error": 1e308}) + "\n") * 2,
+            "group 4: mean_rel_error is inf, which JSON cannot spell\n",
         ),
     ],
     ids=[
@@ -274,6 +303,8 @@ def test_trials_and_report_subcommands(tmp_path, capsys):
         "report-nan",
         "report-infinity",
         "report-negative-infinity",
+        "report-overflowing-literal",
+        "report-overflowing-mean",
     ],
 )
 def test_domain_errors_print_one_line(tmp_path, capsys, command, text, message):
@@ -291,25 +322,29 @@ def test_domain_errors_print_one_line(tmp_path, capsys, command, text, message):
 @pytest.mark.parametrize(
     "config, message",
     [
-        ({"relax": [300000, 1, 300000, 1]}, "entry 0, key 'epsilon': required"),
-        ({"epsilon": 0.5, "relx": [300000, 1, 300000, 1]}, "entry 0, key 'relx': unknown"),
+        ({"relax": [300000, 1, 300000, 1]}, "entry 0: missing keys epsilon"),
+        ({"epsilon": 0.5, "relx": [300000, 1, 300000, 1]}, "entry 0: unknown keys relx"),
         ([1, 2], "entry 0: expected a JSON object, got 1"),
-        ({"epsilon": 0.5, "relax": [1, 2]}, "entry 0, key 'relax': relax needs four factors"),
+        ({"epsilon": 0.5, "relax": [1, 2]}, "entry 0: relax needs four factors"),
         (
             {"epsilon": 0.5, "relax": ["a", 1, 1, 1]},
-            "entry 0, key 'relax': relaxation factor s_phase must be a finite number, got 'a'",
+            "entry 0: relaxation factor s_phase must be a finite number, got 'a'",
         ),
         (
             {"epsilon": 0.5, "relax": [1, float("inf"), 1, 1]},
-            "entry 0, key 'relax': relaxation factor t_phase must be a finite number, got inf",
+            "entry 0: relaxation factor t_phase must be a finite number, got inf",
         ),
-        ({"epsilon": "0.5"}, "entry 0, key 'epsilon': must be a number"),
-        ({"epsilon": 2}, "entry 0, key 'epsilon': must be in (0, 1], got 2"),
-        ([{"epsilon": 0.5}, {"epsilon": 0.5, "seed": 1.5}], "entry 1, key 'seed': must be an int"),
-        ({"epsilon": 0.5, "label": 3}, "entry 0, key 'label': must be a string"),
+        ({"epsilon": "0.5"}, "entry 0: epsilon must be float, got '0.5'"),
+        ({"epsilon": 2}, "entry 0: epsilon must be in (0, 1], got 2"),
+        ([{"epsilon": 0.5}, {"epsilon": 0.5, "seed": 1.5}], "entry 1: seed must be int, got 1.5"),
+        ({"epsilon": 0.5, "label": 3}, "entry 0: label must be str, got 3"),
         (
             {"epsilon": 0.5, "seed": -2},
-            "entry 0, key 'seed': must be a nonnegative integer, got -2",
+            "entry 0: seed must be a nonnegative integer, got -2",
+        ),
+        (
+            {"epsilon": 2, "label": 3, "relx": 1},
+            "entry 0: unknown keys relx; epsilon must be in (0, 1], got 2; label must be str, got 3\n",
         ),
         ("nope", "config.json: Expecting value"),
         ('{"epsilon": 0.5, "label": "\u00e9"}', "config.json: 'ascii' codec can't decode"),
@@ -326,6 +361,7 @@ def test_domain_errors_print_one_line(tmp_path, capsys, command, text, message):
         "seed-float",
         "label-int",
         "seed-negative",
+        "three-problems",
         "not-json",
         "not-ascii",
     ],
@@ -349,6 +385,38 @@ def test_bad_trials_config_prints_one_line(tmp_path, capsys, config, message):
     assert message in err
     assert err.count("\n") == 1
     assert not results.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("epsilon", "0.5", "epsilon must be float, got '0.5'"),
+        ("epsilon", 7, "epsilon must be in (0, 1], got 7"),
+        ("seed", 1.5, "seed must be int, got 1.5"),
+        ("seed", -1, "seed must be a nonnegative integer, got -1"),
+        ("label", 3, "label must be str, got 3"),
+        ("relax", [1, 2], "relax needs four factors (s_phase, t_phase, s_final, t_final), got [1, 2]"),
+        ("bogus", 1, "unknown keys bogus"),
+    ],
+    ids=[
+        "epsilon-string", "epsilon-7", "seed-float", "seed-negative", "label-int", "relax-short",
+        "unknown-key",
+    ],
+)
+def test_a_bad_setting_is_refused_alike_in_a_config_and_a_results_line(
+    tmp_path, capsys, key, value, message
+):
+    suite = tmp_path / "suite"
+    run_cli(capsys, "gen", "--sizes", "4", "--densities", "3/4", "--count", "1", "--out", str(suite))
+    config, results = tmp_path / "config.json", tmp_path / "results.jsonl"
+    config.write_text(json.dumps({"epsilon": 0.5, key: value}), encoding="ascii")
+    results.write_text(json.dumps({**VALID_RESULTS_RECORD, key: value}) + "\n", encoding="ascii")
+    out_path = tmp_path / "out.jsonl"
+    trials = run_cli(capsys, "trials", str(suite / "manifest.json"), str(config), "--out", str(out_path))
+    report = run_cli(capsys, "report", str(results))
+    assert trials == (1, "", f"permlab: error: trials config entry 0: {message}\n")
+    assert report == (1, "", f"permlab: error: {results}, line 1: {message}\n")
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize(

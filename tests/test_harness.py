@@ -412,10 +412,13 @@ def test_results_jsonl_round_trip(tmp_path):
         ({"epsilon": -0.5, "relax": [1, 1, 0.5, 1]}, r"epsilon must be in \(0, 1\], got -0.5; relaxation"),
         ({"schema_version": "7"}, "schema_version must be '2', got '7'$"),
         ({"schema_version": 2, "epsilon": 7.0}, "schema_version must be '2', got 2$"),
+        ({"wall_seconds": math.inf}, "wall_seconds must be float, got inf$"),
+        ({"wall_seconds": 10**400}, "wall_seconds must be float, got 10{400}$"),
     ],
     ids=[
         "missing", "epsilon-str", "relax-short", "relax-object", "relax-str", "relax-below-1",
         "epsilon-above-1", "epsilon-0", "epsilon-and-relax", "schema-7", "schema-int",
+        "wall-infinite", "wall-int-past-float",
     ],
 )
 def test_from_json_checks_the_trial_settings(changes, message):
@@ -461,3 +464,29 @@ def test_configs_from_manifest(tmp_path):
     assert configs[0].seed == 100
     assert configs[1].seed == 101
     assert all(c.label == "round" for c in configs)
+
+
+def test_trial_config_defaults_and_seed_check():
+    config = TrialConfig("m.pmat", epsilon=0.5)
+    assert (config.relax, config.seed, config.label) == (RelaxationFactors(), 0, "")
+    for seed in (-1, 1.5):
+        with pytest.raises(ValueError, match=rf"^seed must be a nonnegative integer, got {seed}$"):
+            TrialConfig("m.pmat", epsilon=0.5, seed=seed)
+
+
+def test_configs_from_manifest_refuses_a_negative_base_seed(tmp_path):
+    generate_suite([4], [(3, 4)], 2, seed=1, out_dir=tmp_path)
+    with pytest.raises(ValueError, match=r"^seed must be a nonnegative integer, got -1$"):
+        configs_from_manifest(tmp_path / "manifest.json", 0.5, RelaxationFactors(), base_seed=-1)
+
+
+@pytest.mark.parametrize("field", ["rel_error", "wall_seconds"])
+def test_aggregate_refuses_a_mean_past_the_float_range(field):
+    results = [make_result(**{field: 1e308})] * 2
+    with pytest.raises(ValueError, match=f"^group 4: mean_{field} is inf, which JSON cannot spell$"):
+        aggregate(results)
+
+
+def test_to_json_refuses_a_value_json_cannot_spell():
+    with pytest.raises(ValueError):
+        make_result(wall_seconds=math.inf).to_json()

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from permlab import (
@@ -116,6 +118,25 @@ def test_find_perfect_matching_uses_only_edges():
 def test_find_perfect_matching_zero_matrix():
     m = Matrix.from_rows([[0] * 3] * 3)
     assert find_perfect_matching(m) is None
+
+
+def lower_bidiagonal(n: int, singular: bool = False) -> Matrix:
+    """Ones at (u, u - 1) and (u, u); row u's augmenting path is u rows deep.
+
+    ``singular`` zeroes the last row, so no perfect matching exists.
+    """
+    rows = [[1 if v in (u - 1, u) else 0 for v in range(n)] for u in range(n)]
+    if singular:
+        rows[-1] = [0] * n
+    return Matrix.from_rows(rows)
+
+
+def test_find_perfect_matching_past_the_recursion_limit():
+    n = sys.getrecursionlimit() + 100
+    pm = find_perfect_matching(lower_bidiagonal(n))
+    assert pm is not None
+    assert pm.pairs == frozenset((u, u) for u in range(n))
+    assert find_perfect_matching(lower_bidiagonal(n, singular=True)) is None
 
 
 def test_matching_existence_iff_positive_permanent():
