@@ -3,10 +3,11 @@
 The library is compiled with ``cc`` on first use into ~/.cache/permlab and
 loaded with ``ctypes``. The cache is append-only: each library is named by
 what it was built from and nothing here deletes one, so a library once found
-stays in place. Each caller keeps a cached function over ``kernel``, asks it
-on every call and runs its own Python code when it returns None, so nothing
-is compiled or loaded at import and a host without a compiler still runs,
-only slower.
+stays in place. Each caller keeps a cached function over ``kernel`` and runs
+its own Python code when it returns None: ``permanent_ryser`` and
+``acceptance_table`` ask it on every call, a ``ChainSampler`` and a
+``BufferedDraws`` once, when they are made. So nothing is compiled or
+loaded at import and a host without a compiler still runs, only slower.
 """
 
 from __future__ import annotations

@@ -12,11 +12,14 @@ Subcommands:
   report       aggregate a results file into per-size summary rows
 
 Every JSON document printed or written carries a schema_version field, and
-none holds a number JSON cannot spell. Bad input (an unreadable or
-malformed file, an unsupported size) prints one ``permlab: error: ...``
-line on stderr and exits with status 1; a trials config entry is read as a
-TrialConfig by harness.from_record, the check of results lines, so its
-line names the entry and every bad key. A stdout whose reader has gone
+none holds a number JSON cannot spell. The parser only turns text into
+numbers, lists and a/b densities, and text that is none of these is its
+usage error, with exit status 2. Every value is checked by the library
+function that takes it, so bad input (an unreadable or malformed file, a
+number the library refuses) prints one ``permlab: error: ...`` line on
+stderr, writes nothing and exits with status 1; a trials config entry is
+read as a TrialConfig by harness.from_record, the check of results lines,
+so its line names the entry and every bad key. A stdout whose reader has gone
 (``permlab params --n 4 | head -c 50``) also exits with status 1, with
 nothing on stderr.
 """
@@ -31,14 +34,13 @@ import sys
 import time
 
 from . import feasibility as feas
-from .exact import KERNEL_LIMIT, permanent_ryser
+from .exact import permanent_ryser
 from .fpras import estimate_permanent
 from .harness import (
     SCHEMA_VERSION,
     TrialConfig,
     aggregate,
     configs_from_manifest,
-    default_workers,
     from_record,
     generate_suite,
     read_results,
@@ -57,64 +59,25 @@ def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
 
 
-def _parse_relax(text: str) -> RelaxationFactors:
-    try:
-        values = [float(part) for part in text.split(",")]
-        return RelaxationFactors.from_sequence([int(v) if v.is_integer() else v for v in values])
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _parse_relax(text: str) -> list[int | float]:
+    values = [float(part) for part in text.split(",")]
+    return [int(v) if v.is_integer() else v for v in values]
 
 
 def _parse_density(text: str) -> tuple[int, int]:
     num, _, den = text.partition("/")
     try:
-        numerator, denominator = int(num), int(den)
+        return int(num), int(den)
     except ValueError:
         raise argparse.ArgumentTypeError(f"density must look like 3/4, got {text!r}") from None
-    if denominator <= 0:
-        raise argparse.ArgumentTypeError(f"density denominator must be positive, got {text!r}")
-    if not 0 <= numerator <= denominator:
-        raise argparse.ArgumentTypeError(f"density must be in [0, 1], got {text!r}")
-    return numerator, denominator
 
 
 def _parse_densities(text: str) -> list[tuple[int, int]]:
     return [_parse_density(part) for part in text.split(",")]
 
 
-def _positive_int(text: str, what: str = "value") -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{what} must be a positive integer, got {text!r}")
-    return value
-
-
-def _parse_seed(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"seed must be a nonnegative integer, got {text!r}")
-    return value
-
-
-def _parse_size(text: str) -> int:
-    size = _positive_int(text, "size")
-    if size > KERNEL_LIMIT:
-        # Refused here, before gen writes anything: every instance gets its
-        # exact permanent.
-        raise argparse.ArgumentTypeError(
-            f"size must be at most {KERNEL_LIMIT}, the largest n permanent_ryser takes, got {text!r}"
-        )
-    return size
-
-
 def _parse_sizes(text: str) -> list[int]:
-    return [_parse_size(part) for part in text.split(",")]
+    return [int(part) for part in text.split(",")]
 
 
 def cmd_gen(args) -> int:
@@ -136,6 +99,7 @@ def cmd_exact(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    relax = RelaxationFactors.from_sequence(args.relax)
     m = load_matrix(args.matrix)
     start, stages = time.monotonic(), None
 
@@ -149,12 +113,12 @@ def cmd_estimate(args) -> int:
         )
 
     on_stage = None if args.quiet else print_stage
-    estimate = estimate_permanent(m, args.epsilon, args.relax, seed=args.seed, on_stage=on_stage)
+    estimate = estimate_permanent(m, args.epsilon, relax, seed=args.seed, on_stage=on_stage)
     _emit(
         {
             "n": m.n,
             "epsilon": args.epsilon,
-            "relax": list(dataclasses.astuple(args.relax)),
+            "relax": list(dataclasses.astuple(relax)),
             "seed": args.seed,
             "rng": RNG_ALGORITHM,
             "value": estimate.value,
@@ -206,9 +170,6 @@ def cmd_crossover(args) -> int:
 
 
 def cmd_trials(args) -> int:
-    # Resolved here, not in run_trials, so that a bad PERMLAB_WORKERS stops
-    # the command before write_results creates --out.
-    workers = args.workers or default_workers()
     with open(args.config, "r", encoding="ascii") as fh:
         try:
             raw = json.load(fh)
@@ -224,7 +185,7 @@ def cmd_trials(args) -> int:
         configs += configs_from_manifest(
             args.manifest, trial.epsilon, trial.relax, trial.seed, trial.label
         )
-    count = write_results(run_trials(configs, workers=workers), args.out)
+    count = write_results(run_trials(configs, workers=args.workers), args.out)
     _emit({"trials": count, "out": args.out})
     return 0
 
@@ -255,10 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="3/4,7/8",
         help="comma-separated fractions of n^2",
     )
-    p.add_argument(
-        "--count", type=_positive_int, default=10, help="instances per (size, density) cell"
-    )
-    p.add_argument("--seed", type=_parse_seed, default=0)
+    p.add_argument("--count", type=int, default=10, help="instances per (size, density) cell")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_gen)
 
@@ -272,10 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--relax",
         type=_parse_relax,
-        default=RelaxationFactors(),
+        default=[1, 1, 1, 1],
         help="four divisors: s_phase,t_phase,s_final,t_final",
     )
-    p.add_argument("--seed", type=_parse_seed, default=0)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--quiet", action="store_true", help="print no stage lines on stderr")
     p.set_defaults(func=cmd_estimate)
 
@@ -299,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="JSON object or list: epsilon, relax, seed, label")
     p.add_argument(
         "--workers",
-        type=_positive_int,
+        type=int,
         default=None,
         help="worker processes; default from PERMLAB_WORKERS, else 1",
     )

@@ -48,11 +48,12 @@ from .params import (
     RelaxationFactors,
     SamplingParams,
     apply_relaxation,
+    check_epsilon,
     compute_params,
     log_factorial,
     phase_schedule,
 )
-from .rng import BufferedDraws
+from .rng import BufferedDraws, check_seed
 
 
 class PhaseFailure(Exception):
@@ -232,8 +233,11 @@ def estimate_permanent(
     run is a pure function of (matrix, epsilon, relax, seed).
 
     ``params`` overrides the computed sampling parameters (relaxation is
-    still applied); it exists for tests and calibration runs.
+    still applied); it exists for tests and calibration runs. A bad epsilon
+    or seed raises ValueError first, with ``params`` too.
     """
+    check_epsilon(epsilon)
+    check_seed(seed)
     relax = relax or RelaxationFactors()
     start_matching = find_perfect_matching(m)
     if start_matching is None:
@@ -246,7 +250,8 @@ def estimate_permanent(
     sampler = ChainSampler(wt, start_matching, draws)
 
     def sample_stage(stage_wt: WeightTable, final: bool) -> PhaseStats:
-        sampler.set_weights(stage_wt)
+        if stage_wt is not wt:  # the sampler was made with stage 0's table
+            sampler.set_weights(stage_wt)
         if final:
             return final_refinement(
                 sampler, params.tau_init, params.tau_resample_final, params.samples_final

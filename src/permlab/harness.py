@@ -240,9 +240,17 @@ def run_trials(configs: Sequence[TrialConfig], workers: int | None = None) -> It
     Each trial is seeded independently, so the result set is identical for
     any worker count; yielding in input order keeps persisted output
     byte-stable apart from wall times. The pool has at most one worker per
-    trial: it may start all of its workers at once.
+    trial: it may start all of its workers at once. ``workers`` None means
+    ``default_workers()``; a bad count raises ValueError at the call.
     """
-    workers = min(workers or default_workers(), len(configs))
+    if workers is None:
+        workers = default_workers()
+    elif workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers}")
+    return _run_trials(configs, min(workers, len(configs)))
+
+
+def _run_trials(configs: Sequence[TrialConfig], workers: int) -> Iterator[TrialResult]:
     if workers <= 1:
         for config in configs:
             yield run_single_trial(config)
@@ -367,13 +375,21 @@ def generate_suite(
     seeds derive deterministically from the master seed and the instance
     index. Exact permanents are computed with Ryser and recorded; instances
     are never filtered on the permanent, a zero simply stays in the suite.
-    A size outside [1, ``KERNEL_LIMIT``] raises ValueError before anything
-    is written.
+    A bad seed, a count below 1, a size outside [1, ``KERNEL_LIMIT``] or a
+    density outside [0, 1] raises ValueError before ``out_dir`` is made.
     """
+    check_seed(seed)
+    if count < 1:
+        raise ValueError(f"count must be a positive integer, got {count}")
     for n in sizes:
         if not 1 <= n <= KERNEL_LIMIT:
             raise ValueError(
                 f"suite sizes must be in [1, {KERNEL_LIMIT}], the n permanent_ryser takes, got {n}"
+            )
+    for num, den in densities:
+        if den < 1 or not 0 <= num <= den:
+            raise ValueError(
+                f"suite densities must be in [0, 1] with a positive denominator, got {num}/{den}"
             )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

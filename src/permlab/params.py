@@ -196,11 +196,11 @@ class SamplingParams:
         return self.l * self.phase_steps() + self.final_steps()
 
 
-def check_epsilon(epsilon: float, name: str = "epsilon") -> None:
+def check_epsilon(epsilon: float) -> None:
     """Raise ValueError unless epsilon lies in (0, 1], the error bounds the
-    parameter formulas take; the message starts with ``name``."""
+    parameter formulas take."""
     if not 0 < epsilon <= 1:
-        raise ValueError(f"{name} must be in (0, 1], got {epsilon!r}")
+        raise ValueError(f"epsilon must be in (0, 1], got {epsilon!r}")
 
 
 def compute_params(n: int, epsilon: float) -> SamplingParams:

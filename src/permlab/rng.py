@@ -88,15 +88,14 @@ def _refill_kernels():
     return bounded, _native.kernel("fill_unit", state, ctypes.c_void_p, ctypes.c_int64)
 
 
-def check_seed(seed: int, name: str = "seed") -> None:
-    """Refuse a seed that is not a nonnegative integer; the message starts
-    with ``name``.
+def check_seed(seed: int) -> None:
+    """Refuse a seed that is not a nonnegative integer, a bool included.
 
     numpy's ``PCG64`` refuses a negative seed without naming it, and takes
     None for fresh entropy, which would make a run irreproducible.
     """
-    if not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError(f"{name} must be a nonnegative integer, got {seed!r}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
 def _words(value: int) -> tuple[int, int]:

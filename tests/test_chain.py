@@ -254,6 +254,17 @@ def test_sampler_rejects_a_weight_table_of_the_wrong_size():
         sampler.set_weights(short)
 
 
+def test_sampler_refuses_draws_or_a_table_of_another_instance():
+    wt = WeightTable.initial(FIG)
+    start = find_perfect_matching(FIG)
+    with pytest.raises(ValueError, match="draw source sized for a different n"):
+        ChainSampler(wt, start, BufferedDraws(0, 4))
+    sampler = ChainSampler(wt, start, BufferedDraws(0, 3))
+    other = WeightTable.initial(parse_matrix("3\n111\n111\n111\n"))
+    with pytest.raises(ValueError, match="weight table belongs to a different instance"):
+        sampler.set_weights(other)
+
+
 @pytest.mark.parametrize("n", [4, 8])
 def test_a_sampler_builds_one_acceptance_table_per_stage(n, monkeypatch):
     # The sampler keeps the table that acceptance_table returns, and at

@@ -536,72 +536,82 @@ def test_bad_manifest_prints_one_line(tmp_path, capsys, manifest, message):
     assert not results.exists()
 
 
+def assert_refused(capsys, argv, status, last_line):
+    """The command prints nothing on stdout, exits with ``status`` and ends
+    stderr with ``last_line``: all of stderr when the library refuses a
+    number (status 1), after argparse's usage lines for text that is not one
+    (status 2)."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (status, "")
+    lines = captured.err.splitlines()
+    assert lines[-1] == last_line
+    assert status == 2 or len(lines) == 1
+
+
 def test_bad_relax_argument(tmp_path, capsys):
     path = tmp_path / "zero.pmat"
     save_matrix(Matrix.from_rows([[0] * 4] * 4), path)
-    with pytest.raises(SystemExit):
-        main(["estimate", str(path), "--relax", "1,2,3"])
-    assert "relax needs four factors" in capsys.readouterr().err
+    message = "relax needs four factors (s_phase, t_phase, s_final, t_final), got [1, 2, 3]"
+    assert_refused(capsys, ["estimate", str(path), "--relax", "1,2,3"], 1, f"permlab: error: {message}")
+
+
+DENSITY_REFUSED = "permlab: error: suite densities must be in [0, 1] with a positive denominator, got "
 
 
 @pytest.mark.parametrize(
-    "densities, message",
+    "densities, status, last_line",
     [
-        ("1/0", "density denominator must be positive, got '1/0'"),
-        ("3/4,1/-2", "density denominator must be positive, got '1/-2'"),
-        ("3", "density must look like 3/4, got '3'"),
-        ("3/4,5/4", "argument --densities: density must be in [0, 1], got '5/4'"),
-        ("3/4,-1/4", "argument --densities: density must be in [0, 1], got '-1/4'"),
+        ("1/0", 1, DENSITY_REFUSED + "1/0"),
+        ("3/4,1/-2", 1, DENSITY_REFUSED + "1/-2"),
+        ("3", 2, "permlab gen: error: argument --densities: density must look like 3/4, got '3'"),
+        ("3/4,5/4", 1, DENSITY_REFUSED + "5/4"),
+        ("3/4,-1/4", 1, DENSITY_REFUSED + "-1/4"),
     ],
     ids=["zero-denominator", "negative-denominator", "no-slash", "above-1", "below-0"],
 )
-def test_bad_density_argument(tmp_path, capsys, densities, message):
-    with pytest.raises(SystemExit) as info:
-        main(["gen", "--sizes", "4", "--densities", densities, "--out", str(tmp_path / "suite")])
-    assert info.value.code == 2
-    assert message in capsys.readouterr().err
+def test_bad_density_argument(tmp_path, capsys, densities, status, last_line):
+    argv = ["gen", "--sizes", "4", "--densities", densities, "--out", str(tmp_path / "suite")]
+    assert_refused(capsys, argv, status, last_line)
     assert not (tmp_path / "suite").exists()
 
 
+SIZE_REFUSED = "permlab: error: suite sizes must be in [1, 34], the n permanent_ryser takes, got "
+
+
 @pytest.mark.parametrize(
-    "option, value, message",
+    "option, value, status, last_line",
     [
-        ("--count", "0", "argument --count: value must be a positive integer, got '0'"),
-        ("--count", "-1", "argument --count: value must be a positive integer, got '-1'"),
-        ("--sizes", "4,x", "argument --sizes: size must be a positive integer, got 'x'"),
-        ("--sizes", "0", "argument --sizes: size must be a positive integer, got '0'"),
-        ("--sizes", "-4", "argument --sizes: size must be a positive integer, got '-4'"),
-        (
-            "--sizes",
-            "4,64",
-            "argument --sizes: size must be at most 34, the largest n permanent_ryser takes, "
-            "got '64'\n",
-        ),
-        (
-            "--sizes",
-            "4,35",
-            "argument --sizes: size must be at most 34, the largest n permanent_ryser takes, "
-            "got '35'\n",
-        ),
+        ("--count", "0", 1, "permlab: error: count must be a positive integer, got 0"),
+        ("--count", "-1", 1, "permlab: error: count must be a positive integer, got -1"),
+        ("--sizes", "4,x", 2, "permlab gen: error: argument --sizes: invalid _parse_sizes value: '4,x'"),
+        ("--sizes", "0", 1, SIZE_REFUSED + "0"),
+        ("--sizes", "-4", 1, SIZE_REFUSED + "-4"),
+        ("--sizes", "4,64", 1, SIZE_REFUSED + "64"),
+        ("--sizes", "4,35", 1, SIZE_REFUSED + "35"),
     ],
     ids=["count-zero", "count-negative", "size-not-int", "size-zero", "size-negative", "size-64", "size-35"],
 )
-def test_bad_gen_count_or_size(tmp_path, capsys, option, value, message):
-    with pytest.raises(SystemExit) as info:
-        main(["gen", "--out", str(tmp_path / "suite"), option, value])
-    assert info.value.code == 2
-    assert message in capsys.readouterr().err
+def test_bad_gen_count_or_size(tmp_path, capsys, option, value, status, last_line):
+    assert_refused(capsys, ["gen", "--out", str(tmp_path / "suite"), option, value], status, last_line)
     assert not (tmp_path / "suite").exists()
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_bad_trials_workers_argument(tmp_path, capsys, workers):
+    # The manifest and config are read first, so both must be good; the
+    # matrix is never read.
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"matrices": [{"path": "missing.pmat"}]}))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"epsilon": 0.5}))
     results = tmp_path / "results.jsonl"
-    with pytest.raises(SystemExit) as info:
-        main(["trials", "manifest.json", "config.json", "--workers", workers, "--out", str(results)])
-    assert info.value.code == 2
-    message = f"argument --workers: value must be a positive integer, got '{workers}'"
-    assert message in capsys.readouterr().err
+    argv = ["trials", str(manifest), str(config), "--workers", workers, "--out", str(results)]
+    message = f"permlab: error: workers must be a positive integer, got {workers}"
+    assert_refused(capsys, argv, 1, message)
     assert not results.exists()
 
 
@@ -637,12 +647,23 @@ def test_bad_seed_argument(tmp_path, capsys, command, seed):
         "estimate": ["estimate", str(path), "--quiet"],
         "gen": ["gen", "--sizes", "4", "--out", str(tmp_path / "suite")],
     }[command]
-    with pytest.raises(SystemExit) as info:
-        main(argv + ["--seed", seed])
-    assert info.value.code == 2
-    message = f"argument --seed: seed must be a nonnegative integer, got '{seed}'"
-    assert message in capsys.readouterr().err
+    if seed == "x":
+        status, last_line = 2, f"permlab {command}: error: argument --seed: invalid int value: 'x'"
+    else:
+        status, last_line = 1, "permlab: error: seed must be a nonnegative integer, got -1"
+    assert_refused(capsys, argv + ["--seed", seed], status, last_line)
     assert not (tmp_path / "suite").exists()
+
+
+@pytest.mark.parametrize("epsilon", ["2", "nan"])
+def test_estimate_refuses_an_epsilon_outside_0_1_on_a_zero_matrix(tmp_path, capsys, epsilon):
+    # A zero matrix needs no sampling, so an unchecked epsilon would print
+    # an estimate of 0.
+    path = tmp_path / "zero.pmat"
+    save_matrix(Matrix.from_rows([[0] * 4] * 4), path)
+    argv = ["estimate", str(path), "--epsilon", epsilon, "--quiet"]
+    last_line = f"permlab: error: epsilon must be in (0, 1], got {float(epsilon)}"
+    assert_refused(capsys, argv, 1, last_line)
 
 
 @pytest.mark.parametrize("rate", ["nan", "inf", "-inf"])

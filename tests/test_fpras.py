@@ -12,6 +12,7 @@ from permlab import (
     parse_matrix,
     permanent_ryser,
 )
+from permlab import chain
 from permlab.chain import ChainSampler, WeightTable, exact_stationary, lambda_edges
 from permlab.fpras import (
     PhaseFailure,
@@ -202,6 +203,13 @@ def test_phase_ratio_identity_tables():
     assert phase_ratio(stats, wt, wt) == pytest.approx(0.0, abs=1e-15)
 
 
+def test_phase_ratio_refuses_tables_of_different_sizes():
+    stats = PhaseStats()
+    stats.record(None, 0, 1.0)
+    with pytest.raises(ValueError, match="weight tables of different sizes"):
+        phase_ratio(stats, WeightTable.initial(all_ones(2)), WeightTable.initial(all_ones(3)))
+
+
 def test_phase_ratio_all_perfect_k0_ignores_lambda():
     wt = WeightTable.initial(all_ones(2))
     advanced = wt.with_updates(log_lambda=math.log(0.25))
@@ -254,6 +262,40 @@ def test_estimate_zero_matrix_is_exact_zero():
     assert estimate.value == 0.0
     assert estimate.steps_taken == 0
     assert not estimate.failed
+
+
+@pytest.mark.parametrize("params", [None, FAST_PARAMS], ids=["computed", "given"])
+@pytest.mark.parametrize(
+    "epsilon, seed, message",
+    [
+        (2.0, 0, r"^epsilon must be in \(0, 1\], got 2\.0$"),
+        (math.nan, 0, r"^epsilon must be in \(0, 1\], got nan$"),
+        (0.5, -1, "^seed must be a nonnegative integer, got -1$"),
+        (0.5, True, "^seed must be a nonnegative integer, got True$"),
+    ],
+    ids=["epsilon-2", "epsilon-nan", "seed-negative", "seed-bool"],
+)
+def test_estimate_refuses_a_bad_epsilon_or_seed_before_the_matrix(params, epsilon, seed, message):
+    # A zero matrix would otherwise give the exact value 0 without sampling.
+    zero = Matrix.from_rows([[0] * 4] * 4)
+    with pytest.raises(ValueError, match=message):
+        estimate_permanent(zero, epsilon, seed=seed, params=params)
+
+
+def test_an_estimate_builds_one_acceptance_table_per_stage(monkeypatch):
+    # The sampler builds stage 0's table when it is made; the stage reuses it.
+    builds = []
+    build = chain.acceptance_table
+
+    def spy(wt):
+        builds.append(wt)
+        return build(wt)
+
+    monkeypatch.setattr(chain, "acceptance_table", spy)
+    m = generate_random(4, 12, seed=31)
+    estimate = estimate_permanent(m, 0.5, seed=12, params=FAST_PARAMS)
+    assert not estimate.failed
+    assert len(builds) == phase_schedule(4).l + 1
 
 
 def test_estimate_failure_with_one_sample_per_phase():

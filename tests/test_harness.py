@@ -166,6 +166,25 @@ def test_generate_suite_refuses_a_size_before_writing(tmp_path, size):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "densities, count, seed, message",
+    [
+        ([(3, 4), (5, 4)], 2, 0, r"in \[0, 1\] with a positive denominator, got 5/4"),
+        ([(1, 0)], 1, 0, "got 1/0"),
+        ([(1, -2)], 1, 0, "got 1/-2"),
+        ([(-1, 4)], 1, 0, "got -1/4"),
+        ([(3, 4)], 0, 0, "count must be a positive integer, got 0"),
+        ([(3, 4)], 1, -1, "seed must be a nonnegative integer, got -1"),
+        ([(3, 4)], 1, True, "seed must be a nonnegative integer, got True"),
+    ],
+)
+def test_generate_suite_refuses_a_bad_setting_before_writing(tmp_path, densities, count, seed, message):
+    out = tmp_path / "suite"
+    with pytest.raises(ValueError, match=message):
+        generate_suite([4], densities, count, seed, out)
+    assert not out.exists()
+
+
 def test_run_single_trial_full_fields(tmp_path):
     m = Matrix.from_rows([[1, 1, 1, 0], [1, 1, 0, 1], [1, 0, 1, 1], [0, 1, 1, 1]])
     path = tmp_path / "m.pmat"
@@ -367,6 +386,15 @@ def test_pool_has_at_most_one_worker_per_trial(tmp_path, monkeypatch, workers, t
     assert sizes == pools
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_run_trials_refuses_a_worker_count_below_1_when_called(monkeypatch, workers):
+    # Before the first result is asked for, so write_results makes no file;
+    # 0 does not mean PERMLAB_WORKERS.
+    monkeypatch.setenv(WORKERS_ENV_VAR, "2")
+    with pytest.raises(ValueError, match=f"^workers must be a positive integer, got {workers}$"):
+        run_trials([TrialConfig("m.pmat", epsilon=0.5)], workers=workers)
+
+
 @pytest.mark.parametrize("value, workers", [(None, 1), ("", 1), ("3", 3)])
 def test_default_workers_reads_the_environment(monkeypatch, value, workers):
     if value is None:
@@ -469,7 +497,7 @@ def test_configs_from_manifest(tmp_path):
 def test_trial_config_defaults_and_seed_check():
     config = TrialConfig("m.pmat", epsilon=0.5)
     assert (config.relax, config.seed, config.label) == (RelaxationFactors(), 0, "")
-    for seed in (-1, 1.5):
+    for seed in (-1, 1.5, True):
         with pytest.raises(ValueError, match=rf"^seed must be a nonnegative integer, got {seed}$"):
             TrialConfig("m.pmat", epsilon=0.5, seed=seed)
 

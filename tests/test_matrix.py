@@ -92,6 +92,8 @@ def test_generate_out_of_range():
         generate_random(4, 17, seed=0)
     with pytest.raises(ValueError):
         generate_random(4, -1, seed=0)
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+        generate_random(0, 0, seed=0)
 
 
 def test_generate_deterministic_and_seed_sensitive():
@@ -161,3 +163,11 @@ def test_matching_validation_rules():
         Matching(2, frozenset({(0, 0)}), hole=None).validate()
     with pytest.raises(ValueError):
         Matching(2, frozenset({(0, 0)}), hole=(0, 1)).validate()
+    with pytest.raises(ValueError, match="reuses a row or column"):
+        Matching(2, frozenset({(0, 0), (0, 1)})).validate()
+    with pytest.raises(ValueError, match="pair index out of range"):
+        Matching(2, frozenset({(0, 0), (1, 2)})).validate()
+    with pytest.raises(ValueError, match="near-perfect matching needs 1 pairs"):
+        Matching(2, frozenset(), hole=(0, 0)).validate()
+    with pytest.raises(ValueError, match="more than one uncovered row"):
+        Matching.from_row_to_col([-1, -1, 0])

@@ -57,6 +57,18 @@ def test_kernels_are_none_when_the_cache_cannot_be_written(tmp_path, monkeypatch
     assert [lookup() for lookup in kernel_lookups()] == [None] * 5
 
 
+def test_kernels_are_none_when_other_users_can_write_the_cache(tmp_path, monkeypatch):
+    # A library that another user could replace would run their code here.
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.setattr(_native, "library", _native.load_library)
+    cache = tmp_path / ".cache" / "permlab"
+    cache.mkdir(parents=True)
+    cache.chmod(0o777)
+    assert [lookup() for lookup in kernel_lookups()] == [None] * 5
+    with pytest.raises(OSError, match="writable by other users"):
+        _native.library_path()
+
+
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc) on PATH")
 def test_checkouts_sharing_the_cache_keep_each_others_libraries(tmp_path, monkeypatch):
     # A parent and its change build from different sources (here, different

@@ -94,6 +94,10 @@ def test_phase_step_totals_three_significant_figures():
 
 
 def test_domain_errors():
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        log_factorial(-1)
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+        state_space_size(0)
     with pytest.raises(ValueError):
         compute_params(3, 0.5)
     with pytest.raises(ValueError):

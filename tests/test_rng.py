@@ -171,7 +171,7 @@ def test_buffered_draws_refuse_an_n_out_of_range():
             BufferedDraws(0, n)
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, None])
+@pytest.mark.parametrize("seed", [-1, 1.5, None, True])
 def test_a_seed_that_is_not_a_nonnegative_integer_is_named(seed):
     for make in (lambda: BufferedDraws(seed, 4), lambda: rng.generator(seed)):
         with pytest.raises(ValueError, match=f"seed must be a nonnegative integer, got {seed}"):
