@@ -3,11 +3,12 @@
 The library is compiled with ``cc`` on first use into ~/.cache/permlab and
 loaded with ``ctypes``. The cache is append-only: each library is named by
 what it was built from and nothing here deletes one, so a library once found
-stays in place. Each caller keeps a cached function over ``kernel`` and runs
-its own Python code when it returns None: ``permanent_ryser`` and
-``acceptance_table`` ask it on every call, a ``ChainSampler`` and a
-``BufferedDraws`` once, when they are made. So nothing is compiled or
-loaded at import and a host without a compiler still runs, only slower.
+stays in place. Every caller reaches its kernel through ``kernel``, by name,
+which caches what it finds, and runs its own Python code when that is None:
+``permanent_ryser`` and ``acceptance_table`` ask on every call, a
+``ChainSampler`` and a ``BufferedDraws`` once, when they are made. So
+nothing is compiled or loaded at import and a host without a compiler still
+runs, only slower.
 """
 
 from __future__ import annotations
@@ -100,8 +101,9 @@ def library_path() -> Path:
 def library():
     """The loaded shared library, or None when it cannot be built or loaded.
 
-    Replacing this function (with one that returns None, say) switches every
-    caller to its Python code; ``load_library`` stays the real loader.
+    Replacing this function before the first ``kernel`` lookup (with one that
+    returns None, say) switches every caller to its Python code;
+    ``load_library`` stays the real loader.
     """
     return load_library()
 
@@ -117,10 +119,13 @@ def load_library():
         return None
 
 
+@functools.cache
 def kernel(name: str, *argtypes):
     """The library's function ``name``, returning nothing and taking
     ``argtypes``, or None when the library cannot be built or loaded or, on
-    this machine, has no such function (``ryser`` needs SSE2)."""
+    this machine, has no such function (``ryser`` needs SSE2). Cached per
+    name and argtypes, None included; ``kernel.__wrapped__`` looks up afresh.
+    """
     lib = library()
     if lib is None:
         return None

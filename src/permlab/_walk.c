@@ -63,10 +63,12 @@
  * no data in common, so walk_states runs the first alongside the second:
  * while the generator's ring has room, each step also advances a register
  * copy of the 128-bit state by one output and appends that output to the
- * ring. The refills take the waiting outputs first and generate the rest
- * directly. The output sequence does not depend on where an output was
- * generated, so neither do the blocks. walk does not generate ahead: that
- * made it 1-2 % slower at n = 8 and 16, and 6-9 % slower at n = 32 and 48.
+ * ring, which rng always has here: a ChainSampler runs walk_states only on
+ * draws that these refills make (BufferedDraws.generate_ahead). The refills
+ * take the waiting outputs first and generate the rest directly. The output
+ * sequence does not depend on where an output was generated, so neither do
+ * the blocks. walk does not generate ahead: that made it 1-2 % slower at
+ * n = 8 and 16, and 6-9 % slower at n = 32 and 48.
  */
 #include <math.h>
 #include <stdint.h>
@@ -82,9 +84,9 @@ typedef struct {
     uint64_t inc[2];
     int64_t has_uint32;   /* a high half is waiting in uinteger */
     uint64_t uinteger;
-    /* RING_WORDS outputs, or NULL: those at ring[head..tail) modulo
-     * RING_WORDS, oldest first, are the next outputs, and state is the one
-     * after the newest. head and tail only grow. */
+    /* RING_WORDS outputs, or NULL (then head == tail): those at
+     * ring[head..tail) modulo RING_WORDS, oldest first, are the next
+     * outputs, and state is the one after the newest. They only grow. */
     uint64_t *ring;
     int64_t head, tail;
 } pcg64_state;
@@ -159,7 +161,7 @@ typedef struct {
     const int64_t *states; /* each state's r2c, n per state, ascending */
     const int64_t *keys;  /* each state's tally key */
     int64_t nstates;
-    pcg64_state *rng;     /* the generator to run ahead, or NULL */
+    pcg64_state *rng;     /* the generator to run ahead, with its ring */
 } walk_state;
 
 /* Both kernels start on a cache line, so that where their loops fall, and
@@ -352,13 +354,13 @@ __attribute__((aligned(64))) void walk_states(walk_state *s)
     const int64_t index = state_index(s);
     int64_t first = index * state_bytes, key = s->keys[index];
     /* The generator run ahead: its state, and the ring's tail, which may
-     * reach `full` (no ring: room for nothing). */
+     * reach `full`. */
     pcg64_state *const rng = s->rng;
-    uint64_t *const ring = rng ? rng->ring : 0;
-    const u128 inc = ring ? u128_of(rng->inc) : 0;
-    u128 state = ring ? u128_of(rng->state) : 0;
-    int64_t tail = ring ? rng->tail : 0;
-    const int64_t full = ring ? rng->head + RING_WORDS : 0;
+    uint64_t *const ring = rng->ring;
+    const u128 inc = u128_of(rng->inc);
+    u128 state = u128_of(rng->state);
+    int64_t tail = rng->tail;
+    const int64_t full = rng->head + RING_WORDS;
 
     for (; steps > 0; steps--) {
         /* A perfect state's key is its k, at most n. The choice of draw
@@ -417,11 +419,9 @@ __attribute__((aligned(64))) void walk_states(walk_state *s)
     s->countdown = countdown;
     s->nseen = nseen;
     s->left = steps;
-    if (ring) {
-        rng->state[0] = (uint64_t)state;
-        rng->state[1] = (uint64_t)(state >> 64);
-        rng->tail = tail;
-    }
+    rng->state[0] = (uint64_t)state;
+    rng->state[1] = (uint64_t)(state >> 64);
+    rng->tail = tail;
 }
 
 static inline uint32_t next32(pcg64_state *s, int ahead)

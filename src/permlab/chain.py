@@ -231,14 +231,6 @@ def exact_stationary(n: int, wt: WeightTable) -> tuple[tuple[Matching, ...], np.
 NO_DRAW = -1
 
 
-@functools.cache
-def _threshold_kernel():
-    """The compiled ``acceptance_thresholds`` of _walk.c, or None when it
-    cannot be built or loaded; ``acceptance_table`` then builds its entries
-    in Python."""
-    return _native.kernel("acceptance_thresholds", ctypes.c_void_p, ctypes.c_int64)
-
-
 def acceptance_table(wt: WeightTable) -> np.ndarray:
     """The acceptance entry of every move of one stage, int64, as ``walk``
     and ``_python_walk`` read it; ``walk_states`` reads entries gathered
@@ -297,7 +289,8 @@ def acceptance_table(wt: WeightTable) -> np.ndarray:
         np.subtract(row_moves, log_w[None, :, None, :], out=row_moves)
         np.add(dk_terms, log_w[None, :, None, :], out=column_moves)
         np.subtract(column_moves, log_w[None, None, :, :], out=column_moves)
-    build = _threshold_kernel()
+    # acceptance_thresholds(deltas, count) of _walk.c, or None without the library.
+    build = _native.kernel("acceptance_thresholds", ctypes.c_void_p, ctypes.c_int64)
     if build is not None:
         build(deltas.ctypes.data, len(deltas))
         return deltas.view(np.int64)
@@ -321,8 +314,8 @@ class _WalkState(ctypes.Structure):
     it is ChainSampler's only store of the acceptance table, the matching,
     the hole, the non-instance pair count and the tally. It points at the
     three draw blocks of a ``BufferedDraws`` and at its ``positions``, which
-    never move, and, for ``walk_states``, at its generator
-    (``BufferedDraws.generate_ahead``)."""
+    never move, and, for ``walk_states``, always at its generator and the
+    ring that ``BufferedDraws.generate_ahead`` gave it."""
 
     _fields_ = [
         ("n", ctypes.c_int64),
@@ -356,15 +349,10 @@ class _WalkState(ctypes.Structure):
 # The NEED_* values of _walk.c: the block a stopped kernel needs refilled.
 _NEED_EDGE, _NEED_VERT, _NEED_UNIT = 0, 1, 2
 
-
-@functools.cache
-def _walk_kernel():
-    """The compiled ``walk`` of _walk.c, or None when it cannot be built or loaded.
-
-    A ``ChainSampler`` that does not run ``walk_states`` asks for it when
-    it is made, and runs the Python kernel on None.
-    """
-    return _native.kernel("walk", ctypes.POINTER(_WalkState))
+# The most steps one walk call takes, and the widest tally spacing: the
+# struct holds both in int64, and ctypes would store a larger int modulo
+# 2^64 without an error.
+MAX_STEPS = 2**63 - 1
 
 
 # The largest n at which a ChainSampler walks with walk_states, the
@@ -372,16 +360,6 @@ def _walk_kernel():
 # enumerate_states lists, and walk_states outruns walk up to there (README,
 # Speed).
 STATE_WALK_LIMIT = 6
-
-
-@functools.cache
-def _state_walk_kernel():
-    """The compiled ``walk_states`` of _walk.c, or None when it cannot be built or loaded.
-
-    A ``ChainSampler`` at n <= ``STATE_WALK_LIMIT`` asks for it when it is
-    made, and then builds the kernel's table.
-    """
-    return _native.kernel("walk_states", ctypes.POINTER(_WalkState))
 
 
 # The state_move struct of _walk.c: a move's acceptance entry, and the
@@ -497,11 +475,13 @@ class ChainSampler:
 
     ``walk`` is one loop over three kernels with one contract, which take
     the same steps on the same draws, bit for bit. The sampler chooses its
-    kernel when it is made. Where the library of _walk.c can be built and
-    loaded, a sampler at n <= ``STATE_WALK_LIMIT`` runs ``walk_states``,
-    which steps through the states of ``enumerate_states`` on a table of
-    their moves (``_state_walk_table``, whose entries ``set_weights``
-    gathers from the acceptance table), and a larger one runs ``walk``.
+    kernel when it is made, from what the library of _walk.c and its draws
+    can do. A sampler at n <= ``STATE_WALK_LIMIT`` whose draws the compiled
+    refills make runs ``walk_states``, which steps through the states of
+    ``enumerate_states`` on a table of their moves (``_state_walk_table``,
+    whose entries ``set_weights`` gathers from the acceptance table) and
+    generates the draws' next outputs ahead as it goes
+    (``BufferedDraws.generate_ahead``). Any other sampler runs ``walk``.
     Without the library every sampler runs ``_python_walk``, which is also
     the oracle of the other two.
 
@@ -530,6 +510,9 @@ class ChainSampler:
         n = wt.n
         if draws.n != n:
             raise ValueError("draw source sized for a different n")
+        if start.n != n:
+            # The kernels would index a matching of another size with n.
+            raise ValueError(f"start matching has n = {start.n}, the weight table n = {n}")
         start.validate()
         self.n = n
         self.draws = draws
@@ -538,15 +521,20 @@ class ChainSampler:
         st = self._state = _WalkState(n=n, hu=hu, hv=hv, countdown=-1)
         self._edges = array("q", wt.edge_present)
         self._moves = None
-        kernel = _state_walk_kernel() if n <= STATE_WALK_LIMIT else None
+        # The kernel that every walk call runs (see above); both compiled
+        # ones take a pointer to the struct.
+        walk_args = ctypes.POINTER(_WalkState)
+        kernel = _native.kernel("walk_states", walk_args) if n <= STATE_WALK_LIMIT else None
         if kernel is not None:
+            st.rng = draws.generate_ahead()
+        if st.rng:
             self._keys, self._moves, self._entries = _state_walk_table(wt)
             assignments = _state_graph(n)[0]
             st.moves, st.states, st.keys = (a.ctypes.data for a in (self._moves, assignments, self._keys))
             st.nstates = len(assignments)
-            st.rng = draws.generate_ahead()
-        # The kernel that every walk call runs.
-        self._kernel = kernel or _walk_kernel() or self._python_walk
+        else:
+            kernel = _native.kernel("walk", walk_args) or self._python_walk
+        self._kernel = kernel
         self.set_weights(wt)
         st.k = lambda_edges(start, wt)
         self.row_to_col = array("q", start.row_to_col())
@@ -602,8 +590,8 @@ class ChainSampler:
         perfect, and list each key as it is first seen; the table is decoded
         from them in that order.
         """
-        if spacing < 1:
-            raise ValueError(f"sample spacing must be at least 1, got {spacing}")
+        if not 1 <= spacing <= MAX_STEPS:
+            raise ValueError(f"sample spacing must be in [1, 2^63 - 1], got {spacing}")
         if samples < 0:
             raise ValueError(f"samples must be nonnegative, got {samples}")
         st = self._state
@@ -624,9 +612,12 @@ class ChainSampler:
         return stats
 
     def walk(self, steps: int) -> None:
-        """Advance the chain by ``steps`` Metropolis transitions."""
+        """Advance the chain by ``steps`` Metropolis transitions, at most
+        ``MAX_STEPS``."""
         if steps < 0:
             raise ValueError(f"steps must be nonnegative, got {steps}")
+        if steps > MAX_STEPS:
+            raise ValueError(f"steps must be at most 2^63 - 1, got {steps}")
         draws = self.draws
         st = self._state
         kernel = self._kernel

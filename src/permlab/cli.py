@@ -60,7 +60,10 @@ def _emit(payload: dict) -> None:
 
 
 def _parse_relax(text: str) -> list[int | float]:
-    values = [float(part) for part in text.split(",")]
+    try:
+        values = [float(part) for part in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"relax must look like 1,262144,16,64, got {text!r}") from None
     return [int(v) if v.is_integer() else v for v in values]
 
 
@@ -77,7 +80,10 @@ def _parse_densities(text: str) -> list[tuple[int, int]]:
 
 
 def _parse_sizes(text: str) -> list[int]:
-    return [int(part) for part in text.split(",")]
+    try:
+        return [int(part) for part in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"sizes must look like 4,6,8, got {text!r}") from None
 
 
 def cmd_gen(args) -> int:

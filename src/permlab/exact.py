@@ -18,7 +18,6 @@ exact. Results are Python ints either way (n! passes 2^63 at n = 21).
 from __future__ import annotations
 
 import ctypes
-import functools
 import itertools
 from array import array
 from typing import Iterator
@@ -96,20 +95,12 @@ def gray_code_subsets(n: int) -> Iterator[tuple[int, int, int]]:
 _RYSER_CHUNK = 1 << 22
 
 
-@functools.cache
-def _ryser_kernel():
-    """The compiled ``ryser`` of _ryser.c, or None when it cannot be built or loaded.
-
-    ``ryser(n, cols, start, end, sum)`` writes to ``sum``, three uint64
-    words low first, the sum mod 2^192 of the terms of the Gray-code
-    indices start to end - 1, for 2 <= n <= ``KERNEL_LIMIT``, ``cols`` the
-    column-major entries and even start < end <= 2^(n-1). A call keeps
-    nothing, so the ranges of one permanent are independent.
-    ``permanent_ryser`` asks for it on every call and runs its Python loop
-    on None.
-    """
-    words = ctypes.POINTER(ctypes.c_uint64)
-    return _native.kernel("ryser", ctypes.c_int64, ctypes.c_void_p, ctypes.c_uint64, ctypes.c_uint64, words)
+# The argtypes of ryser(n, cols, start, end, sum), whose contract _ryser.c
+# states: built once, so that permanent_ryser's lookup on every call is one
+# cache hit.
+_RYSER_ARGTYPES = (
+    ctypes.c_int64, ctypes.c_void_p, ctypes.c_uint64, ctypes.c_uint64, ctypes.POINTER(ctypes.c_uint64)
+)
 
 
 def permanent_ryser(m: Matrix) -> int:
@@ -144,7 +135,7 @@ def permanent_ryser(m: Matrix) -> int:
         raise ValueError(
             f"permanent_ryser is limited to n <= {KERNEL_LIMIT} (O(n 2^n) growth), got n = {m.n}"
         )
-    kernel = _ryser_kernel() if m.n >= 2 else None
+    kernel = _native.kernel("ryser", *_RYSER_ARGTYPES) if m.n >= 2 else None
     if kernel is None:
         return _ryser_python(m)
     cols = array("q", itertools.chain.from_iterable(m.columns()))

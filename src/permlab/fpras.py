@@ -42,7 +42,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
-from .chain import ChainSampler, PhaseStats, WeightTable, enumerate_states, lambda_edges
+from .chain import MAX_STEPS, ChainSampler, PhaseStats, WeightTable, enumerate_states, lambda_edges
 from .matrix import Matrix, find_perfect_matching
 from .params import (
     RelaxationFactors,
@@ -234,7 +234,9 @@ def estimate_permanent(
 
     ``params`` overrides the computed sampling parameters (relaxation is
     still applied); it exists for tests and calibration runs. A bad epsilon
-    or seed raises ValueError first, with ``params`` too.
+    or seed raises ValueError first, with ``params`` too, and so does a
+    stage's burn-in or sampling walk above ``MAX_STEPS`` steps, before the
+    chain is built.
     """
     check_epsilon(epsilon)
     check_seed(seed)
@@ -245,6 +247,15 @@ def estimate_permanent(
     if params is None:
         params = compute_params(m.n, epsilon)
     params = apply_relaxation(params, relax)
+    # Relaxation leaves at least one sample, so no spacing passes its walk.
+    walks = {
+        "burn-in": params.tau_init,
+        "phase sampling walk": params.tau_resample_phase * params.samples_phase,
+        "final sampling walk": params.tau_resample_final * params.samples_final,
+    }
+    for what, steps in walks.items():
+        if steps > MAX_STEPS:
+            raise ValueError(f"the {what} of {steps} steps at n = {m.n} is above one walk's 2^63 - 1")
     wt = WeightTable.initial(m)
     draws = BufferedDraws(seed, m.n)
     sampler = ChainSampler(wt, start_matching, draws)

@@ -24,8 +24,8 @@ The blocks come from one of two sources that give the same values, bit for
 bit. Where the compiled kernels load (see _native.py), ``fill_bounded`` and
 ``fill_unit`` of _walk.c fill them: a C port of PCG64 and of the numpy
 ``Generator.integers(0, high)`` and unscaled ``Generator.random()``
-algorithms, on a copy of the seeded ``np.random.PCG64``'s state. A
-sampler that runs ``walk_states`` gives that state a ring
+algorithms, on a copy of the seeded ``np.random.PCG64``'s state. Only on
+such draws does a sampler run ``walk_states``: it gives that state a ring
 (``generate_ahead``), which the kernel fills with the generator's next raw
 outputs as it walks, and the refills use those outputs before they generate
 more. Otherwise the numpy ``Generator`` itself fills the blocks, the unit
@@ -38,7 +38,6 @@ draw nothing never load it.
 from __future__ import annotations
 
 import ctypes
-import functools
 import numbers
 from array import array
 from typing import TYPE_CHECKING
@@ -71,21 +70,6 @@ class _PCG64State(ctypes.Structure):
         ("head", ctypes.c_int64),
         ("tail", ctypes.c_int64),
     ]
-
-
-@functools.cache
-def _refill_kernels():
-    """``fill_bounded`` and ``fill_unit`` of _walk.c, or None when they cannot be
-    built or loaded.
-
-    ``BufferedDraws`` asks once, when it is made, and keeps its generator
-    state in the numpy ``Generator`` on None.
-    """
-    state = ctypes.POINTER(_PCG64State)
-    bounded = _native.kernel("fill_bounded", state, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64)
-    if bounded is None:
-        return None
-    return bounded, _native.kernel("fill_unit", state, ctypes.c_void_p, ctypes.c_int64)
 
 
 def check_seed(seed: int) -> None:
@@ -130,7 +114,12 @@ class BufferedDraws:
         bit_generator = np.random.PCG64(seed)
         # From here on the generator state lives in exactly one place: numpy's
         # Generator, or the struct that the C refills advance.
-        self._kernels = _refill_kernels()
+        state = ctypes.POINTER(_PCG64State)
+        kernels = (
+            _native.kernel("fill_bounded", state, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64),
+            _native.kernel("fill_unit", state, ctypes.c_void_p, ctypes.c_int64),
+        )
+        self._kernels = None if None in kernels else kernels
         if self._kernels is None:
             self._gen = np.random.Generator(bit_generator)
         else:
@@ -154,7 +143,8 @@ class BufferedDraws:
     def generate_ahead(self) -> int:
         """The address of the generator's struct for ``walk_states`` to
         generate ahead into, with its ring allocated on the first call; 0
-        when numpy's ``Generator`` fills the blocks."""
+        when numpy's ``Generator`` fills the blocks, where a sampler runs
+        ``walk`` instead."""
         if self._kernels is None:
             return 0
         if not self._pcg.ring:

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import math
+import re
 import sys
 from array import array
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from permlab import Matrix, generate_random, parse_matrix
-from permlab import chain
+from permlab import _native, chain
 from permlab.chain import (
     ChainSampler,
     WeightTable,
@@ -263,6 +264,13 @@ def test_sampler_refuses_draws_or_a_table_of_another_instance():
     other = WeightTable.initial(parse_matrix("3\n111\n111\n111\n"))
     with pytest.raises(ValueError, match="weight table belongs to a different instance"):
         sampler.set_weights(other)
+    # A start matching of another size, which the kernels would index with
+    # the table's n: past the end of its assignment arrays when smaller.
+    ones = WeightTable.initial(Matrix.from_rows([[1] * 4] * 4))
+    for size in (3, 5):
+        identity = Matching(size, frozenset((u, u) for u in range(size)))
+        with pytest.raises(ValueError, match=f"^start matching has n = {size}, the weight table n = 4$"):
+            ChainSampler(ones, identity, BufferedDraws(0, 4))
 
 
 @pytest.mark.parametrize("n", [4, 8])
@@ -286,20 +294,42 @@ def test_a_sampler_builds_one_acceptance_table_per_stage(n, monkeypatch):
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_a_sampler_runs_the_kernel_for_its_size(n, monkeypatch):
+def test_a_sampler_runs_the_kernel_for_its_size(n, swap_kernels):
     # The three kernels take the same steps, so a wrong choice would show
     # only as lost speed.
-    if chain._walk_kernel() is None or chain._state_walk_kernel() is None:
+    if _native.kernel("walk") is None or _native.kernel("walk_states") is None:
         pytest.skip("the compiled walk kernels cannot be built or loaded here")
     m = banded_matrix(n)
 
     def kernel():
         return ChainSampler(WeightTable.initial(m), find_perfect_matching(m), BufferedDraws(0, n))._kernel
 
-    assert kernel() is (chain._state_walk_kernel() if n <= 6 else chain._walk_kernel())
-    monkeypatch.setattr(chain, "_state_walk_kernel", lambda: None)
-    monkeypatch.setattr(chain, "_walk_kernel", lambda: None)
+    assert kernel().__name__ == ("walk_states" if n <= 6 else "walk")
+    swap_kernels(walk_states=None, walk=None)
     assert kernel().__func__ is ChainSampler._python_walk
+
+
+def test_a_sampler_on_draws_that_numpy_fills_runs_walk(swap_kernels):
+    # walk_states runs only on draws whose outputs it can generate ahead, the
+    # compiled refills'; on draws that numpy fills a sampler at n = 4 runs
+    # walk, which takes the same steps.
+    if _native.kernel("walk") is None or _native.kernel("walk_states") is None:
+        pytest.skip("the compiled walk kernels cannot be built or loaded here")
+    m = banded_matrix(4)
+    wt = mixed_weights(m, -0.7)
+
+    def trajectory():
+        sampler = ChainSampler(wt, find_perfect_matching(m), BufferedDraws(3, 4, buffer_size=50))
+        states = []
+        for _ in range(200):
+            sampler.walk(37)
+            states.append((sampler_state(sampler), draw_positions(sampler.draws)))
+        return sampler._kernel.__name__, states
+
+    on_compiled = trajectory()
+    assert on_compiled[0] == "walk_states"
+    swap_kernels(fill_bounded=None, fill_unit=None)
+    assert trajectory() == ("walk", on_compiled[1])
 
 
 def test_sampler_incremental_count_matches_recount():
@@ -436,10 +466,10 @@ def walk_fingerprint(n, log_lambda, buffer_size, holes=None):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8, 16, 32])
-def test_compiled_walk_matches_python_walk(n, monkeypatch):
+def test_compiled_walk_matches_python_walk(n, swap_kernels):
     # At n = 1 an edge draw consumes no generator output. At n = 32 the
     # thresholds reach sizes that no benchmark workload walks.
-    if chain._walk_kernel() is None:
+    if _native.kernel("walk") is None:
         pytest.skip("the compiled walk kernel cannot be built or loaded here")
     settings = [
         (log_lambda, buffer_size)
@@ -449,14 +479,13 @@ def test_compiled_walk_matches_python_walk(n, monkeypatch):
     # walk_states runs up to n = STATE_WALK_LIMIT and walk above it; then
     # walk is forced at every n.
     compiled = [walk_fingerprint(n, *setting) for setting in settings]
-    monkeypatch.setattr(chain, "_state_walk_kernel", lambda: None)
+    swap_kernels(walk_states=None)
     assert [walk_fingerprint(n, *setting) for setting in settings] == compiled
-    monkeypatch.setattr(chain, "_walk_kernel", lambda: None)
+    swap_kernels(walk=None)
     assert [walk_fingerprint(n, *setting) for setting in settings] == compiled
     # A host without cc runs the Python kernel on draws that numpy fills,
     # with tables that Python builds.
-    monkeypatch.setattr("permlab.rng._refill_kernels", lambda: None)
-    monkeypatch.setattr(chain, "_threshold_kernel", lambda: None)
+    swap_kernels(fill_bounded=None, fill_unit=None, acceptance_thresholds=None)
     assert [walk_fingerprint(n, *setting) for setting in settings] == compiled
 
 
@@ -467,19 +496,19 @@ NON_FINITE_HOLES = {1: math.inf, 2: math.inf, 6: -math.inf, 11: math.nan}
 
 
 @pytest.mark.parametrize("n", [4, 8])
-def test_non_finite_weights_walk_alike_on_every_kernel(n, monkeypatch):
+def test_non_finite_weights_walk_alike_on_every_kernel(n, swap_kernels):
     # A NaN delta gives a 0 entry, which takes a draw and rejects, as the
     # reference step's float compare with a NaN ratio rejects.
     wt = with_holes(mixed_weights(generate_random(n, -(-3 * n * n // 4), seed=n), -1.0), NON_FINITE_HOLES)
     table = chain.acceptance_table(wt)
     assert 0 in table and chain.NO_DRAW in table
-    if chain._walk_kernel() is None:
+    if _native.kernel("walk") is None:
         pytest.skip("the compiled walk kernel cannot be built or loaded here")
     settings = [(-1.0, 1 << 16, NON_FINITE_HOLES), (-1.0, 3, NON_FINITE_HOLES)]
     compiled = [walk_fingerprint(n, *setting) for setting in settings]
-    monkeypatch.setattr(chain, "_state_walk_kernel", lambda: None)
+    swap_kernels(walk_states=None)
     assert [walk_fingerprint(n, *setting) for setting in settings] == compiled
-    monkeypatch.setattr(chain, "_walk_kernel", lambda: None)
+    swap_kernels(walk=None)
     assert [walk_fingerprint(n, *setting) for setting in settings] == compiled
 
 
@@ -509,7 +538,7 @@ EDGE_RATIOS = sorted(
 )
 
 
-def test_integer_thresholds_decide_as_the_float_compare(monkeypatch):
+def test_integer_thresholds_decide_as_the_float_compare(swap_kernels):
     # The reference step accepts when u * 2^-53 < r; every walk kernel when
     # u < T, the compiled ones unsigned, so NO_DRAW (2^64 - 1 there)
     # accepts every draw.
@@ -525,7 +554,7 @@ def test_integer_thresholds_decide_as_the_float_compare(monkeypatch):
     log_w += [-0.5] * (n * n - len(log_w))
     wt = WeightTable(n, -1.0, tuple(log_w), (1,) * (n * n))
     tables = [chain.acceptance_table(wt)]
-    monkeypatch.setattr(chain, "_threshold_kernel", lambda: None)
+    swap_kernels(acceptance_thresholds=None)
     tables.append(chain.acceptance_table(wt))
     for table in tables:
         assert {0, 1, UNIT_RANGE, chain.NO_DRAW} <= set(table[: n * n].tolist())
@@ -551,12 +580,12 @@ def builder_weights(n):
 
 
 @pytest.mark.parametrize("n", [4, 16, 64])
-def test_compiled_thresholds_match_the_python_builder_byte_for_byte(n, monkeypatch):
-    if chain._threshold_kernel() is None:
+def test_compiled_thresholds_match_the_python_builder_byte_for_byte(n, swap_kernels):
+    if _native.kernel("acceptance_thresholds") is None:
         pytest.skip("the compiled threshold builder cannot be built or loaded here")
     wt = builder_weights(n)
     compiled = chain.acceptance_table(wt)
-    monkeypatch.setattr(chain, "_threshold_kernel", lambda: None)
+    swap_kernels(acceptance_thresholds=None)
     python = chain.acceptance_table(wt)
     assert compiled.dtype == python.dtype == np.int64
     assert compiled.tobytes() == python.tobytes()
@@ -617,18 +646,18 @@ def tie_trajectory(n, reference=False):
 
 
 @pytest.mark.parametrize("n", [4, 5])
-def test_ties_and_edges_decide_alike_on_every_kernel(n, monkeypatch):
+def test_ties_and_edges_decide_alike_on_every_kernel(n, swap_kernels):
     # A unit draw equal to its threshold rejects, as does one whose scaled
     # value equals its ratio. The draws sit on, above and below the
     # thresholds, which include 0, 1, 2^52 and 2^53, so ties and one-unit
     # misses are frequent. The reference step, which sums each delta as
     # the table does, takes the same steps on the same draws.
-    if chain._walk_kernel() is None:
+    if _native.kernel("walk") is None:
         pytest.skip("the compiled walk kernel cannot be built or loaded here")
     states = tie_trajectory(n)
-    monkeypatch.setattr(chain, "_state_walk_kernel", lambda: None)
+    swap_kernels(walk_states=None)
     compiled = tie_trajectory(n)
-    monkeypatch.setattr(chain, "_walk_kernel", lambda: None)
+    swap_kernels(walk=None)
     python = tie_trajectory(n)
     reference = tie_trajectory(n, reference=True)
     for step_index, (a, b, c, d) in enumerate(zip(states, compiled, python, reference)):
@@ -802,6 +831,30 @@ def test_buffered_draws_refuse_an_empty_buffer():
     for size in (0, -1):
         with pytest.raises(ValueError, match="buffer_size"):
             BufferedDraws(0, 2, buffer_size=size)
+
+
+@pytest.mark.parametrize(
+    "method, args, message",
+    [
+        ("walk", (2**63,), "steps must be at most 2^63 - 1, got 9223372036854775808"),
+        ("walk", (2**64 + 10,), "steps must be at most 2^63 - 1, got 18446744073709551626"),
+        ("tally", (2**64 + 1, 3), "sample spacing must be in [1, 2^63 - 1], got 18446744073709551617"),
+        ("tally", (2**62, 2), "steps must be at most 2^63 - 1, got 9223372036854775808"),
+    ],
+    ids=["walk-2^63", "walk-2^64+10", "tally-spacing-2^64+1", "tally-2^63"],
+)
+def test_step_counts_past_int64_are_refused_before_any_step(walk_kernel, method, args, message):
+    # The struct counts steps in int64, and ctypes stores a larger count
+    # modulo 2^64: walk(2^63) took no step, walk(2^64 + 10) ten, and both
+    # added the whole count to steps_taken.
+    m = Matrix.from_rows([[1] * 4] * 4)
+    sampler = ChainSampler(WeightTable.initial(m), find_perfect_matching(m), BufferedDraws(0, 4))
+    sampler.walk(1_000)
+    before = sampler_state(sampler), draw_positions(sampler.draws), sampler.steps_taken
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        getattr(sampler, method)(*args)
+    assert (sampler_state(sampler), draw_positions(sampler.draws), sampler.steps_taken) == before
+    assert sampler.tally(3, 5).total == 5
 
 
 def test_negative_step_and_sample_counts_are_refused(walk_kernel):

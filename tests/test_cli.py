@@ -9,7 +9,7 @@ import pytest
 
 from permlab import Matrix, harness, save_matrix
 from permlab.cli import main
-from permlab.params import phase_schedule
+from permlab.params import compute_params, phase_schedule
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -557,6 +557,8 @@ def test_bad_relax_argument(tmp_path, capsys):
     save_matrix(Matrix.from_rows([[0] * 4] * 4), path)
     message = "relax needs four factors (s_phase, t_phase, s_final, t_final), got [1, 2, 3]"
     assert_refused(capsys, ["estimate", str(path), "--relax", "1,2,3"], 1, f"permlab: error: {message}")
+    message = "argument --relax: relax must look like 1,262144,16,64, got '1,x,3,4'"
+    assert_refused(capsys, ["estimate", str(path), "--relax", "1,x,3,4"], 2, f"permlab estimate: error: {message}")
 
 
 DENSITY_REFUSED = "permlab: error: suite densities must be in [0, 1] with a positive denominator, got "
@@ -587,7 +589,7 @@ SIZE_REFUSED = "permlab: error: suite sizes must be in [1, 34], the n permanent_
     [
         ("--count", "0", 1, "permlab: error: count must be a positive integer, got 0"),
         ("--count", "-1", 1, "permlab: error: count must be a positive integer, got -1"),
-        ("--sizes", "4,x", 2, "permlab gen: error: argument --sizes: invalid _parse_sizes value: '4,x'"),
+        ("--sizes", "4,x", 2, "permlab gen: error: argument --sizes: sizes must look like 4,6,8, got '4,x'"),
         ("--sizes", "0", 1, SIZE_REFUSED + "0"),
         ("--sizes", "-4", 1, SIZE_REFUSED + "-4"),
         ("--sizes", "4,64", 1, SIZE_REFUSED + "64"),
@@ -664,6 +666,21 @@ def test_estimate_refuses_an_epsilon_outside_0_1_on_a_zero_matrix(tmp_path, caps
     argv = ["estimate", str(path), "--epsilon", epsilon, "--quiet"]
     last_line = f"permlab: error: epsilon must be in (0, 1], got {float(epsilon)}"
     assert_refused(capsys, argv, 1, last_line)
+
+
+def test_estimate_refuses_a_walk_past_int64_at_n_80(tmp_path, capsys):
+    # At epsilon 0.5 a phase's sampling walk passes 2^63 - 1 steps from
+    # n = 79 (1.0e19 at n = 80), which a step count in int64 cannot hold;
+    # the burn-in before it (3.9e12 steps) would have run for more than a
+    # day. params still prints the totals.
+    path = tmp_path / "ones.pmat"
+    save_matrix(Matrix.from_rows([[1] * 80] * 80), path)
+    params = compute_params(80, 0.5)
+    steps = params.tau_resample_phase * params.samples_phase
+    last_line = f"permlab: error: the phase sampling walk of {steps} steps at n = 80 is above one walk's 2^63 - 1"
+    assert_refused(capsys, ["estimate", str(path), "--epsilon", "0.5"], 1, last_line)
+    code, out, _ = run_cli(capsys, "params", "--n", "80", "--epsilon", "0.5")
+    assert code == 0 and json.loads(out)["phase_steps"] == params.phase_steps() > 2**63
 
 
 @pytest.mark.parametrize("rate", ["nan", "inf", "-inf"])

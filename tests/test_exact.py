@@ -76,7 +76,7 @@ def test_permanent_invariant_under_permutations(ryser_kernel):
 
 
 def compiled_ryser():
-    if exact._ryser_kernel() is None:
+    if _native.kernel("ryser") is None:
         pytest.skip("the compiled Ryser kernel cannot be built or loaded here")
 
 
@@ -147,7 +147,7 @@ def test_kernel_limit_is_the_last_n_whose_factorial_fits_128_bits():
     assert 2**15 * 24**24 < 2**127
 
 
-def test_ryser_runs_the_kernel_at_every_n_from_2_to_the_limit(monkeypatch):
+def test_ryser_runs_the_kernel_at_every_n_from_2_to_the_limit(monkeypatch, swap_kernels):
     calls = []
 
     # The kernel's sum is (-1)^(n-1) 2^(n-1) perm, mod 2^192. Each range
@@ -166,7 +166,7 @@ def test_ryser_runs_the_kernel_at_every_n_from_2_to_the_limit(monkeypatch):
         for i in range(3):
             words[i] = share >> (64 * i) & (1 << 64) - 1
 
-    monkeypatch.setattr(exact, "_ryser_kernel", lambda: spy)
+    swap_kernels(ryser=spy)
     monkeypatch.setattr(exact, "_ryser_python", lambda m: "python")
     ones = [[1] * KERNEL_LIMIT] * KERNEL_LIMIT
     assert permanent_ryser(Matrix.from_rows(ones)) == perm
@@ -191,11 +191,11 @@ def test_ryser_runs_the_kernel_at_every_n_from_2_to_the_limit(monkeypatch):
     assert calls == []
 
 
-def test_compiled_ryser_splits_permanents_into_kernel_calls(monkeypatch):
+def test_compiled_ryser_splits_permanents_into_kernel_calls(monkeypatch, swap_kernels):
     # Ranges of 16 subsets: every permanent at n = 9..16 takes 16 to 2048
     # kernel calls, each summing its range from scratch.
     compiled_ryser()
-    kernel = exact._ryser_kernel()
+    kernel = _native.kernel("ryser", *exact._RYSER_ARGTYPES)
     calls = 0
 
     def counted(*args):
@@ -203,7 +203,7 @@ def test_compiled_ryser_splits_permanents_into_kernel_calls(monkeypatch):
         calls += 1
         kernel(*args)
 
-    monkeypatch.setattr(exact, "_ryser_kernel", lambda: counted)
+    swap_kernels(ryser=counted)
     monkeypatch.setattr(exact, "_RYSER_CHUNK", 1 << 4)
     rng = random.Random(5)
     for n in range(9, 17):
@@ -233,7 +233,7 @@ def kernel_sum(masks, start, stop):
 def run_kernel_range(m, start, stop, stale=0):
     """The compiled kernel's sum over the Gray-code indices start to stop - 1,
     from one call into sum words that held stale before it."""
-    kernel = exact._ryser_kernel()
+    kernel = _native.kernel("ryser", *exact._RYSER_ARGTYPES)
     cols = array("q", itertools.chain.from_iterable(m.columns()))
     words = (ctypes.c_uint64 * 3)(*(stale >> (64 * i) & (1 << 64) - 1 for i in range(3)))
     kernel(m.n, _native.address(cols), start, stop, words)
@@ -349,13 +349,13 @@ def test_gray_sequence_distinctness_n16():
 
 
 @pytest.mark.parametrize("n", [35, 64])
-def test_ryser_refuses_n_above_the_kernel_limit(monkeypatch, n):
+def test_ryser_refuses_n_above_the_kernel_limit(monkeypatch, swap_kernels, n):
     # Above n = 34 only the Python loop could run, for about a day at n = 35.
     def no_work(*args):
         raise AssertionError(f"permanent_ryser started work on n = {n}")
 
     monkeypatch.setattr(exact, "_ryser_python", no_work)
-    monkeypatch.setattr(exact, "_ryser_kernel", no_work)
+    swap_kernels(ryser=no_work)
     with pytest.raises(ValueError, match=rf"permanent_ryser is limited to n <= 34 .*, got n = {n}$"):
         permanent_ryser(Matrix.from_rows([[1] * n] * n))
 

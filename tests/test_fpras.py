@@ -12,7 +12,7 @@ from permlab import (
     parse_matrix,
     permanent_ryser,
 )
-from permlab import chain
+from permlab import chain, fpras
 from permlab.chain import ChainSampler, WeightTable, exact_stationary, lambda_edges
 from permlab.fpras import (
     PhaseFailure,
@@ -280,6 +280,28 @@ def test_estimate_refuses_a_bad_epsilon_or_seed_before_the_matrix(params, epsilo
     zero = Matrix.from_rows([[0] * 4] * 4)
     with pytest.raises(ValueError, match=message):
         estimate_permanent(zero, epsilon, seed=seed, params=params)
+
+
+def test_estimate_refuses_a_walk_past_int64_before_any_walk(monkeypatch):
+    # ctypes would store a walk of 2^64 steps as one of 0: a stage with
+    # tau_resample_phase * samples_phase = 2^64 returned at once with "no
+    # perfect-matching samples collected".
+    def no_sampler(*args):
+        raise AssertionError("estimate_permanent built a sampler")
+
+    monkeypatch.setattr(fpras, "ChainSampler", no_sampler)
+    walks = [
+        ("burn-in", {"tau_init": 2**63}, 2**63),
+        ("phase sampling walk", {"tau_resample_phase": 2**32, "samples_phase": 2**32}, 2**64),
+        ("phase sampling walk", {"tau_resample_phase": 2**63, "samples_phase": 0}, 2**63),
+        ("final sampling walk", {"tau_resample_final": 2**32, "samples_final": 2**32}, 2**64),
+        ("final sampling walk", {"tau_resample_final": 2**63, "samples_final": 0}, 2**63),
+    ]
+    for what, fields, steps in walks:
+        params = dataclasses.replace(FAST_PARAMS, **fields)
+        message = rf"^the {what} of {steps} steps at n = 4 is above one walk's 2\^63 - 1$"
+        with pytest.raises(ValueError, match=message):
+            estimate_permanent(all_ones(4), 0.5, params=params)
 
 
 def test_an_estimate_builds_one_acceptance_table_per_stage(monkeypatch):

@@ -4,18 +4,13 @@ import stat
 
 import pytest
 
-from permlab import Matrix, _native, chain, exact, rng
+from permlab import Matrix, _native, exact
 
 
-def kernel_lookups():
-    """Each caller's uncached lookup of its compiled kernel."""
-    return [
-        chain._walk_kernel.__wrapped__,
-        chain._state_walk_kernel.__wrapped__,
-        chain._threshold_kernel.__wrapped__,
-        exact._ryser_kernel.__wrapped__,
-        rng._refill_kernels.__wrapped__,
-    ]
+def look_up_kernels():
+    """Each compiled kernel by name, looked up afresh (uncached)."""
+    names = ("walk", "walk_states", "acceptance_thresholds", "ryser", "fill_bounded", "fill_unit")
+    return {name: _native.kernel.__wrapped__(name) for name in names}
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc) on PATH")
@@ -33,7 +28,7 @@ def test_compiled_kernels_build_and_load_from_one_library(tmp_path, monkeypatch)
         (cache / name).write_bytes(b"")
         os.utime(cache / name, (1e9 - age * 3600,) * 2)
     (cache / "tmp1234.partial").write_bytes(b"")
-    assert all(lookup() is not None for lookup in kernel_lookups())
+    assert None not in look_up_kernels().values()
     assert stat.S_IMODE(cache.stat().st_mode) == 0o700
     library = _native.library_path()
     kept = [library.name, *others, "tmp1234.partial"]
@@ -54,7 +49,7 @@ def test_kernels_are_none_when_the_cache_cannot_be_written(tmp_path, monkeypatch
     home.write_text("a file, not a directory")
     monkeypatch.setenv("HOME", str(home))
     monkeypatch.setattr(_native, "library", _native.load_library)
-    assert [lookup() for lookup in kernel_lookups()] == [None] * 5
+    assert list(look_up_kernels().values()) == [None] * 6
 
 
 def test_kernels_are_none_when_other_users_can_write_the_cache(tmp_path, monkeypatch):
@@ -64,7 +59,7 @@ def test_kernels_are_none_when_other_users_can_write_the_cache(tmp_path, monkeyp
     cache = tmp_path / ".cache" / "permlab"
     cache.mkdir(parents=True)
     cache.chmod(0o777)
-    assert [lookup() for lookup in kernel_lookups()] == [None] * 5
+    assert list(look_up_kernels().values()) == [None] * 6
     with pytest.raises(OSError, match="writable by other users"):
         _native.library_path()
 
@@ -96,8 +91,8 @@ def test_a_library_built_without_sse2_has_no_ryser_and_the_other_kernels(tmp_pat
     monkeypatch.setenv("HOME", str(tmp_path))
     monkeypatch.setattr(_native, "_CC_ARGS", (*_native._CC_ARGS, "-U__SSE2__"))
     monkeypatch.setattr(_native, "library", _native.load_library)
-    walk, walk_states, thresholds, ryser, refill = (lookup() for lookup in kernel_lookups())
-    assert ryser is None
-    assert all(kernel is not None for kernel in (walk, walk_states, thresholds, refill))
-    monkeypatch.setattr(exact, "_ryser_kernel", exact._ryser_kernel.__wrapped__)
+    found = look_up_kernels()
+    assert found.pop("ryser") is None
+    assert None not in found.values()
+    monkeypatch.setattr(_native, "kernel", _native.kernel.__wrapped__)
     assert exact.permanent_ryser(Matrix.from_rows([[1] * 5] * 5)) == 120

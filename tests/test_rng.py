@@ -15,7 +15,7 @@ def ahead_walker(draws):
     """A walk_states sampler at n = 4, on draws of its own, that generates
     ahead into the generator of ``draws``: one output per step it takes,
     while the ring has room."""
-    if chain._state_walk_kernel() is None:
+    if _native.kernel("walk_states") is None:
         pytest.skip("the walk_states kernel cannot be built or loaded here")
     m = Matrix.from_rows([[1] * 4] * 4)
     walker = chain.ChainSampler(chain.WeightTable.initial(m), chain.enumerate_states(4)[0], BufferedDraws(1, 4))
@@ -63,8 +63,8 @@ def refill_blocks(n, buffer_size, ahead=False):
 # the next bounded refill, across any unit refills between them.
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 16, 33, (1 << 30) + 1])
 @pytest.mark.parametrize("buffer_size", [1, 3, 50, 1 << 16])
-def test_compiled_refills_match_the_numpy_generator(n, buffer_size, monkeypatch):
-    if rng._refill_kernels() is None:
+def test_compiled_refills_match_the_numpy_generator(n, buffer_size, swap_kernels):
+    if _native.kernel("fill_bounded") is None:
         pytest.skip("the compiled refill kernels cannot be built or loaded here")
     compiled, _ = refill_blocks(n, buffer_size)
     # Again with outputs that walk_states generated ahead waiting before
@@ -77,19 +77,19 @@ def test_compiled_refills_match_the_numpy_generator(n, buffer_size, monkeypatch)
         assert "part" in cases
     if buffer_size == 1 << 16:
         assert "wrap" in cases
-    monkeypatch.setattr(rng, "_refill_kernels", lambda: None)
+    swap_kernels(fill_bounded=None, fill_unit=None)
     assert refill_blocks(n, buffer_size)[0] == compiled == ahead
 
 
 @pytest.mark.parametrize("fills", ["compiled", "ahead", "numpy"])
-def test_unit_draws_scale_to_the_numpy_generators_random(fills, monkeypatch):
+def test_unit_draws_scale_to_the_numpy_generators_random(fills, swap_kernels):
     # A unit draw is the integer that Generator.random() scales by 2^-53:
     # unit() must give numpy's value, value for value, whether the compiled
     # refill generates its outputs, takes them from the ring, or numpy fills
     # the block.
     if fills == "numpy":
-        monkeypatch.setattr(rng, "_refill_kernels", lambda: None)
-    elif rng._refill_kernels() is None:
+        swap_kernels(fill_bounded=None, fill_unit=None)
+    elif _native.kernel("fill_bounded") is None:
         pytest.skip("the compiled refill kernels cannot be built or loaded here")
     size, blocks = 1000, 6
     draws = BufferedDraws(11, 4, buffer_size=size)
@@ -109,7 +109,7 @@ def test_unit_draws_scale_to_the_numpy_generators_random(fills, monkeypatch):
 def test_a_walk_on_states_leaves_outputs_waiting_that_the_next_refill_takes():
     # A library that loads walk_states but never generates ahead gives the
     # same blocks, only more slowly, so no fingerprint shows it; this does.
-    if chain._state_walk_kernel() is None or rng._refill_kernels() is None:
+    if _native.kernel("walk_states") is None or _native.kernel("fill_bounded") is None:
         pytest.skip("the compiled kernels cannot be built or loaded here")
     m = Matrix.from_rows([[1] * 4] * 4)
     draws = BufferedDraws(5, 4)
@@ -121,14 +121,14 @@ def test_a_walk_on_states_leaves_outputs_waiting_that_the_next_refill_takes():
 
 
 @pytest.mark.parametrize("fills", ["compiled", "ahead", "numpy"])
-def test_no_refill_writes_the_spare_entry_past_the_unit_block(fills, monkeypatch):
+def test_no_refill_writes_the_spare_entry_past_the_unit_block(fills, swap_kernels):
     # The compiled kernels read the unit block at its read position on every
     # step, so a step that takes no unit draw from a used-up block reads one
     # entry past its end: the block's array has that entry, zeroed, and no
     # refill, generated, from the ring or by numpy, ever writes it.
     if fills == "numpy":
-        monkeypatch.setattr(rng, "_refill_kernels", lambda: None)
-    elif rng._refill_kernels() is None:
+        swap_kernels(fill_bounded=None, fill_unit=None)
+    elif _native.kernel("fill_bounded") is None:
         pytest.skip("the compiled refill kernels cannot be built or loaded here")
     for size in (1, 3, 50):
         draws = BufferedDraws(7, 4, buffer_size=size)
@@ -148,12 +148,12 @@ def test_no_refill_writes_the_spare_entry_past_the_unit_block(fills, monkeypatch
 
 
 @pytest.mark.parametrize("fills", ["compiled", "numpy"])
-def test_refills_rewrite_their_blocks_in_place(fills, monkeypatch):
+def test_refills_rewrite_their_blocks_in_place(fills, swap_kernels):
     # A sampler points its compiled kernel at each block once, when it is
     # made, and its Python kernel indexes the block's one view.
     if fills == "numpy":
-        monkeypatch.setattr(rng, "_refill_kernels", lambda: None)
-    elif rng._refill_kernels() is None:
+        swap_kernels(fill_bounded=None, fill_unit=None)
+    elif _native.kernel("fill_bounded") is None:
         pytest.skip("the compiled refill kernels cannot be built or loaded here")
     draws = BufferedDraws(0, 3, buffer_size=4)
     for kind in ("edge", "vert", "unit"):
