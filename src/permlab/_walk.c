@@ -31,8 +31,9 @@
  * propose makes, from chain.state_moves, and the move's acceptance entry,
  * which ChainSampler.set_weights gathers from the acceptance table. So a step
  * is one table read, the unit-draw test, and a select of the next state
- * with no branch on the outcome (select_accepted). It finds the state in
- * r2c on entry and writes r2c, c2r, the hole and k back on return.
+ * with no branch on the outcome (select_accepted). It resumes from the
+ * state in `first` and `key`, stores it there on return, and writes its
+ * matching back: r2c, c2r, the hole and k.
  *
  * The struct points at the three draw blocks of a BufferedDraws, each of
  * `size` draws, and at its `positions`: the read positions in the edge,
@@ -158,9 +159,10 @@ typedef struct {
     int64_t nseen;
     /* Read by walk_states only: */
     const state_move *moves; /* 2n per state, by draw */
-    const int64_t *states; /* each state's r2c, n per state, ascending */
-    const int64_t *keys;  /* each state's tally key */
-    int64_t nstates;
+    const int64_t *states; /* each state's r2c, n per state */
+    /* The state, as state_move's next and key: read on entry, stored on
+     * return. */
+    int64_t first, key;
     pcg64_state *rng;     /* the generator to run ahead, with its ring */
 } walk_state;
 
@@ -292,27 +294,6 @@ __attribute__((aligned(64))) void walk(walk_state *s)
     s->left = steps;
 }
 
-/* The index of the state whose row assignment is r2c: the lower bound of a
- * binary search, the states being in ascending order of their assignments,
- * compared row by row. */
-static int64_t state_index(const walk_state *s)
-{
-    const int64_t n = s->n, *r2c = s->r2c;
-    int64_t lo = 0, hi = s->nstates - 1;
-    while (lo < hi) {
-        const int64_t mid = lo + (hi - lo) / 2;
-        const int64_t *a = s->states + mid * n;
-        int64_t u = 0;
-        while (u < n - 1 && a[u] == r2c[u])
-            u++;
-        if (a[u] < r2c[u])
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
-    return lo;
-}
-
 /* *first and *key become next and next_key where the unit draw u is
  * below the entry t, compared unsigned. On x86-64 a cmp and two cmovb: a
  * C ternary, even with __builtin_expect_with_probability at 0.5, came out
@@ -351,8 +332,7 @@ __attribute__((aligned(64))) void walk_states(walk_state *s)
     int64_t *counts = s->counts, *seen = s->seen;
     int64_t nseen = s->nseen;
     /* The state, as the byte offset of its first move and as its key. */
-    const int64_t index = state_index(s);
-    int64_t first = index * state_bytes, key = s->keys[index];
+    int64_t first = s->first, key = s->key;
     /* The generator run ahead: its state, and the ring's tail, which may
      * reach `full`. */
     pcg64_state *const rng = s->rng;
@@ -413,6 +393,8 @@ __attribute__((aligned(64))) void walk_states(walk_state *s)
     s->hu = cell ? (cell - 1) / n : -1;
     s->hv = cell ? (cell - 1) % n : -1;
     s->k = key % (n + 1);
+    s->first = first;
+    s->key = key;
     s->pos[0] = epos;
     s->pos[1] = vpos;
     s->pos[2] = upos;

@@ -136,17 +136,24 @@ def step(state: Matching, wt: WeightTable, draws: BufferedDraws) -> Matching:
     return proposal if delta >= 0.0 or draws.unit() < math.exp(delta) else state
 
 
+# The largest n at which a ChainSampler walks with walk_states, the
+# enumerated-state kernel of _walk.c (see ChainSampler): the largest n that
+# enumerate_states lists, and walk_states outruns walk up to there (README,
+# Speed).
+STATE_WALK_LIMIT = 6
+
+
 @functools.cache
 def enumerate_states(n: int) -> tuple[Matching, ...]:
     """Every perfect and near-perfect matching of K_{n,n}, in canonical order.
 
     There are n! perfect matchings and n^2 * (n-1)! near-perfect ones, or
     (n+1)! states in total. States are keyed by their row-assignment tuple
-    (-1 marking the hole row) and returned in sorted key order. The tuple is
-    cached per n: the exact pipeline asks for it once per stage.
+    (-1 marking the hole row) and returned in sorted key order, cached per
+    n, for n up to ``STATE_WALK_LIMIT``.
     """
-    if not 1 <= n <= 6:
-        raise ValueError(f"state enumeration is practical only for 1 <= n <= 6, got {n}")
+    if not 1 <= n <= STATE_WALK_LIMIT:
+        raise ValueError(f"state enumeration is practical only for 1 <= n <= {STATE_WALK_LIMIT}, got {n}")
     perms = list(itertools.permutations(range(n)))
     # A near-perfect matching is a perfect one without its hole row's pair.
     near = [p[:u] + (-1,) + p[u + 1 :] for p in perms for u in range(n)]
@@ -315,7 +322,8 @@ class _WalkState(ctypes.Structure):
     the hole, the non-instance pair count and the tally. It points at the
     three draw blocks of a ``BufferedDraws`` and at its ``positions``, which
     never move, and, for ``walk_states``, always at its generator and the
-    ring that ``BufferedDraws.generate_ahead`` gave it."""
+    ring that ``BufferedDraws.generate_ahead`` gave it; ``walk_states``
+    resumes from ``first`` and ``key`` and writes the matching back."""
 
     _fields_ = [
         ("n", ctypes.c_int64),
@@ -340,8 +348,8 @@ class _WalkState(ctypes.Structure):
         ("nseen", ctypes.c_int64),
         ("moves", ctypes.c_void_p),
         ("states", ctypes.c_void_p),
-        ("keys", ctypes.c_void_p),
-        ("nstates", ctypes.c_int64),
+        ("first", ctypes.c_int64),
+        ("key", ctypes.c_int64),
         ("rng", ctypes.c_void_p),
     ]
 
@@ -353,13 +361,6 @@ _NEED_EDGE, _NEED_VERT, _NEED_UNIT = 0, 1, 2
 # struct holds both in int64, and ctypes would store a larger int modulo
 # 2^64 without an error.
 MAX_STEPS = 2**63 - 1
-
-
-# The largest n at which a ChainSampler walks with walk_states, the
-# enumerated-state kernel of _walk.c (see ChainSampler): the largest n that
-# enumerate_states lists, and walk_states outruns walk up to there (README,
-# Speed).
-STATE_WALK_LIMIT = 6
 
 
 # The state_move struct of _walk.c: a move's acceptance entry, and the
@@ -528,10 +529,12 @@ class ChainSampler:
         if kernel is not None:
             st.rng = draws.generate_ahead()
         if st.rng:
-            self._keys, self._moves, self._entries = _state_walk_table(wt)
+            keys, self._moves, self._entries = _state_walk_table(wt)
             assignments = _state_graph(n)[0]
-            st.moves, st.states, st.keys = (a.ctypes.data for a in (self._moves, assignments, self._keys))
-            st.nstates = len(assignments)
+            st.moves, st.states = self._moves.ctypes.data, assignments.ctypes.data
+            # Every valid matching at n <= STATE_WALK_LIMIT is enumerated.
+            index = (assignments == start.row_to_col()).all(axis=1).argmax()
+            st.first, st.key = index * 2 * n * self._moves.itemsize, keys[index]
         else:
             kernel = _native.kernel("walk", walk_args) or self._python_walk
         self._kernel = kernel

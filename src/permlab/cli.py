@@ -150,10 +150,6 @@ def cmd_params(args) -> int:
 
 
 def cmd_feasibility(args) -> int:
-    # n * 2^n has 3,015 digits at the limit, and no str() of an int may pass 4,300.
-    if args.n > feas.CROSSOVER_SCAN_LIMIT:
-        limit = feas.CROSSOVER_SCAN_LIMIT
-        raise ValueError(f"--n must be at most {limit}, the crossover scan's limit, got {args.n}")
     steps = feas.total_steps(args.n, args.epsilon)
     ops = feas.ryser_ops(args.n)
     _emit(

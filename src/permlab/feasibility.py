@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .params import compute_params
-
-CROSSOVER_SCAN_LIMIT = 10_000
+from .params import MAX_N, compute_params
 
 SECONDS_PER_JULIAN_YEAR = 365.25 * 86_400
 
@@ -43,12 +41,10 @@ def crossover(epsilon: float) -> int:
     polynomial step total quickly, so the scan terminates early. The scan is
     capped to fail loudly rather than loop on a pathological input.
     """
-    for n in range(4, CROSSOVER_SCAN_LIMIT + 1):
+    for n in range(4, MAX_N + 1):
         if total_steps(n, epsilon) < ryser_ops(n):
             return n
-    raise RuntimeError(
-        f"no crossover found for epsilon={epsilon} with n up to {CROSSOVER_SCAN_LIMIT}"
-    )
+    raise RuntimeError(f"no crossover found for epsilon={epsilon} with n up to {MAX_N}")
 
 
 def projected_time(steps: int, steps_per_second: float) -> float:

@@ -43,6 +43,11 @@ WEIGHT_SAMPLE_CONSTANT = 475
 
 LN2 = math.log(2)
 
+# The largest n the parameter formulas take (their sums over 1..n stay
+# quick), and the end of feasibility.crossover's scan; n * 2^n has 3,015
+# digits here, fewer than the 4,300 that str() of an int prints.
+MAX_N = 10_000
+
 
 def log_factorial(n: int) -> float:
     """ln(n!) by ascending summation, exact to ulp scale for small n."""
@@ -207,6 +212,8 @@ def compute_params(n: int, epsilon: float) -> SamplingParams:
     """Unrelaxed sampling parameters for an n x n instance at error bound epsilon."""
     if n < 4:
         raise ValueError(f"parameter formulas require n >= 4, got {n}")
+    if n > MAX_N:
+        raise ValueError(f"parameter formulas require n <= {MAX_N}, got {n}")
     check_epsilon(epsilon)
     l = phase_count_closed_form(n)
     n2p1 = n * n + 1

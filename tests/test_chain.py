@@ -149,8 +149,8 @@ def test_enumerate_states_counts():
 
 
 def test_enumerate_states_distinct_and_valid():
-    # Strictly increasing row assignments: walk_states' binary search and
-    # _state_graph rely on the order.
+    # Strictly increasing row assignments: the canonical order, which fixes
+    # each state's index in _state_graph and walk_states' table.
     for n in range(1, 7):
         states = enumerate_states(n)
         keys = [state_key(s) for s in states]
@@ -487,6 +487,27 @@ def test_compiled_walk_matches_python_walk(n, swap_kernels):
     # with tables that Python builds.
     swap_kernels(fill_bounded=None, fill_unit=None, acceptance_thresholds=None)
     assert [walk_fingerprint(n, *setting) for setting in settings] == compiled
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_walk_states_starts_on_every_enumerated_state(n, swap_kernels):
+    # A sampler finds its start in walk_states' table once, when it is made;
+    # from a wrong state the walk would part from the Python kernel's.
+    if _native.kernel("walk_states") is None:
+        pytest.skip("the walk_states kernel cannot be built or loaded here")
+    wt = mixed_weights(generate_random(n, -(-3 * n * n // 4), seed=n), -1.0)
+
+    def walk_from(start):
+        draws = BufferedDraws(11, n, buffer_size=64)
+        sampler = ChainSampler(wt, start, draws)
+        sampler.walk(1_000)
+        return sampler._kernel, (sampler.state(), sampler.hole(), sampler.lambda_count, draw_positions(draws))
+
+    starts = enumerate_states(n)
+    kernels, compiled = zip(*map(walk_from, starts))
+    assert len(starts) == math.factorial(n + 1) and {kernel.__name__ for kernel in kernels} == {"walk_states"}
+    swap_kernels(walk_states=None, walk=None)
+    assert [walk_from(start)[1] for start in starts] == list(compiled)
 
 
 # Two +inf hole weights in one row, a -inf and a NaN: moves between the

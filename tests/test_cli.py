@@ -697,7 +697,14 @@ def test_feasibility_refuses_an_n_above_the_scan_limit(capsys, n):
     code, out, err = run_cli(capsys, "feasibility", "--n", n)
     assert code == 1
     assert out == ""
-    assert err == f"permlab: error: --n must be at most 10000, the crossover scan's limit, got {n}\n"
+    assert err == f"permlab: error: parameter formulas require n <= 10000, got {n}\n"
+
+
+def test_params_refuses_an_n_above_the_limit(capsys):
+    # The formulas' sums over 1..n grow linearly: hours at n = 10^10.
+    code, out, err = run_cli(capsys, "params", "--n", "10001")
+    assert (code, out) == (1, "")
+    assert err == "permlab: error: parameter formulas require n <= 10000, got 10001\n"
 
 
 def test_feasibility_refuses_a_rate_whose_projection_overflows(capsys):

@@ -100,6 +100,9 @@ def test_domain_errors():
         state_space_size(0)
     with pytest.raises(ValueError):
         compute_params(3, 0.5)
+    assert compute_params(10_000, 0.5).n == 10_000
+    with pytest.raises(ValueError, match=r"^parameter formulas require n <= 10000, got 10001$"):
+        compute_params(10_001, 0.5)
     with pytest.raises(ValueError):
         compute_params(4, 0.0)
     with pytest.raises(ValueError, match=r"^epsilon must be in \(0, 1\], got 1\.5$"):
