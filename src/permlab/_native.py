@@ -8,7 +8,9 @@ which caches what it finds, and runs its own Python code when that is None:
 ``permanent_ryser`` and ``acceptance_table`` ask on every call, a
 ``ChainSampler`` and a ``BufferedDraws`` once, when they are made. So
 nothing is compiled or loaded at import and a host without a compiler still
-runs, only slower.
+runs, only slower. Nor is the build's own stdlib (``subprocess``, ``shutil``,
+``tempfile``) imported before a cache miss needs it; a build that fails or
+times out raises OSError like every other reason the library is missing.
 """
 
 from __future__ import annotations
@@ -16,9 +18,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import os
-import shutil
-import subprocess
-import tempfile
 from pathlib import Path
 
 # How the sources are compiled. -O3 for the loop transformations that -O2
@@ -49,7 +48,6 @@ def library_path() -> Path:
     """
     # Imported here so that importing permlab stays as cheap as it can be.
     import hashlib
-    import platform
 
     if os.name != "posix":
         raise OSError("the compiled kernels are built only on POSIX systems")
@@ -64,7 +62,9 @@ def library_path() -> Path:
             [
                 *(path.name.encode() + b"\0" + path.read_bytes() for path in sources),
                 " ".join(_CC_ARGS).encode(),
-                platform.machine().encode(),
+                # platform.machine(), without the platform module, which
+                # imports subprocess on Python 3.10.
+                os.uname().machine.encode(),
             ]
         )
     ).hexdigest()
@@ -78,6 +78,11 @@ def library_path() -> Path:
     library = cache / f"permlab-{digest[:32]}.so"
     if library.exists():
         return library
+    # Imported for a build only, so a run on a cached library loads no subprocess.
+    import shutil
+    import subprocess
+    import tempfile
+
     cc = shutil.which("cc")
     if cc is None:
         raise OSError("no C compiler (cc) on PATH")
@@ -91,6 +96,8 @@ def library_path() -> Path:
             timeout=300,
         )
         os.replace(partial, library)
+    except subprocess.SubprocessError as exc:
+        raise OSError(f"the kernel build failed: {exc}") from exc
     finally:
         if os.path.exists(partial):
             os.unlink(partial)
@@ -115,7 +122,7 @@ def load_library():
     # thread can refill or free a buffer while a kernel reads it.
     try:
         return ctypes.PyDLL(str(library_path()))
-    except (OSError, subprocess.SubprocessError):
+    except OSError:
         return None
 
 

@@ -175,7 +175,7 @@ def cmd_trials(args) -> int:
     with open(args.config, "r", encoding="ascii") as fh:
         try:
             raw = json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"trials config {args.config}: {exc}") from None
     entries = raw if isinstance(raw, list) else [raw]
     configs = []

@@ -32,7 +32,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, astuple, dataclass, fields
 from fractions import Fraction
 from pathlib import Path
@@ -47,6 +46,16 @@ from .rng import RNG_ALGORITHM, check_seed
 SCHEMA_VERSION = "2"
 
 WORKERS_ENV_VAR = "PERMLAB_WORKERS"
+
+
+def __getattr__(name: str):
+    # Only a pool of 2 or more workers needs the multiprocessing stack: imported on first use.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def default_workers() -> int:
@@ -111,7 +120,10 @@ class TrialResult:
 
         A line without ``schema_version`` is taken as the current version.
         """
-        record = json.loads(line)
+        try:
+            record = json.loads(line)
+        except RecursionError as exc:
+            raise ValueError(str(exc)) from None
         if isinstance(record, dict):
             version = record.pop("schema_version", SCHEMA_VERSION)
             if version != SCHEMA_VERSION:
@@ -255,7 +267,9 @@ def _run_trials(configs: Sequence[TrialConfig], workers: int) -> Iterator[TrialR
         for config in configs:
             yield run_single_trial(config)
         return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # Through the module, whose __getattr__ binds the name on first use.
+    pool_class = sys.modules[__name__].ProcessPoolExecutor
+    with pool_class(max_workers=workers) as pool:
         futures = [pool.submit(run_single_trial, config) for config in configs]
         for future in futures:
             yield future.result()
@@ -444,7 +458,7 @@ def configs_from_manifest(
     with open(manifest_path, "r", encoding="ascii") as fh:
         try:
             manifest = json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"{where}: {exc}") from None
     entries = manifest.get("matrices") if isinstance(manifest, dict) else None
     if not isinstance(entries, list):

@@ -283,6 +283,12 @@ def test_trials_and_report_subcommands(tmp_path, capsys):
             (json.dumps({**VALID_RESULTS_RECORD, "rel_error": 1e308}) + "\n") * 2,
             "group 4: mean_rel_error is inf, which JSON cannot spell\n",
         ),
+        (
+            # Past json's recursion limit, which a RecursionError reports.
+            ["report"],
+            "\n" + "[" * 100_000 + "]" * 100_000 + "\n",
+            "input.pmat, line 2: maximum recursion depth exceeded",
+        ),
     ],
     ids=[
         "malformed",
@@ -305,6 +311,7 @@ def test_trials_and_report_subcommands(tmp_path, capsys):
         "report-negative-infinity",
         "report-overflowing-literal",
         "report-overflowing-mean",
+        "report-nested-too-deep",
     ],
 )
 def test_domain_errors_print_one_line(tmp_path, capsys, command, text, message):
@@ -348,6 +355,7 @@ def test_domain_errors_print_one_line(tmp_path, capsys, command, text, message):
         ),
         ("nope", "config.json: Expecting value"),
         ('{"epsilon": 0.5, "label": "\u00e9"}', "config.json: 'ascii' codec can't decode"),
+        ("[" * 100_000 + "]" * 100_000, "config.json: maximum recursion depth exceeded"),
     ],
     ids=[
         "missing-epsilon",
@@ -364,6 +372,7 @@ def test_domain_errors_print_one_line(tmp_path, capsys, command, text, message):
         "three-problems",
         "not-json",
         "not-ascii",
+        "nested-too-deep",
     ],
 )
 def test_bad_trials_config_prints_one_line(tmp_path, capsys, config, message):
@@ -518,8 +527,12 @@ def test_a_matrix_too_large_for_ryser_fails_one_trial_and_keeps_the_batch(tmp_pa
             "manifest.json, matrices entry 0: expected an object with a string 'path', got {'n': 4}",
         ),
         ("{", "manifest.json: Expecting property name"),
+        (
+            '{"matrices": [' + "[" * 100_000 + "]" * 100_000 + "]}",
+            "manifest.json: maximum recursion depth exceeded",
+        ),
     ],
-    ids=["no-matrices", "not-an-object", "entry-without-path", "not-json"],
+    ids=["no-matrices", "not-an-object", "entry-without-path", "not-json", "nested-too-deep"],
 )
 def test_bad_manifest_prints_one_line(tmp_path, capsys, manifest, message):
     path = tmp_path / "manifest.json"

@@ -96,3 +96,18 @@ def test_a_library_built_without_sse2_has_no_ryser_and_the_other_kernels(tmp_pat
     assert None not in found.values()
     monkeypatch.setattr(_native, "kernel", _native.kernel.__wrapped__)
     assert exact.permanent_ryser(Matrix.from_rows([[1] * 5] * 5)) == 120
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc) on PATH")
+def test_a_build_that_fails_leaves_no_kernel_and_no_partial_file(tmp_path, monkeypatch):
+    # cc exits nonzero on a flag it does not know: every caller runs its
+    # Python code, and the build's temporary file is gone.
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.setattr(_native, "_CC_ARGS", (*_native._CC_ARGS, "--permlab-no-such-flag"))
+    monkeypatch.setattr(_native, "library", _native.load_library)
+    assert list(look_up_kernels().values()) == [None] * 6
+    with pytest.raises(OSError, match="the kernel build failed"):
+        _native.library_path()
+    monkeypatch.setattr(_native, "kernel", _native.kernel.__wrapped__)
+    assert exact.permanent_ryser(Matrix.from_rows([[1] * 5] * 5)) == 120
+    assert list(tmp_path.joinpath(".cache", "permlab").iterdir()) == []
